@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import channels, measurement, opsbasis, statealg
+from . import channels, opsbasis, protocols, statealg
 from .channels import channel_labels
 from .errors import DimensionError
 from .statealg import Cut, DensityOperator, PureState, Register
@@ -118,19 +118,11 @@ def unlock_ubes(d: int, N: int, mode: str = "all-branches",
     pair_reg = Register(d, ("A'_1", "1'"))
     for k in tuples:
         comp = channels.product_bell_channel(d, N, k)
-        stack = [(comp, (), 1.0)]
-        for pair in pairs:
-            new_stack = []
-            for state, outs, prob in stack:
-                for br in measurement.gbm_branches(state, pair, remove=True):
-                    if br.null:
-                        continue
-                    new_stack.append(
-                        (br.post_state, outs + ((br.outcome.m, br.outcome.n),),
-                         prob * br.outcome.probability)
-                    )
-            stack = new_stack
-        for state, outs, prob in stack:
+        leaves, _ = protocols.execute(
+            comp, pairs, lambda outs, prob, state: (tuple(outs), prob, state),
+            "all-branches", budget=None,
+        )
+        for outs, prob, state in leaves:
             slot = acc.setdefault(
                 outs, [np.zeros((d * d, d * d), dtype=np.complex128), 0.0]
             )

@@ -85,6 +85,14 @@ def enumerate_constrained_tuples(d: int, N: int, u: int, v: int) -> list[tuple[i
     return out
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_int_list(x) -> bool:
+    return isinstance(x, list) and all(_is_int(e) for e in x)
+
+
 def _check_tuple(k, d: int, N: int, u: int, v: int):
     if len(k) != 2 * N:
         raise ConstraintError(f"tuple {k} must have {2*N} entries")
@@ -165,14 +173,37 @@ class ChannelSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "ChannelSpec":
+        """Parse a channel file; a schema violation raises ConstraintError naming the field."""
         doc = json.loads(text)
-        table = [(tuple(e["k"]), float(e["w"])) for e in doc.get("table", [])]
+        if not isinstance(doc, dict):
+            raise ConstraintError("channel file must hold a JSON object")
+        for key in ("kind", "d", "N"):
+            if key not in doc:
+                raise ConstraintError(f"channel file is missing field {key!r}")
+        for key in ("d", "N", "u", "v"):
+            if key in doc and not _is_int(doc[key]):
+                raise ConstraintError(f"channel field {key!r} must be an integer")
+        if doc.get("seed") is not None and not _is_int(doc["seed"]):
+            raise ConstraintError("channel field 'seed' must be an integer or null")
+        entries = doc.get("table", [])
+        if not isinstance(entries, list):
+            raise ConstraintError("channel field 'table' must be a list")
+        table = []
+        for i, e in enumerate(entries):
+            if not isinstance(e, dict) or not _is_int_list(e.get("k")):
+                raise ConstraintError(f"channel field 'table[{i}].k' must be a list of integers")
+            w = e.get("w")
+            if isinstance(w, bool) or not isinstance(w, (int, float)):
+                raise ConstraintError(f"channel field 'table[{i}].w' must be a number")
+            table.append((tuple(e["k"]), float(w)))
+        if "c" in doc and not _is_int_list(doc["c"]):
+            raise ConstraintError("channel field 'c' must be a list of integers")
         return cls(
             kind=doc["kind"],
-            d=int(doc["d"]),
-            N=int(doc["N"]),
-            u=int(doc.get("u", 0)),
-            v=int(doc.get("v", 0)),
+            d=doc["d"],
+            N=doc["N"],
+            u=doc.get("u", 0),
+            v=doc.get("v", 0),
             table=table,
             c=tuple(doc["c"]) if "c" in doc else None,
             seed=doc.get("seed"),

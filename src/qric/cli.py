@@ -98,27 +98,26 @@ def cmd_teleclone(args):
     }
 
 
-def _ric_fidelity_runs(args, spec):
-    d, N = args.d, args.N
-    rng = np.random.default_rng(args.seed)
-    inp = statealg.random_qudit(d, rng)
-    clone = protocols.clone_state(inp.amps, d, N)
-    target = _diana_target(inp, N)
-    results = []
-    coverage = 1.0
-    if args.mode == "all-branches" and not spec.is_mixed:
-        branches, coverage = protocols.run_ric(clone, spec, mode="all-branches", rng=rng)
-        for state, transcript in branches:
-            fid = abs(statealg.overlap(state, target)) ** 2
-            transcript.fidelity = fid
-            results.append((fid, transcript))
+def _fidelity_runs(args, run, target, rng, exhaustive=True):
+    """Score each leaf of run(mode=..., rng=rng) against target.
+
+    --mode all-branches enumerates once (unless `exhaustive` is False, as for
+    mixed channels); otherwise --trials samples are drawn. Returns
+    (fidelities, transcripts, checks, coverage).
+    """
+    if args.mode == "all-branches" and exhaustive:
+        branches, coverage = run(mode="all-branches", rng=rng)
     else:
-        for _ in range(args.trials):
-            state, transcript = protocols.run_ric(clone, spec, mode="sample", rng=rng)
-            fid = abs(statealg.overlap(state, target)) ** 2
-            transcript.fidelity = fid
-            results.append((fid, transcript))
-    return results, coverage
+        coverage = 1.0
+        branches = [run(mode="sample", rng=rng) for _ in range(args.trials)]
+    fids, transcripts = [], []
+    for state, transcript in branches:
+        transcript.fidelity = abs(statealg.overlap(state, target)) ** 2
+        fids.append(transcript.fidelity)
+        transcripts.append(transcript)
+    checks = [_check(f"run{i}.fidelity", fid, 1.0, _tol(args, DEFAULT_TOL))
+              for i, fid in enumerate(fids)]
+    return fids, transcripts, checks, coverage
 
 
 def cmd_ric(args):
@@ -127,20 +126,22 @@ def cmd_ric(args):
         raise ConstraintError(
             f"channel file is for (d,N)=({spec.d},{spec.N}), requested ({args.d},{args.N})"
         )
-    results, coverage = _ric_fidelity_runs(args, spec)
-    bits_expected = (2 * args.N - 1) * 2.0 * log2(args.d)
-    checks = [
-        _check(f"run{i}.fidelity", fid, 1.0, _tol(args, DEFAULT_TOL)) for i, (fid, _) in enumerate(results)
-    ]
-    checks.append(
-        _check("classical_bits", results[0][1].total_bits(), bits_expected, 1e-12)
+    d, N = args.d, args.N
+    rng = np.random.default_rng(args.seed)
+    inp = statealg.random_qudit(d, rng)
+    clone = protocols.clone_state(inp.amps, d, N)
+    fids, transcripts, checks, coverage = _fidelity_runs(
+        args, lambda **kw: protocols.run_ric(clone, spec, **kw), _diana_target(inp, N), rng,
+        exhaustive=not spec.is_mixed,
     )
+    bits_expected = (2 * N - 1) * 2.0 * log2(d)
+    checks.append(_check("classical_bits", transcripts[0].total_bits(), bits_expected, 1e-12))
     return {
         "config": _config_echo(args),
         "coverage": coverage,
-        "fidelities": [fid for fid, _ in results],
+        "fidelities": fids,
         "checks": checks,
-        "transcripts": [t.to_json_dict() for _, t in results[: args.max_transcripts]],
+        "transcripts": [t.to_json_dict() for t in transcripts[: args.max_transcripts]],
     }
 
 
@@ -152,24 +153,14 @@ def cmd_ric_mm_ghz(args):
     target = protocols.ghz_correlated_state(
         inp.amps, d, L, labels=[f"{N}'_{i}" for i in range(1, L + 1)]
     )
-    checks = []
-    transcripts = []
-    if args.mode == "all-branches":
-        branches, coverage = protocols.run_mm_ghz(clone, d, N, L, mode="all-branches", rng=rng)
-    else:
-        coverage = 1.0
-        branches = [protocols.run_mm_ghz(clone, d, N, L, mode="sample", rng=rng)
-                    for _ in range(args.trials)]
-    for i, (state, transcript) in enumerate(branches):
-        fid = abs(statealg.overlap(state, target)) ** 2
-        transcript.fidelity = fid
-        checks.append(_check(f"run{i}.fidelity", fid, 1.0, _tol(args, DEFAULT_TOL)))
-        transcripts.append(transcript.to_json_dict())
+    _, transcripts, checks, coverage = _fidelity_runs(
+        args, lambda **kw: protocols.run_mm_ghz(clone, d, N, L, **kw), target, rng
+    )
     return {
         "config": _config_echo(args),
         "coverage": coverage,
         "checks": checks,
-        "transcripts": transcripts[: args.max_transcripts],
+        "transcripts": [t.to_json_dict() for t in transcripts[: args.max_transcripts]],
     }
 
 
@@ -182,28 +173,16 @@ def cmd_ric_mm_multi(args):
     target = statealg.tensor_many(
         [statealg.permute(inp, {inp.register.labels[0]: lab}) for lab in receiver]
     )
-    bits_expected = (2 * N - L) * 2.0 * log2(d)
-    checks = []
-    transcripts = []
-    if args.mode == "all-branches":
-        branches, coverage = protocols.run_mm_multiqudit(dist, d, N, L, mode="all-branches", rng=rng)
-    else:
-        coverage = 1.0
-        branches = [protocols.run_mm_multiqudit(dist, d, N, L, mode="sample", rng=rng)
-                    for _ in range(args.trials)]
-    for i, (state, transcript) in enumerate(branches):
-        fid = abs(statealg.overlap(state, target)) ** 2
-        transcript.fidelity = fid
-        checks.append(_check(f"run{i}.fidelity", fid, 1.0, _tol(args, DEFAULT_TOL)))
-        transcripts.append(transcript.to_json_dict())
-    checks.append(
-        _check("classical_bits", branches[0][1].total_bits(), bits_expected, 1e-12)
+    _, transcripts, checks, coverage = _fidelity_runs(
+        args, lambda **kw: protocols.run_mm_multiqudit(dist, d, N, L, **kw), target, rng
     )
+    bits_expected = (2 * N - L) * 2.0 * log2(d)
+    checks.append(_check("classical_bits", transcripts[0].total_bits(), bits_expected, 1e-12))
     return {
         "config": _config_echo(args),
         "coverage": coverage,
         "checks": checks,
-        "transcripts": transcripts[: args.max_transcripts],
+        "transcripts": [t.to_json_dict() for t in transcripts[: args.max_transcripts]],
     }
 
 
@@ -504,7 +483,7 @@ def main(argv=None) -> int:
     except SizeGuardError as exc:
         print(f"size guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (ConstraintError, ProtocolError, json.JSONDecodeError, KeyError) as exc:
+    except (ConstraintError, ProtocolError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except IOError as exc:

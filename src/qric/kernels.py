@@ -1,40 +1,23 @@
 """Hot numeric kernels: single-qudit operator application and Bell-pair projection.
 
-Both exist in two implementations: numba @njit loops over flat amplitude
-arrays (stride arithmetic, no temporaries beyond the output), and a pure-numpy
-reshape/tensordot path. The active implementation is chosen at import time:
-set QRIC_NO_NUMBA=1 to force the numpy path (also used automatically when
-numba is unavailable). `benchmarks/bench_kernels.py` compares the two.
+Both reshape the flat big-endian amplitude vector so the target qudit(s) get
+their own axes, then contract with numpy einsum.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_DISABLE = os.environ.get("QRIC_NO_NUMBA", "").strip().lower() in ("1", "true", "yes")
-
-try:
-    if _DISABLE:
-        raise ImportError("numba disabled via QRIC_NO_NUMBA")
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via env flag
-    HAVE_NUMBA = False
+HAVE_NUMBA = False  # numpy is the only kernel implementation; kept for tools that report it
 
 
-# ---------------------------------------------------------------------------
-# numpy implementations
-
-def apply_single_numpy(amps: np.ndarray, op: np.ndarray, d: int, stride: int) -> np.ndarray:
+def apply_single(amps: np.ndarray, op: np.ndarray, d: int, stride: int) -> np.ndarray:
     """Apply a d x d operator on the qudit with the given index stride."""
     t = amps.reshape(-1, d, stride)
     return np.einsum("ab,ibj->iaj", op, t).reshape(-1)
 
 
-def project_pair_numpy(
+def project_pair(
     amps: np.ndarray, pair: np.ndarray, d: int, stride1: int, stride2: int, n_left: int
 ) -> np.ndarray:
     """Contract <pair| onto the two qudits with strides stride1 > stride2.
@@ -52,53 +35,3 @@ def project_pair_numpy(
     P = pair.conj().reshape(d, d)
     out = np.einsum("ab,iajbk->ijk", P, t)
     return out.reshape(n_left)
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _apply_single_nb(amps, op, d, stride):  # pragma: no cover - jit
-        dim = amps.shape[0]
-        out = np.zeros(dim, np.complex128)
-        group = stride * d
-        for base in range(0, dim, group):
-            for off in range(stride):
-                start = base + off
-                for a in range(d):
-                    acc = 0.0 + 0.0j
-                    for b in range(d):
-                        acc += op[a, b] * amps[start + b * stride]
-                    out[start + a * stride] = acc
-        return out
-
-    @njit(cache=True)
-    def _project_pair_nb(amps, pairc, d, stride1, stride2, n_left):  # pragma: no cover - jit
-        dim = amps.shape[0]
-        out = np.zeros(n_left, np.complex128)
-        block1 = stride1 * d
-        block2 = stride2 * d
-        idx = 0
-        for i in range(0, dim, block1):
-            for j in range(0, stride1, block2):
-                for k in range(stride2):
-                    base = i + j + k
-                    acc = 0.0 + 0.0j
-                    for a in range(d):
-                        for b in range(d):
-                            acc += pairc[a * d + b] * amps[base + a * stride1 + b * stride2]
-                    out[idx] = acc
-                    idx += 1
-        return out
-
-    def apply_single(amps, op, d, stride):
-        return _apply_single_nb(amps, np.ascontiguousarray(op, np.complex128), d, stride)
-
-    def project_pair(amps, pair, d, stride1, stride2, n_left):
-        pairc = np.ascontiguousarray(pair.conj(), np.complex128)
-        return _project_pair_nb(amps, pairc, d, stride1, stride2, n_left)
-
-else:
-    apply_single = apply_single_numpy
-
-    def project_pair(amps, pair, d, stride1, stride2, n_left):
-        return project_pair_numpy(amps, pair, d, stride1, stride2, n_left)

@@ -41,42 +41,45 @@ def _residual(state: PureState, pair, m: int, n: int):
     return vec, prob
 
 
-def _branch(state: PureState, pair, m: int, n: int, remove: bool) -> Branch:
-    vec, prob = _residual(state, pair, m, n)
-    outcome = GbmOutcome(m, n, prob, tuple(pair))
+def _collapse(state: PureState, pair, m: int, n: int, vec, prob: float, remove: bool) -> Branch:
+    """Branch for outcome (m, n) given its unnormalized residual and probability."""
+    outcome = GbmOutcome(m, n, prob, pair)
     if prob < NULL_PROB:
         return Branch(outcome, None)
     if state.register.n == 2:
         # nothing would remain; both modes return the collapsed pair
-        return Branch(outcome, opsbasis.bell_state(state.d, m, n, tuple(pair)))
-    vec = vec / np.sqrt(prob)
+        return Branch(outcome, opsbasis.bell_state(state.d, m, n, pair))
     rest = statealg.drop_labels(state.register, pair)
-    residual = PureState(rest, vec, validate=False)
+    residual = PureState(rest, vec / np.sqrt(prob), validate=False)
     if remove:
         return Branch(outcome, residual)
     # retain: pair collapsed onto its Bell state, back at the original positions
-    collapsed = statealg.tensor(
-        opsbasis.bell_state(state.d, m, n, tuple(pair)), residual
-    )
+    collapsed = statealg.tensor(opsbasis.bell_state(state.d, m, n, pair), residual)
     return Branch(outcome, statealg.reorder(collapsed, state.register.labels))
 
 
-def gbm_branches(state: PureState, pair, *, remove: bool = False) -> list[Branch]:
-    """All d^2 branches of a GBM on the ordered pair, row-major in (m, n)."""
+def _checked_pair(state: PureState, pair) -> tuple:
     pair = tuple(pair)
     if len(pair) != 2 or pair[0] == pair[1]:
         raise LabelError("GBM needs two distinct labels")
     state.register.positions(pair)  # raises on unknown labels
+    return pair
+
+
+def gbm_branches(state: PureState, pair, *, remove: bool = False) -> list[Branch]:
+    """All d^2 branches of a GBM on the ordered pair, row-major in (m, n)."""
+    pair = _checked_pair(state, pair)
     d = state.d
-    return [_branch(state, pair, m, n, remove) for m in range(d) for n in range(d)]
+    return [
+        _collapse(state, pair, m, n, *_residual(state, pair, m, n), remove)
+        for m in range(d)
+        for n in range(d)
+    ]
 
 
 def gbm_sample(state: PureState, pair, rng: np.random.Generator, *, remove: bool = False) -> Branch:
     """Draw one branch by cumulative probability; deterministic given the rng state."""
-    pair = tuple(pair)
-    if len(pair) != 2 or pair[0] == pair[1]:
-        raise LabelError("GBM needs two distinct labels")
-    state.register.positions(pair)
+    pair = _checked_pair(state, pair)
     d = state.d
     probs = np.empty(d * d)
     residuals = []
@@ -95,18 +98,7 @@ def gbm_sample(state: PureState, pair, rng: np.random.Generator, *, remove: bool
             idx = i
             break
     m, n = divmod(idx, d)
-    prob = float(probs[idx])
-    outcome = GbmOutcome(m, n, prob, pair)
-    if prob < NULL_PROB:
-        return Branch(outcome, None)
-    if state.register.n == 2:
-        return Branch(outcome, opsbasis.bell_state(d, m, n, pair))
-    rest = statealg.drop_labels(state.register, pair)
-    residual = PureState(rest, residuals[idx] / np.sqrt(prob), validate=False)
-    if remove:
-        return Branch(outcome, residual)
-    collapsed = statealg.tensor(opsbasis.bell_state(d, m, n, pair), residual)
-    return Branch(outcome, statealg.reorder(collapsed, state.register.labels))
+    return _collapse(state, pair, m, n, residuals[idx], float(probs[idx]), remove)
 
 
 def swap_identity_check(d: int, m: int, n: int, m2: int, n2: int) -> float:

@@ -53,12 +53,6 @@ class PartyRegistry:
         if set(owned) != set(labels):
             raise ProtocolError("registry does not partition the register labels")
 
-    def holder(self, label: str) -> str:
-        for party, ls in self.roles.items():
-            if label in ls:
-                return party
-        raise ProtocolError(f"no party holds {label!r}")
-
 
 def default_ric_registry(N: int) -> PartyRegistry:
     roles = {}
@@ -111,57 +105,55 @@ class Transcript:
         return doc
 
 
+def _transcript(registry, routes, outcomes, prob, d, correction, corrections=None):
+    """One message per (sender, recipient) route, carrying the matching (m, n)."""
+    bits = 2.0 * log2(d)
+    messages = [Message(src, dst, m, n, bits) for (src, dst), (m, n) in zip(routes, outcomes)]
+    return Transcript(parties=dict(registry.roles), messages=messages, correction=correction,
+                      corrections=corrections, branch_probability=prob)
+
+
 # ---------------------------------------------------------------------------
 # measurement-plan execution
 
-def _plan_sample(joint: PureState, plan, rng):
-    outcomes = []
-    prob = 1.0
-    state = joint
-    for pair in plan:
-        br = measurement.gbm_sample(state, pair, rng, remove=True)
-        if br.null:
-            raise ProtocolError("sampled a null branch")  # pragma: no cover
-        outcomes.append((br.outcome.m, br.outcome.n))
-        prob *= br.outcome.probability
-        state = br.post_state
-    return outcomes, prob, state
+def execute(joint: PureState, plan, finish, mode: str = "sample", rng=None, *,
+            budget: int | None = BRANCH_BUDGET):
+    """Measure the ordered pairs of `plan` in turn (GBM, pairs removed).
 
-
-def _plan_branches(joint: PureState, plan, budget=BRANCH_BUDGET, rng=None):
-    """All non-null branches of the plan, depth-first.
-
-    If the full tree exceeds `budget` leaves, the first pairs are expanded
-    exhaustively and the tail is sampled once per prefix (stratified);
-    returns (branches, coverage) with coverage = explored / total.
+    Every leaf is handed to finish(outcomes, prob, residual), outcomes being
+    the (m, n) per plan pair. mode="sample" draws one branch per level and
+    returns finish's value for that leaf; "all-branches" returns
+    (finish's value per non-null leaf, depth-first; coverage). If the full
+    tree exceeds `budget` leaves (None: no cap), the first pairs are
+    expanded exhaustively and the tail is sampled once per prefix
+    (stratified), and coverage = explored / total.
     """
+    if mode not in ("sample", "all-branches"):
+        raise ProtocolError(f"unknown mode {mode!r}")
     d2 = joint.d**2
     total = d2 ** len(plan)
-    exhaustive_depth = len(plan)
-    if total > budget:
+    exhaustive_depth = len(plan) if mode == "all-branches" else 0
+    if mode == "all-branches" and budget is not None and total > budget:
         exhaustive_depth = 0
         while d2 ** (exhaustive_depth + 1) <= budget and exhaustive_depth < len(plan):
             exhaustive_depth += 1
-        if rng is None:
-            rng = np.random.default_rng(0)
-    results = []
+    if exhaustive_depth < len(plan) and rng is None:
+        rng = np.random.default_rng(0)
+    leaves = []
 
     def expand(state, idx, outs, prob):
         if idx == len(plan):
-            results.append((outs, prob, state))
+            leaves.append(finish(outs, prob, state))
             return
         if idx < exhaustive_depth:
-            for br in measurement.gbm_branches(state, plan[idx], remove=True):
-                if br.null:
-                    continue
-                expand(
-                    br.post_state,
-                    idx + 1,
-                    outs + [(br.outcome.m, br.outcome.n)],
-                    prob * br.outcome.probability,
-                )
+            branches = measurement.gbm_branches(state, plan[idx], remove=True)
         else:
-            br = measurement.gbm_sample(state, plan[idx], rng, remove=True)
+            branches = [measurement.gbm_sample(state, plan[idx], rng, remove=True)]
+            if branches[0].null:
+                raise ProtocolError("sampled a null branch")  # pragma: no cover
+        for br in branches:
+            if br.null:
+                continue
             expand(
                 br.post_state,
                 idx + 1,
@@ -170,8 +162,10 @@ def _plan_branches(joint: PureState, plan, budget=BRANCH_BUDGET, rng=None):
             )
 
     expand(joint, 0, [], 1.0)
-    coverage = 1.0 if total <= budget else len(results) / total
-    return results, coverage
+    if mode == "sample":
+        return leaves[0]
+    coverage = 1.0 if exhaustive_depth == len(plan) else len(leaves) / total
+    return leaves, coverage
 
 
 # ---------------------------------------------------------------------------
@@ -199,24 +193,6 @@ def telecloning_registry(N: int) -> PartyRegistry:
     return PartyRegistry(roles)
 
 
-def _teleclone_branch(joint, d, N, m, n, prob, correct_ancillas, registry):
-    state = joint
-    for s in range(1, N + 1):
-        state = statealg.apply_local(state, weyl_r(d, m, n), str(s))
-    if correct_ancillas:
-        for s in range(1, N):
-            state = statealg.apply_local(state, weyl_r(d, -m, n), f"A_{s}")
-    transcript = Transcript(parties=dict(registry.roles), branch_probability=prob)
-    bits = 2.0 * log2(d)
-    for s in range(1, N + 1):
-        transcript.messages.append(Message("Alice", f"Bob_{s}", m, n, bits))
-    if correct_ancillas:
-        for s in range(1, N):
-            transcript.messages.append(Message("Alice", f"Charlie_{s}", m, n, bits))
-    transcript.correction = (m, n)
-    return state, transcript
-
-
 def run_telecloning(
     input_state: PureState,
     d: int,
@@ -237,27 +213,21 @@ def run_telecloning(
     inp = statealg.permute(input_state, {input_state.register.labels[0]: "t"})
     joint = statealg.tensor(inp, channels.telecloning_channel(d, N))
     registry = telecloning_registry(N)
-    if mode == "sample":
-        if rng is None:
-            rng = np.random.default_rng(0)
-        br = measurement.gbm_sample(joint, ("t", "t'"), rng, remove=True)
-        return _teleclone_branch(
-            br.post_state, d, N, br.outcome.m, br.outcome.n,
-            br.outcome.probability, correct_ancillas, registry,
-        )
-    if mode != "all-branches":
-        raise ProtocolError(f"unknown mode {mode!r}")
-    out = []
-    for br in measurement.gbm_branches(joint, ("t", "t'"), remove=True):
-        if br.null:
-            continue
-        out.append(
-            _teleclone_branch(
-                br.post_state, d, N, br.outcome.m, br.outcome.n,
-                br.outcome.probability, correct_ancillas, registry,
-            )
-        )
-    return out
+    routes = [("Alice", f"Bob_{s}") for s in range(1, N + 1)]
+    if correct_ancillas:
+        routes += [("Alice", f"Charlie_{s}") for s in range(1, N)]
+
+    def finish(outcomes, prob, state):
+        m, n = outcomes[0]
+        for s in range(1, N + 1):
+            state = statealg.apply_local(state, weyl_r(d, m, n), str(s))
+        if correct_ancillas:
+            for s in range(1, N):
+                state = statealg.apply_local(state, weyl_r(d, -m, n), f"A_{s}")
+        return state, _transcript(registry, routes, outcomes * len(routes), prob, d, (m, n))
+
+    out = execute(joint, [("t", "t'")], finish, mode, rng)
+    return out if mode == "sample" else out[0]  # one pair: coverage is always 1
 
 
 # ---------------------------------------------------------------------------
@@ -278,12 +248,6 @@ class CloneFamily:
     front_labels: tuple
     lambdas: dict
     bbar: dict
-
-    def bbar_state(self, m: int, n: int) -> PureState:
-        return self.bbar[(m, n)]
-
-    def bbar_weight(self, m: int, n: int) -> float:
-        return float(np.linalg.norm(self.bbar[(m, n)].amps))
 
 
 def _front_register(d: int, N: int) -> Register:
@@ -369,16 +333,12 @@ def ric_measurement_plan(N: int) -> list:
     return plan
 
 
-def _ric_transcript(registry, N, d, outcomes, prob, corr):
-    transcript = Transcript(parties=dict(registry.roles), branch_probability=prob)
-    bits = 2.0 * log2(d)
+def _ric_routes(N: int) -> list:
+    """Senders in plan order, each reporting to Diana."""
     senders = [f"Bob_{s}" for s in range(1, N)]
     senders += [f"Charlie_{s}" for s in range(1, N)]
     senders.append(f"Bob_{N}")
-    for party, (mm, nn) in zip(senders, outcomes):
-        transcript.messages.append(Message(party, "Diana", mm, nn, bits))
-    transcript.correction = corr
-    return transcript
+    return [(party, "Diana") for party in senders]
 
 
 def _resolve_channel(channel, rng):
@@ -437,23 +397,16 @@ def run_ric(
     registry.validate_partition(clone.register.labels + chan_state.register.labels)
     joint = statealg.tensor(clone, chan_state)
     plan = ric_measurement_plan(N)
+    routes = _ric_routes(N)
 
     def finish(outcomes, prob, residual):
         corr = deduce_correction(outcomes[:-1], outcomes[-1], u, v, d)
         out = statealg.apply_local(residual, weyl_r(d, corr[0], corr[1]), f"{N}'")
         nrm = out.norm()
         out = PureState(out.register, out.amps / nrm, validate=False) if abs(nrm - 1) > 1e-12 else out
-        return out, _ric_transcript(registry, N, d, outcomes, prob, corr)
+        return out, _transcript(registry, routes, outcomes, prob, d, corr)
 
-    if mode == "sample":
-        if rng is None:
-            rng = np.random.default_rng(0)
-        outcomes, prob, residual = _plan_sample(joint, plan, rng)
-        return finish(outcomes, prob, residual)
-    if mode != "all-branches":
-        raise ProtocolError(f"unknown mode {mode!r}")
-    branches, coverage = _plan_branches(joint, plan, rng=rng)
-    return [finish(o, p, s) for o, p, s in branches], coverage
+    return execute(joint, plan, finish, mode, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -556,6 +509,7 @@ def run_mm_ghz(
     registry = PartyRegistry(registry_roles)
     joint = statealg.tensor(clone, chan)
     plan = ric_measurement_plan(N)
+    routes = _ric_routes(N)
     leg_labels = [f"{N}'_{i}" for i in range(1, L + 1)]
 
     def finish(outcomes, prob, residual):
@@ -563,17 +517,9 @@ def run_mm_ghz(
         out = statealg.apply_local(residual, weyl_r(d, x, y), leg_labels[0])
         for leg in leg_labels[1:]:
             out = statealg.apply_local(out, weyl_r(d, 0, y), leg)
-        return out, _ric_transcript(registry, N, d, outcomes, prob, (x, y))
+        return out, _transcript(registry, routes, outcomes, prob, d, (x, y))
 
-    if mode == "sample":
-        if rng is None:
-            rng = np.random.default_rng(0)
-        outcomes, prob, residual = _plan_sample(joint, plan, rng)
-        return finish(outcomes, prob, residual)
-    if mode != "all-branches":
-        raise ProtocolError(f"unknown mode {mode!r}")
-    branches, coverage = _plan_branches(joint, plan, rng=rng)
-    return [finish(o, p, s) for o, p, s in branches], coverage
+    return execute(joint, plan, finish, mode, rng)
 
 
 def ghz_correlated_state(x, d: int, L: int, labels=None) -> PureState:
@@ -741,7 +687,10 @@ def run_mm_multiqudit(
         roles[f"Leg_{i}"] = (str(s), f"A'_{s}")
     roles["Receiver"] = tuple(receiver)
     registry = PartyRegistry(roles)
-
+    senders = [f"Bob_{s}" for s in range(1, N - L + 1)]
+    senders += [f"Charlie_{s}" for s in range(1, N - L + 1)]
+    senders += [f"Leg_{i}" for i in range(1, L + 1)]
+    routes = [(party, "Receiver") for party in senders]
     n_front = 2 * (N - L)
 
     def finish(outcomes, prob, residual):
@@ -756,23 +705,6 @@ def run_mm_multiqudit(
             corrections.append((xc, yc))
             out = statealg.apply_local(out, weyl_r(d, xc, yc), receiver[i])
         out = statealg.reorder(out, receiver)
-        transcript = Transcript(parties=dict(registry.roles), branch_probability=prob)
-        bits = 2.0 * log2(d)
-        senders = [f"Bob_{s}" for s in range(1, N - L + 1)]
-        senders += [f"Charlie_{s}" for s in range(1, N - L + 1)]
-        senders += [f"Leg_{i}" for i in range(1, L + 1)]
-        for party, (mm, nn) in zip(senders, outcomes):
-            transcript.messages.append(Message(party, "Receiver", mm, nn, bits))
-        transcript.corrections = corrections
-        transcript.correction = corrections[0]
-        return out, transcript
+        return out, _transcript(registry, routes, outcomes, prob, d, corrections[0], corrections)
 
-    if mode == "sample":
-        if rng is None:
-            rng = np.random.default_rng(0)
-        outcomes, prob, residual = _plan_sample(joint, plan, rng)
-        return finish(outcomes, prob, residual)
-    if mode != "all-branches":
-        raise ProtocolError(f"unknown mode {mode!r}")
-    branches, coverage = _plan_branches(joint, plan, rng=rng)
-    return [finish(o, p, s) for o, p, s in branches], coverage
+    return execute(joint, plan, finish, mode, rng)

@@ -153,9 +153,6 @@ class DensityOperator:
     def dim(self) -> int:
         return self.register.dim
 
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.mat)
-
     def purity(self) -> float:
         return float(np.real(np.trace(self.mat @ self.mat)))
 
@@ -244,20 +241,6 @@ def apply_local(state: PureState, op: np.ndarray, target: str, *, check_unitary:
     return PureState(state.register, out, validate=False)
 
 
-def apply_local_density(rho: DensityOperator, op: np.ndarray, target: str) -> DensityOperator:
-    """op rho op^dagger on a single qudit."""
-    op = np.asarray(op, dtype=np.complex128)
-    d = rho.d
-    if op.shape != (d, d):
-        raise DimensionError(f"operator must be {d}x{d}")
-    n = rho.register.n
-    pos = rho.register.position(target)
-    t = rho.mat.reshape([d] * (2 * n))
-    t = np.moveaxis(np.tensordot(op, t, axes=([1], [pos])), 0, pos)
-    t = np.moveaxis(np.tensordot(op.conj(), t, axes=([1], [n + pos])), 0, n + pos)
-    return DensityOperator(rho.register, t.reshape(rho.dim, rho.dim), validate=False)
-
-
 def project_pair(state: PureState, pair_amps: np.ndarray, pair: tuple[str, str]) -> np.ndarray:
     """<pair_amps|_{pair} state: unnormalized residual with the pair removed.
 
@@ -327,12 +310,6 @@ def reorder_density(rho: DensityOperator, new_order) -> DensityOperator:
     t = rho.mat.reshape([reg.d] * (2 * n))
     t = np.transpose(t, perm + [n + p for p in perm])
     return DensityOperator(Register(reg.d, new_order), t.reshape(reg.dim, reg.dim), validate=False)
-
-
-def rename(state: PureState, mapping: dict) -> PureState:
-    """Rename labels in place (positions and amplitudes untouched)."""
-    new_labels = tuple(mapping.get(l, l) for l in state.register.labels)
-    return PureState(Register(state.d, new_labels), state.amps, validate=False)
 
 
 def permute(state: PureState | DensityOperator, relabeling: dict):

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from qric import cli
 from qric.cli import main
 
 
@@ -60,6 +61,29 @@ def test_ric_bad_channel_table_exit_2(tmp_path):
     proc = run_cli(["ric", "--d", "2", "--N", "2", "--channel", str(bad)])
     assert proc.returncode == 2
     assert "(1, 0, 0, 0)" in proc.stderr
+
+
+@pytest.mark.parametrize("doc,field", [
+    ({"d": 2, "N": 2}, "field 'kind'"),
+    ({"kind": "ghz", "d": "x", "N": 2}, "field 'd'"),
+    ([{"kind": "ghz", "d": 2, "N": 2}], "JSON object"),
+], ids=["no-kind", "d-not-int", "json-list"])
+def test_ric_malformed_channel_file_exit_2(tmp_path, capsys, doc, field):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["ric", "--channel", str(bad), "--out", "/dev/null"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert field in err
+
+
+def test_internal_key_error_is_not_a_configuration_error(monkeypatch):
+    def broken(args):
+        raise KeyError("internal")
+
+    monkeypatch.setitem(cli.HANDLERS, "verify", broken)
+    with pytest.raises(KeyError):
+        main(["verify", "--out", "/dev/null"])
 
 
 def test_ric_missing_channel_file_exit_2():

@@ -239,13 +239,40 @@ def test_ric_measurement_order_independent():
     base_plan = protocols.ric_measurement_plan(N)
     for order in itertools.permutations(range(len(base_plan))):
         plan = [base_plan[i] for i in order]
-        branches, _ = protocols._plan_branches(joint, plan)
-        for outs, _prob, residual in branches:
+
+        def finish(outs, _prob, residual):
             by_pair = dict(zip(plan, outs))
             ordered = [by_pair[p] for p in base_plan]
             x, y = deduce_correction(ordered[:-1], ordered[-1], 0, 0, d)
-            out = statealg.apply_local(residual, weyl_r(d, x, y), f"{N}'")
+            return statealg.apply_local(residual, weyl_r(d, x, y), f"{N}'")
+
+        leaves, coverage = protocols.execute(joint, plan, finish, "all-branches")
+        assert coverage == 1.0 and leaves
+        for out in leaves:
             assert abs(overlap(out, target)) > 1 - 1e-9
+
+
+@pytest.mark.parametrize("preset,d,N", [("ghz", 2, 2), ("beta", 3, 2)])
+def test_ric_leaf_probability_matches_dense_projection(preset, d, N):
+    # oracle: ||(x)_k <B_{o_k}| joint||^2 by one dense contraction over every
+    # plan pair at once; no GBM and no kernels involved
+    rng = np.random.default_rng(43)
+    inp = random_qudit(d, rng)
+    clone = clone_state(inp.amps, d, N)
+    spec = preset_spec(preset, d, N)
+    joint = statealg.tensor(clone, spec.build())
+    plan = protocols.ric_measurement_plan(N)
+    axes = [joint.register.position(label) for pair in plan for label in pair]
+    t = joint.amps.reshape([d] * joint.register.n)
+    branches, coverage = run_ric(clone, spec, mode="all-branches")
+    assert coverage == 1.0
+    for _state, transcript in branches:
+        bra = np.ones(1, dtype=np.complex128)
+        for msg in transcript.messages:  # one message per plan pair, in plan order
+            bra = np.kron(bra, opsbasis.bell_vector(d, msg.m, msg.n).conj())
+        rest = np.tensordot(bra.reshape([d] * len(axes)), t, axes=(range(len(axes)), axes))
+        want = float(np.sum(np.abs(rest) ** 2))
+        assert transcript.branch_probability == pytest.approx(want, abs=1e-12)
 
 
 def test_ric_d2_n3_sampled_branches():
