@@ -53,7 +53,14 @@ from .channels import (
     smolin_like,
     telecloning_channel,
 )
-from .measurement import Branch, GbmOutcome, gbm_branches, gbm_sample, swap_identity_check
+from .measurement import (
+    Branch,
+    GbmOutcome,
+    gbm_batch,
+    gbm_branches,
+    gbm_sample,
+    swap_identity_check,
+)
 from .protocols import (
     CloneFamily,
     PartyRegistry,

@@ -12,7 +12,7 @@ import numpy as np
 from . import channels, opsbasis, protocols, statealg
 from .channels import channel_labels
 from .errors import DimensionError
-from .statealg import Cut, DensityOperator, PureState, Register
+from .statealg import Cut, DensityOperator, PureState
 
 
 def clone_fidelity_formula(d: int, N: int) -> float:
@@ -114,25 +114,26 @@ def unlock_ubes(d: int, N: int, mode: str = "all-branches",
     tuples = channels.enumerate_constrained_tuples(d, N, 0, 0)
     weight = 1.0 / len(tuples)
     pairs = [(f"A'_{s}", f"{s}'") for s in range(2, N + 1)]
-    acc: dict = {}
-    pair_reg = Register(d, ("A'_1", "1'"))
+    digits = (d,) * (2 * len(pairs))  # outcome code: the (m, n) digits in plan order
+    mats = np.zeros((d ** len(digits), d * d, d * d), dtype=np.complex128)
+    masses = np.zeros(d ** len(digits))
+    seen = np.zeros(d ** len(digits), dtype=bool)
     for k in tuples:
         comp = channels.product_bell_channel(d, N, k)
-        leaves, _ = protocols.execute(
-            comp, pairs, lambda outs, prob, state: (tuple(outs), prob, state),
-            "all-branches", budget=None,
+        (outs, prob, pair_reg, vecs), _ = protocols.execute(
+            comp, pairs, lambda *leaf_arrays: leaf_arrays, "all-branches"
         )
-        for outs, prob, state in leaves:
-            slot = acc.setdefault(
-                outs, [np.zeros((d * d, d * d), dtype=np.complex128), 0.0]
-            )
-            vec = statealg.reorder(state, pair_reg.labels).amps
-            slot[0] += weight * prob * np.outer(vec, vec.conj())
-            slot[1] += weight * prob
+        codes = np.ravel_multi_index(outs.reshape(len(prob), -1).T, digits)
+        w = weight * prob
+        mats[codes] += w[:, None, None] * (vecs[:, :, None] * vecs[:, None, :].conj())
+        masses[codes] += w
+        seen[codes] = True
     reports = []
-    for outs in sorted(acc):
-        mat, prob = acc[outs]
-        rho = DensityOperator(pair_reg, mat / prob, validate=False)
+    for code in np.flatnonzero(seen):
+        flat = [int(i) for i in np.unravel_index(code, digits)]
+        outs = tuple(zip(flat[0::2], flat[1::2]))
+        prob = float(masses[code])
+        rho = DensityOperator(pair_reg, mats[code] / prob, validate=False)
         ent = statealg.von_neumann_entropy(statealg.partial_trace(rho, ["1'"]))
         best = 0.0
         for m in range(d):

@@ -127,6 +127,8 @@ def cmd_ric(args):
             f"channel file is for (d,N)=({spec.d},{spec.N}), requested ({args.d},{args.N})"
         )
     d, N = args.d, args.N
+    # the clone state costs (N+1)^d steps to build: guard first
+    protocols._guard_joint_dim(d, 4 * N - 1, "RIC")
     rng = np.random.default_rng(args.seed)
     inp = statealg.random_qudit(d, rng)
     clone = protocols.clone_state(inp.amps, d, N)
@@ -147,6 +149,7 @@ def cmd_ric(args):
 
 def cmd_ric_mm_ghz(args):
     d, N, L = args.d, args.N, args.L
+    protocols._guard_joint_dim(d, (2 * N - 1) + (2 * N - 1 + L), "mm-ghz RIC")
     rng = np.random.default_rng(args.seed)
     inp = statealg.random_qudit(d, rng)
     clone = protocols.clone_state(inp.amps, d, N)
@@ -166,6 +169,7 @@ def cmd_ric_mm_ghz(args):
 
 def cmd_ric_mm_multi(args):
     d, N, L = args.d, args.N, args.L
+    protocols._guard_joint_dim(d, (2 * N - L) + 2 * N, "mm-multi RIC")
     rng = np.random.default_rng(args.seed)
     inp = statealg.random_qudit(d, rng)
     dist = protocols.synth_distributed_state(inp.amps, d, N, L)
@@ -441,6 +445,8 @@ def _validate(args):
         raise ConstraintError("--L must be >= 1")
     if getattr(args, "trials", 1) < 1:
         raise ConstraintError("--trials must be >= 1")
+    if getattr(args, "max_transcripts", 0) < 0:
+        raise ConstraintError("--max-transcripts must be >= 0")
 
 
 def _emit(doc, out_path):

@@ -1,7 +1,8 @@
 """Hot numeric kernels: single-qudit operator application and Bell-pair projection.
 
-Both reshape the flat big-endian amplitude vector so the target qudit(s) get
-their own axes, then contract with numpy einsum.
+Each reshapes the flat big-endian amplitude vector (or a batch of them, one
+per row) so the target qudit(s) get their own axes, then contracts with numpy
+einsum or matmul.
 """
 
 from __future__ import annotations
@@ -35,3 +36,31 @@ def project_pair(
     P = pair.conj().reshape(d, d)
     out = np.einsum("ab,iajbk->ijk", P, t)
     return out.reshape(n_left)
+
+
+def project_bell_pairs(batch: np.ndarray, bras: np.ndarray, stride1: int, stride2: int) -> np.ndarray:
+    """Contract every Bell bra onto one qudit pair of every row of `batch`.
+
+    batch is (B, dim); the ordered pair's first qudit has index stride
+    `stride1`, its second `stride2` (either may be the larger). bras is the
+    (d^2, d, d) table of conjugated Bell amplitudes over (first, second), row
+    m*d + n. A Bell bra of shift n is supported on the pairs (j, j + n mod d)
+    only, so each shift is one d x d matrix product with the d slices
+    (j, j + n) of the strided batch view. The batch is never moved or
+    conjugated; one buffer of a d-th of its size holds a shift's slices.
+    Returns (B, d^2, dim / d^2): the unnormalized residuals with both qudits
+    removed, the remaining qudits in register order.
+    """
+    B, dim = batch.shape
+    d = bras.shape[1]
+    hi, lo = max(stride1, stride2), min(stride1, stride2)
+    t = batch.reshape(B, dim // (hi * d), d, hi // (lo * d), d, lo)
+    if stride1 < stride2:  # put the pair's first qudit on axis 2
+        t = t.transpose(0, 1, 4, 3, 2, 5)
+    out = np.empty((B, d, d, dim // (d * d)), dtype=np.complex128)  # (row, m, n, rest)
+    diag = np.empty((B, d, t.shape[1], t.shape[3], t.shape[5]), dtype=np.complex128)
+    j = np.arange(d)
+    for n in range(d):
+        np.stack([t[:, :, i, :, (i + n) % d, :] for i in range(d)], axis=1, out=diag)
+        np.matmul(bras[n::d, j, (j + n) % d], diag.reshape(B, d, -1), out=out[:, :, n])
+    return out.reshape(B, d * d, -1)

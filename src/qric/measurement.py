@@ -6,9 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import opsbasis, statealg
-from .errors import LabelError
-from .statealg import PureState
+from . import kernels, opsbasis, statealg
+from .errors import LabelError, ProtocolError
+from .statealg import PureState, Register
 
 NULL_PROB = 1e-14
 
@@ -58,17 +58,23 @@ def _collapse(state: PureState, pair, m: int, n: int, vec, prob: float, remove: 
     return Branch(outcome, statealg.reorder(collapsed, state.register.labels))
 
 
-def _checked_pair(state: PureState, pair) -> tuple:
+def _checked_pair(register: Register, pair) -> tuple:
     pair = tuple(pair)
     if len(pair) != 2 or pair[0] == pair[1]:
         raise LabelError("GBM needs two distinct labels")
-    state.register.positions(pair)  # raises on unknown labels
+    register.positions(pair)  # raises on unknown labels
     return pair
+
+
+def _draw(probs: np.ndarray, rng: np.random.Generator) -> int:
+    """Index drawn by cumulative probability: first i with u * sum(p) <= cumsum(p)[i]."""
+    r = float(rng.random()) * probs.sum()
+    return min(int(np.searchsorted(np.cumsum(probs), r)), len(probs) - 1)
 
 
 def gbm_branches(state: PureState, pair, *, remove: bool = False) -> list[Branch]:
     """All d^2 branches of a GBM on the ordered pair, row-major in (m, n)."""
-    pair = _checked_pair(state, pair)
+    pair = _checked_pair(state.register, pair)
     d = state.d
     return [
         _collapse(state, pair, m, n, *_residual(state, pair, m, n), remove)
@@ -79,7 +85,7 @@ def gbm_branches(state: PureState, pair, *, remove: bool = False) -> list[Branch
 
 def gbm_sample(state: PureState, pair, rng: np.random.Generator, *, remove: bool = False) -> Branch:
     """Draw one branch by cumulative probability; deterministic given the rng state."""
-    pair = _checked_pair(state, pair)
+    pair = _checked_pair(state.register, pair)
     d = state.d
     probs = np.empty(d * d)
     residuals = []
@@ -88,17 +94,49 @@ def gbm_sample(state: PureState, pair, rng: np.random.Generator, *, remove: bool
             vec, prob = _residual(state, pair, m, n)
             probs[m * d + n] = prob
             residuals.append(vec)
-    probs = np.clip(probs, 0.0, None)
-    r = float(rng.random()) * probs.sum()
-    acc = 0.0
-    idx = d * d - 1
-    for i, p in enumerate(probs):
-        acc += p
-        if r <= acc:
-            idx = i
-            break
+    idx = _draw(probs, rng)
     m, n = divmod(idx, d)
     return _collapse(state, pair, m, n, residuals[idx], float(probs[idx]), remove)
+
+
+def select_outcomes(projected: np.ndarray, rng: np.random.Generator | None = None):
+    """Keep every non-null outcome of each row, or draw one per row if rng is given.
+
+    projected is (B, k, r): row b's unnormalized residual for each of k
+    outcomes. Returns (rows, outcomes, probabilities, residuals), one entry
+    per kept branch in row-major (row, outcome) order: the parent row, the
+    outcome index, its probability given the row, and the normalized
+    residual (r amplitudes). A draw makes one rng.random() per row, with the
+    rule of gbm_sample.
+    """
+    B, k, r = projected.shape
+    flat = projected.reshape(B * k, r)
+    pv = flat.view(np.float64)
+    probs = np.einsum("ij,ij->i", pv, pv)
+    if rng is None:
+        keep = np.flatnonzero(probs >= NULL_PROB)
+    else:
+        keep = np.array([b * k + _draw(probs[b * k:(b + 1) * k], rng) for b in range(B)])
+        if (probs[keep] < NULL_PROB).any():
+            raise ProtocolError("sampled a null branch")  # pragma: no cover
+    residuals = flat if len(keep) == B * k else flat[keep]
+    residuals /= np.sqrt(probs[keep])[:, None]
+    return keep // k, keep % k, probs[keep], residuals
+
+
+def gbm_batch(batch: np.ndarray, register: Register, pair,
+              rng: np.random.Generator | None = None):
+    """GBM on the ordered pair of every row of batch (B, register.dim), pair removed.
+
+    Outcome index m*d + n names |B^{m,n}>. Returns select_outcomes' tuple:
+    every non-null branch of every row, or one drawn branch per row if rng
+    is given; the residual rows live on register minus the pair.
+    """
+    pair = _checked_pair(register, pair)
+    projected = kernels.project_bell_pairs(
+        batch, opsbasis.bell_bras(register.d), register.stride(pair[0]), register.stride(pair[1])
+    )
+    return select_outcomes(projected, rng)
 
 
 def swap_identity_check(d: int, m: int, n: int, m2: int, n2: int) -> float:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial
 
 import numpy as np
@@ -25,6 +26,14 @@ from .statealg import DensityOperator, PureState, Register
 def omega_power(d: int, k: int) -> complex:
     """exp(2*pi*i*k/d), computed directly per power to avoid drift."""
     return complex(np.exp(2j * np.pi * (k % d) / d))
+
+
+@lru_cache(maxsize=32)
+def omega_table(d: int) -> np.ndarray:
+    """Read-only omega^k for k = 0..d-1, cached per d."""
+    table = np.array([omega_power(d, k) for k in range(d)])
+    table.setflags(write=False)
+    return table
 
 
 @dataclass(frozen=True)
@@ -73,6 +82,16 @@ def bell_vector(d: int, m: int, n: int) -> np.ndarray:
     for j in range(d):
         v[j * d + (j + n) % d] = omega_power(d, j * m)
     return v / np.sqrt(d)
+
+
+@lru_cache(maxsize=32)
+def bell_bras(d: int) -> np.ndarray:
+    """Read-only (d^2, d, d) table of conjugated <B^{m,n}| amplitudes, row m*d + n,
+    indexed (first qudit, second qudit) of the ordered pair; cached per d."""
+    table = np.stack([bell_vector(d, m, n).conj().reshape(d, d)
+                      for m in range(d) for n in range(d)])
+    table.setflags(write=False)
+    return table
 
 
 def bell_state(d: int, m: int, n: int, labels: tuple[str, str]) -> PureState:

@@ -22,7 +22,6 @@ from .errors import NormalizationError, ProtocolError, SizeGuardError
 from .opsbasis import clone_labels, weyl_r, weyl_u
 from .statealg import PureState, Register
 
-BRANCH_BUDGET = 10_000
 PROTOCOL_DIM_LIMIT = 2**18
 
 
@@ -105,67 +104,81 @@ class Transcript:
         return doc
 
 
-def _transcript(registry, routes, outcomes, prob, d, correction, corrections=None):
-    """One message per (sender, recipient) route, carrying the matching (m, n)."""
+def _transcripts(registry, routes, outcomes, probs, d, corrections, legs=None):
+    """One Transcript per leaf; each route's message carries the matching (m, n).
+
+    outcomes is (B, len(routes), 2), probs (B,), corrections (B, 2) and the
+    optional per-leg corrections (B, L, 2) of many-to-many runs.
+    """
     bits = 2.0 * log2(d)
-    messages = [Message(src, dst, m, n, bits) for (src, dst), (m, n) in zip(routes, outcomes)]
-    return Transcript(parties=dict(registry.roles), messages=messages, correction=correction,
-                      corrections=corrections, branch_probability=prob)
+    legs = [None] * len(probs) if legs is None else legs.tolist()
+    return [
+        Transcript(
+            parties=dict(registry.roles),
+            messages=[Message(src, dst, m, n, bits) for (src, dst), (m, n) in zip(routes, outs)],
+            correction=tuple(corr),
+            corrections=None if leg is None else [tuple(c) for c in leg],
+            branch_probability=prob,
+        )
+        for outs, prob, corr, leg in zip(outcomes.tolist(), probs.tolist(),
+                                         corrections.tolist(), legs)
+    ]
+
+
+def _apply_r(amps: np.ndarray, register: Register, label: str, x, y) -> np.ndarray:
+    """R^{x_b, y_b} on `label` of every row b of amps (B, dim): a gather plus a phase.
+
+    (R^{x,y} psi)(j) = w^{jx} psi(j + y); x and y are ints or (B,) int arrays.
+    """
+    d = register.d
+    B = amps.shape[0]
+    x = np.broadcast_to(x, (B,))[:, None]
+    y = np.broadcast_to(y, (B,))[:, None]
+    j = np.arange(d)
+    t = amps.reshape(B, -1, d, register.stride(label))
+    out = np.take_along_axis(t, ((j + y) % d)[:, None, :, None], axis=2)
+    out *= opsbasis.omega_table(d)[(j * x) % d][:, None, :, None]
+    return out.reshape(B, -1)
+
+
+def _leaves(register: Register, amps: np.ndarray, transcripts) -> list:
+    return [(PureState(register, row, validate=False), t) for row, t in zip(amps, transcripts)]
 
 
 # ---------------------------------------------------------------------------
 # measurement-plan execution
 
-def execute(joint: PureState, plan, finish, mode: str = "sample", rng=None, *,
-            budget: int | None = BRANCH_BUDGET):
-    """Measure the ordered pairs of `plan` in turn (GBM, pairs removed).
+def execute(joint: PureState, plan, finish, mode: str = "sample", rng=None):
+    """Measure the ordered pairs of `plan` in turn (GBM, pairs removed), level by level.
 
-    Every leaf is handed to finish(outcomes, prob, residual), outcomes being
-    the (m, n) per plan pair. mode="sample" draws one branch per level and
-    returns finish's value for that leaf; "all-branches" returns
-    (finish's value per non-null leaf, depth-first; coverage). If the full
-    tree exceeds `budget` leaves (None: no cap), the first pairs are
-    expanded exhaustively and the tail is sampled once per prefix
-    (stratified), and coverage = explored / total.
+    The live branches are the rows of one (B, dim) array; each plan pair
+    replaces every row by its non-null outcomes (mode="all-branches") or by
+    one drawn outcome (mode="sample", B = 1), so rows stay in depth-first
+    order and B * dim never exceeds the joint dimension. The leaves go to
+    finish(outcomes, probs, register, amps) at once: outcomes (B, len(plan), 2)
+    holds the (m, n) per plan pair, probs (B,) the branch probabilities, amps
+    (B, dim) the normalized residuals on `register`. execute returns finish's
+    value: for "sample" its first item (the one leaf), for "all-branches"
+    (value, coverage) with coverage 1.0, as every non-null branch is enumerated.
     """
     if mode not in ("sample", "all-branches"):
         raise ProtocolError(f"unknown mode {mode!r}")
-    d2 = joint.d**2
-    total = d2 ** len(plan)
-    exhaustive_depth = len(plan) if mode == "all-branches" else 0
-    if mode == "all-branches" and budget is not None and total > budget:
-        exhaustive_depth = 0
-        while d2 ** (exhaustive_depth + 1) <= budget and exhaustive_depth < len(plan):
-            exhaustive_depth += 1
-    if exhaustive_depth < len(plan) and rng is None:
+    if mode == "all-branches":
+        rng = None
+    elif rng is None:
         rng = np.random.default_rng(0)
-    leaves = []
-
-    def expand(state, idx, outs, prob):
-        if idx == len(plan):
-            leaves.append(finish(outs, prob, state))
-            return
-        if idx < exhaustive_depth:
-            branches = measurement.gbm_branches(state, plan[idx], remove=True)
-        else:
-            branches = [measurement.gbm_sample(state, plan[idx], rng, remove=True)]
-            if branches[0].null:
-                raise ProtocolError("sampled a null branch")  # pragma: no cover
-        for br in branches:
-            if br.null:
-                continue
-            expand(
-                br.post_state,
-                idx + 1,
-                outs + [(br.outcome.m, br.outcome.n)],
-                prob * br.outcome.probability,
-            )
-
-    expand(joint, 0, [], 1.0)
-    if mode == "sample":
-        return leaves[0]
-    coverage = 1.0 if exhaustive_depth == len(plan) else len(leaves) / total
-    return leaves, coverage
+    d = joint.d
+    register, amps = joint.register, joint.amps[None, :]
+    outcomes = np.zeros((1, 0, 2), dtype=np.int64)
+    probs = np.ones(1)
+    for pair in plan:
+        rows, outs, cond, amps = measurement.gbm_batch(amps, register, pair, rng)
+        level = np.stack(np.divmod(outs, d), axis=-1)[:, None, :]
+        outcomes = np.concatenate((outcomes[rows], level), axis=1)
+        probs = probs[rows] * cond
+        register = statealg.drop_labels(register, pair)
+    leaves = finish(outcomes, probs, register, amps)
+    return leaves[0] if mode == "sample" else (leaves, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -217,14 +230,16 @@ def run_telecloning(
     if correct_ancillas:
         routes += [("Alice", f"Charlie_{s}") for s in range(1, N)]
 
-    def finish(outcomes, prob, state):
-        m, n = outcomes[0]
+    def finish(outcomes, probs, register, amps):
+        m, n = outcomes[:, 0, 0], outcomes[:, 0, 1]
         for s in range(1, N + 1):
-            state = statealg.apply_local(state, weyl_r(d, m, n), str(s))
+            amps = _apply_r(amps, register, str(s), m, n)
         if correct_ancillas:
             for s in range(1, N):
-                state = statealg.apply_local(state, weyl_r(d, -m, n), f"A_{s}")
-        return state, _transcript(registry, routes, outcomes * len(routes), prob, d, (m, n))
+                amps = _apply_r(amps, register, f"A_{s}", -m, n)
+        messages = np.repeat(outcomes, len(routes), axis=1)
+        return _leaves(register, amps,
+                       _transcripts(registry, routes, messages, probs, d, outcomes[:, 0]))
 
     out = execute(joint, [("t", "t'")], finish, mode, rng)
     return out if mode == "sample" else out[0]  # one pair: coverage is always 1
@@ -316,14 +331,21 @@ def reconstruction_deviation(family: CloneFamily, x) -> float:
 # many-to-one RIC
 
 def deduce_correction(bob_charlie_outcomes, bobN_outcome, u: int, v: int, d: int):
-    """Diana's correction: x = u'' + u' - u, y = v'' + v' - v (mod d)."""
-    for mm, nn in list(bob_charlie_outcomes) + [bobN_outcome]:
-        if not (0 <= mm < d and 0 <= nn < d):
-            raise ProtocolError(f"outcome ({mm},{nn}) out of range for d={d}")
-    up = sum(mm for mm, _ in bob_charlie_outcomes) % d
-    vp = sum(nn for _, nn in bob_charlie_outcomes) % d
-    upp, vpp = bobN_outcome
-    return (upp + up - u) % d, (vpp + vp - v) % d
+    """Diana's correction: x = u'' + u' - u, y = v'' + v' - v (mod d).
+
+    Takes one run (a list of (m, n) and one (m, n)), giving ints, or a batch
+    of runs (arrays (B, k, 2) and (B, 2)), giving two (B,) int arrays.
+    """
+    last = np.asarray(bobN_outcome, dtype=np.int64)
+    front = np.asarray(bob_charlie_outcomes, dtype=np.int64).reshape(last.shape[:-1] + (-1, 2))
+    every = np.concatenate((front.reshape(-1, 2), last.reshape(-1, 2)))
+    bad = ((every < 0) | (every >= d)).any(axis=1)
+    if bad.any():
+        mm, nn = every[bad.argmax()]
+        raise ProtocolError(f"outcome ({mm},{nn}) out of range for d={d}")
+    x = (last[..., 0] + front[..., 0].sum(axis=-1) - u) % d
+    y = (last[..., 1] + front[..., 1].sum(axis=-1) - v) % d
+    return (int(x), int(y)) if last.ndim == 1 else (x, y)
 
 
 def ric_measurement_plan(N: int) -> list:
@@ -399,12 +421,15 @@ def run_ric(
     plan = ric_measurement_plan(N)
     routes = _ric_routes(N)
 
-    def finish(outcomes, prob, residual):
-        corr = deduce_correction(outcomes[:-1], outcomes[-1], u, v, d)
-        out = statealg.apply_local(residual, weyl_r(d, corr[0], corr[1]), f"{N}'")
-        nrm = out.norm()
-        out = PureState(out.register, out.amps / nrm, validate=False) if abs(nrm - 1) > 1e-12 else out
-        return out, _transcript(registry, routes, outcomes, prob, d, corr)
+    def finish(outcomes, probs, register, amps):
+        x, y = deduce_correction(outcomes[:, :-1], outcomes[:, -1], u, v, d)
+        amps = _apply_r(amps, register, f"{N}'", x, y)
+        nrm = np.sqrt(np.sum(np.abs(amps) ** 2, axis=1))
+        off = np.abs(nrm - 1) > 1e-12
+        amps[off] /= nrm[off, None]
+        corrections = np.stack((x, y), axis=-1)
+        return _leaves(register, amps,
+                       _transcripts(registry, routes, outcomes, probs, d, corrections))
 
     return execute(joint, plan, finish, mode, rng)
 
@@ -512,12 +537,14 @@ def run_mm_ghz(
     routes = _ric_routes(N)
     leg_labels = [f"{N}'_{i}" for i in range(1, L + 1)]
 
-    def finish(outcomes, prob, residual):
-        x, y = deduce_correction(outcomes[:-1], outcomes[-1], u, v, d)
-        out = statealg.apply_local(residual, weyl_r(d, x, y), leg_labels[0])
+    def finish(outcomes, probs, register, amps):
+        x, y = deduce_correction(outcomes[:, :-1], outcomes[:, -1], u, v, d)
+        amps = _apply_r(amps, register, leg_labels[0], x, y)
         for leg in leg_labels[1:]:
-            out = statealg.apply_local(out, weyl_r(d, 0, y), leg)
-        return out, _transcript(registry, routes, outcomes, prob, d, (x, y))
+            amps = _apply_r(amps, register, leg, 0, y)
+        corrections = np.stack((x, y), axis=-1)
+        return _leaves(register, amps,
+                       _transcripts(registry, routes, outcomes, probs, d, corrections))
 
     return execute(joint, plan, finish, mode, rng)
 
@@ -693,18 +720,15 @@ def run_mm_multiqudit(
     routes = [(party, "Receiver") for party in senders]
     n_front = 2 * (N - L)
 
-    def finish(outcomes, prob, residual):
-        front = outcomes[:n_front]
-        up = sum(mm for mm, _ in front) % d
-        vp = sum(nn for _, nn in front) % d
-        corrections = []
-        out = residual
-        for i, (l_i, mu_i) in enumerate(outcomes[n_front:]):
-            xc = (l_i + up) % d
-            yc = (mu_i + vp) % d
-            corrections.append((xc, yc))
-            out = statealg.apply_local(out, weyl_r(d, xc, yc), receiver[i])
-        out = statealg.reorder(out, receiver)
-        return out, _transcript(registry, routes, outcomes, prob, d, corrections[0], corrections)
+    def finish(outcomes, probs, register, amps):
+        legs = []
+        for i, label in enumerate(receiver):
+            x, y = deduce_correction(outcomes[:, :n_front], outcomes[:, n_front + i], 0, 0, d)
+            amps = _apply_r(amps, register, label, x, y)
+            legs.append(np.stack((x, y), axis=-1))
+        legs = np.stack(legs, axis=1)
+        # the residual register is the receiver's labels, in order
+        return _leaves(register, amps,
+                       _transcripts(registry, routes, outcomes, probs, d, legs[:, 0], legs))
 
     return execute(joint, plan, finish, mode, rng)

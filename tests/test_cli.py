@@ -1,4 +1,6 @@
 import json
+import os
+import re
 import subprocess
 import sys
 
@@ -154,3 +156,37 @@ def test_report_unwritable_path_exit_4():
 def test_bad_flag_values_exit_2():
     assert main(["teleclone", "--d", "1", "--out", "/dev/null"]) == 2
     assert main(["ric", "--trials", "0", "--out", "/dev/null"]) == 2
+
+
+def test_negative_max_transcripts_exit_2(capsys):
+    assert main(["ric", "--d", "3", "--N", "2", "--max-transcripts", "-2",
+                 "--out", "/dev/null"]) == 2
+    assert "--max-transcripts" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["ric", "--d", "20", "--N", "2"],
+    ["ric-mm-ghz", "--d", "20", "--N", "2", "--L", "2"],
+    ["ric-mm-multi", "--d", "20", "--N", "2", "--L", "2"],
+], ids=["ric", "ric-mm-ghz", "ric-mm-multi"])
+def test_large_d_hits_the_size_guard_before_building_states(argv):
+    # building the clone state alone would loop over (N+1)^d occupation tuples
+    assert main(argv + ["--out", "/dev/null"]) == 3
+
+
+BENCH_SPEC = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spec.json")
+CERTIFIED_CHECK = re.compile(r"^(?:run|branch)(\d+)\..*fidelity$")
+
+
+def test_benchmark_cases_keep_their_certified_counts(tmp_path, capsys):
+    # the enumerate and sample cases of the benchmark, with the branch counts it pins
+    with open(BENCH_SPEC, encoding="utf-8") as fh:
+        workloads = json.load(fh)["workloads"]
+    out = tmp_path / "report.json"
+    for case in workloads["enumerate"]["cases"] + workloads["sample"]["cases"]:
+        assert main(case["argv"] + ["--seed", "1", "--out", str(out)]) == 0, case["argv"]
+        checks = json.loads(out.read_text())["checks"]
+        assert all(c["status"] == "pass" for c in checks)
+        certified = {m.group(1) for c in checks if (m := CERTIFIED_CHECK.match(c["name"]))}
+        assert len(certified) == case["certified"], case["argv"]
+    capsys.readouterr()

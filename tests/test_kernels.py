@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qric import kernels, statealg
+from qric import kernels, opsbasis, statealg
 
 
 def rand_amps(dim, rng):
@@ -46,4 +46,21 @@ def test_project_pair_against_dense_contraction():
     P = pair.conj().reshape(d, d)
     want = np.tensordot(P, t, axes=([0, 1], [p1, p2])).reshape(-1)
     got = kernels.project_pair(amps, pair, d, d ** (n - 1 - p1), d ** (n - 1 - p2), d ** (n - 2))
+    np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("d,n,p1,p2,B", [(2, 5, 0, 3, 3), (2, 5, 4, 1, 1), (3, 4, 0, 2, 2),
+                                         (3, 4, 3, 2, 4), (4, 3, 1, 0, 2)])
+def test_project_bell_pairs_matches_dense_contraction(d, n, p1, p2, B):
+    # p1 > p2 covers an ordered pair whose first qudit is the less significant one
+    rng = np.random.default_rng(10 * d + n + p1 + B)
+    batch = np.stack([rand_amps(d**n, rng) for _ in range(B)])
+    bras = opsbasis.bell_bras(d)
+    got = kernels.project_bell_pairs(batch, bras, d ** (n - 1 - p1), d ** (n - 1 - p2))
+    # independent oracle: every Bell bra contracted over the two axes of each dense row
+    t = batch.reshape([B] + [d] * n)
+    want = np.stack([
+        np.tensordot(bras, t[b], axes=([1, 2], [p1, p2])).reshape(d * d, -1) for b in range(B)
+    ])
+    assert got.shape == (B, d * d, d ** (n - 2))
     np.testing.assert_allclose(got, want, atol=1e-12)

@@ -6,6 +6,7 @@ import pytest
 from qric import (
     bell_state,
     from_amplitudes,
+    gbm_batch,
     gbm_branches,
     gbm_sample,
         permute,
@@ -184,3 +185,35 @@ def test_swap_identity_d5_sampled():
     for _ in range(50):
         m, n, m2, n2 = (int(v) for v in rng.integers(0, 5, 4))
         assert swap_identity_check(5, m, n, m2, n2) < 1e-12
+
+
+@pytest.mark.parametrize("d,pair", [(2, ("b", "d")), (3, ("c", "a"))])
+def test_gbm_batch_matches_gbm_branches_row_by_row(d, pair):
+    # oracle: the single-state GBM, one row at a time; the last row is a Bell
+    # eigenstate on the pair, so its null outcomes must be dropped
+    rng = np.random.default_rng(d)
+    labels = ("a", "b", "c", "d")
+    rest = tuple(l for l in labels if l not in pair)
+    states = [rand_state(d, labels, rng) for _ in range(3)]
+    eigen = tensor(bell_state(d, 1, d - 1, pair), rand_state(d, rest, rng))
+    states.append(statealg.reorder(eigen, labels))
+    batch = np.stack([st.amps for st in states])
+    rows, outcomes, probs, residuals = gbm_batch(batch, states[0].register, pair)
+    want = [(b, br) for b, st in enumerate(states)
+            for br in gbm_branches(st, pair, remove=True) if not br.null]
+    assert rows.tolist() == [b for b, _ in want]
+    assert outcomes.tolist() == [br.outcome.m * d + br.outcome.n for _, br in want]
+    np.testing.assert_allclose(probs, [br.outcome.probability for _, br in want], atol=1e-12)
+    np.testing.assert_allclose(residuals, [br.post_state.amps for _, br in want], atol=1e-12)
+
+
+def test_gbm_batch_draw_matches_gbm_sample():
+    st = rand_state(3, ("a", "b", "c"), np.random.default_rng(5))
+    rng1, rng2 = np.random.default_rng(9), np.random.default_rng(9)
+    for _ in range(40):
+        _, outcome, prob, residual = gbm_batch(st.amps[None, :], st.register, ("c", "a"), rng1)
+        br = gbm_sample(st, ("c", "a"), rng2, remove=True)
+        assert outcome.tolist() == [br.outcome.m * 3 + br.outcome.n]
+        assert prob[0] == pytest.approx(br.outcome.probability, abs=1e-12)
+        np.testing.assert_allclose(residual[0], br.post_state.amps, atol=1e-12)
+    assert rng1.random() == rng2.random()

@@ -28,7 +28,9 @@ from qric import (
 from qric import channels, opsbasis, protocols, statealg
 from qric.analysis import clone_fidelity_formula
 from qric.errors import ProtocolError, SizeGuardError
+from qric.measurement import gbm_branches, gbm_sample
 from qric.opsbasis import weyl_r
+from qric.statealg import PureState
 
 
 def clone_fid(state, inp, label):
@@ -240,11 +242,14 @@ def test_ric_measurement_order_independent():
     for order in itertools.permutations(range(len(base_plan))):
         plan = [base_plan[i] for i in order]
 
-        def finish(outs, _prob, residual):
-            by_pair = dict(zip(plan, outs))
-            ordered = [by_pair[p] for p in base_plan]
-            x, y = deduce_correction(ordered[:-1], ordered[-1], 0, 0, d)
-            return statealg.apply_local(residual, weyl_r(d, x, y), f"{N}'")
+        def finish(outcomes, _probs, register, amps):
+            # columns back in base-plan order, then Diana's correction for every leaf
+            ordered = outcomes[:, [plan.index(p) for p in base_plan]]
+            xs, ys = deduce_correction(ordered[:, :-1], ordered[:, -1], 0, 0, d)
+            return [
+                statealg.apply_local(PureState(register, row), weyl_r(d, x, y), f"{N}'")
+                for row, x, y in zip(amps, xs, ys)
+            ]
 
         leaves, coverage = protocols.execute(joint, plan, finish, "all-branches")
         assert coverage == 1.0 and leaves
@@ -252,19 +257,37 @@ def test_ric_measurement_order_independent():
             assert abs(overlap(out, target)) > 1 - 1e-9
 
 
-@pytest.mark.parametrize("preset,d,N", [("ghz", 2, 2), ("beta", 3, 2)])
-def test_ric_leaf_probability_matches_dense_projection(preset, d, N):
-    # oracle: ||(x)_k <B_{o_k}| joint||^2 by one dense contraction over every
-    # plan pair at once; no GBM and no kernels involved
-    rng = np.random.default_rng(43)
+def mm_multi_plan(N, L):
+    """Who measures what in run_mm_multiqudit, in message order."""
+    plan = [(str(s), f"{s}'") for s in range(1, N - L + 1)]
+    plan += [(f"A'_{s}", f"A_{s}") for s in range(1, N - L + 1)]
+    return plan + [(str(s), f"A'_{s}") for s in range(N - L + 1, N + 1)]
+
+
+def plan_run(kind, d, N, rng):
+    """(joint state, plan, all-branches leaves) of one protocol run, L = 2."""
     inp = random_qudit(d, rng)
     clone = clone_state(inp.amps, d, N)
-    spec = preset_spec(preset, d, N)
+    if kind == "mm-ghz":
+        joint = statealg.tensor(clone, protocols.mm_ghz_channel(d, N, 2))
+        return joint, protocols.ric_measurement_plan(N), run_mm_ghz(clone, d, N, 2, "all-branches")
+    if kind == "mm-multi":
+        dist = synth_distributed_state(inp.amps, d, N, 2)
+        joint = statealg.tensor(dist, channels.product_bell_channel(d, N, (0,) * (2 * N)))
+        return joint, mm_multi_plan(N, 2), run_mm_multiqudit(dist, d, N, 2, "all-branches")
+    spec = preset_spec(kind, d, N)
     joint = statealg.tensor(clone, spec.build())
-    plan = protocols.ric_measurement_plan(N)
+    return joint, protocols.ric_measurement_plan(N), run_ric(clone, spec, mode="all-branches")
+
+
+@pytest.mark.parametrize("kind,d,N", [("ghz", 2, 2), ("beta", 3, 2), ("mm-ghz", 3, 2),
+                                      ("mm-multi", 2, 3)])
+def test_ric_leaf_probability_matches_dense_projection(kind, d, N):
+    # oracle: ||(x)_k <B_{o_k}| joint||^2 by one dense contraction over every
+    # plan pair at once; no GBM and no kernels involved
+    joint, plan, (branches, coverage) = plan_run(kind, d, N, np.random.default_rng(43))
     axes = [joint.register.position(label) for pair in plan for label in pair]
     t = joint.amps.reshape([d] * joint.register.n)
-    branches, coverage = run_ric(clone, spec, mode="all-branches")
     assert coverage == 1.0
     for _state, transcript in branches:
         bra = np.ones(1, dtype=np.complex128)
@@ -449,20 +472,21 @@ def test_synth_state_satisfies_covariance_by_construction():
         protocols.check_bbar_covariance(bad, 2, 1)
 
 
-def test_ric_oversized_tree_uses_stratified_sampling():
-    # (3,3) has 9^5 = 59049 branches, over the 10^4 budget: the run reports
-    # partial coverage and every visited branch still concentrates exactly
+def test_ric_3_3_enumerates_every_branch():
+    # (3,3) bell-product has 9^5 = 59049 branches, none null: all of them are
+    # enumerated, their probabilities sum to one, and every one concentrates
     d, N = 3, 3
     rng = np.random.default_rng(77)
     inp = random_qudit(d, rng)
     clone = clone_state(inp.amps, d, N)
     spec = preset_spec("bell-product", d, N)
     branches, coverage = run_ric(clone, spec, mode="all-branches", rng=rng)
-    assert 0 < coverage < 1
-    assert len(branches) == 6561
+    assert coverage == 1.0
+    assert len(branches) == 59049
+    assert sum(t.branch_probability for _s, t in branches) == pytest.approx(1.0, abs=1e-9)
     target = diana_target(inp, N)
     for state, _t in branches:
-        assert abs(overlap(state, target)) > 1 - 1e-9
+        assert abs(overlap(state, target)) ** 2 > 1 - 1e-9
 
 
 def test_transcript_json_schema():
@@ -478,3 +502,130 @@ def test_transcript_json_schema():
     for msg in doc["messages"]:
         assert set(msg) == {"from", "to", "m", "n", "bits"}
     assert len(doc["messages"]) == 2 * N - 1
+
+
+# ---------------------------------------------------------------------------
+# the batched engine against the single-state GBM
+
+def depth_first_leaves(joint, plan):
+    """Reference expansion: gbm_branches(remove=True) per state, depth first."""
+    leaves = []
+
+    def expand(state, idx, outs, prob):
+        if idx == len(plan):
+            leaves.append((outs, prob, state))
+            return
+        for br in gbm_branches(state, plan[idx], remove=True):
+            if not br.null:
+                expand(br.post_state, idx + 1, outs + [(br.outcome.m, br.outcome.n)],
+                       prob * br.outcome.probability)
+
+    expand(joint, 0, [], 1.0)
+    return leaves
+
+
+def engine_leaves(outcomes, probs, register, amps):
+    return [([tuple(o) for o in outs], prob, PureState(register, row, validate=False))
+            for outs, prob, row in zip(outcomes.tolist(), probs.tolist(), amps)]
+
+
+def assert_same_leaves(got, want):
+    assert [outs for outs, _, _ in got] == [outs for outs, _, _ in want]
+    for (_, p_got, st_got), (_, p_want, st_want) in zip(got, want):
+        assert p_got == pytest.approx(p_want, abs=1e-12)
+        assert st_got.register == st_want.register
+        np.testing.assert_allclose(st_got.amps, st_want.amps, atol=1e-12)
+
+
+def corrected(state, corrections):
+    """apply_local of R^{x,y} per (label, x, y): the reference correction."""
+    for label, x, y in corrections:
+        state = statealg.apply_local(state, weyl_r(state.d, x, y), label)
+    return state
+
+
+def assert_run_matches(branches, reference, corrections_of):
+    """Each (state, transcript) against the reference leaf, corrected per transcript."""
+    assert len(branches) == len(reference)
+    for (state, transcript), (outs, prob, residual) in zip(branches, reference):
+        assert [(msg.m, msg.n) for msg in transcript.messages][:len(outs)] == outs
+        assert transcript.branch_probability == pytest.approx(prob, abs=1e-12)
+        want = corrected(residual, corrections_of(transcript))
+        np.testing.assert_allclose(state.amps, want.amps / want.norm(), atol=1e-12)
+
+
+@pytest.mark.parametrize("d,N", [(2, 2), (3, 2), (2, 3)])
+@pytest.mark.parametrize("preset", ["ghz", "beta", "bell-product"])
+def test_engine_matches_depth_first_gbm_ric(preset, d, N):
+    joint, plan, (branches, _) = plan_run(preset, d, N, np.random.default_rng(89))
+    want = depth_first_leaves(joint, plan)
+    got, coverage = protocols.execute(joint, plan, engine_leaves, "all-branches")
+    assert coverage == 1.0
+    assert_same_leaves(got, want)
+    assert_run_matches(branches, want, lambda t: [(f"{N}'", *t.correction)])
+
+
+def test_engine_matches_depth_first_gbm_mm_ghz():
+    d, N, L = 3, 2, 2
+    joint, plan, (branches, _) = plan_run("mm-ghz", d, N, np.random.default_rng(97))
+    want = depth_first_leaves(joint, plan)
+    assert_same_leaves(protocols.execute(joint, plan, engine_leaves, "all-branches")[0], want)
+    legs = [f"{N}'_{i}" for i in range(1, L + 1)]
+    assert_run_matches(branches, want, lambda t: [(legs[0], *t.correction)]
+                       + [(leg, 0, t.correction[1]) for leg in legs[1:]])
+
+
+def test_engine_matches_depth_first_gbm_telecloning():
+    d, N = 3, 2
+    inp = random_qudit(d, np.random.default_rng(101))
+    joint = statealg.tensor(permute(inp, {inp.register.labels[0]: "t"}),
+                            channels.telecloning_channel(d, N))
+    want = depth_first_leaves(joint, [("t", "t'")])
+    assert_same_leaves(protocols.execute(joint, [("t", "t'")], engine_leaves, "all-branches")[0],
+                       want)
+    branches = run_telecloning(inp, d, N, mode="all-branches")
+    assert_run_matches(branches, want, lambda t: [(str(s), *t.correction) for s in range(1, N + 1)]
+                       + [(f"A_{s}", -t.correction[0], t.correction[1]) for s in range(1, N)])
+
+
+def test_engine_matches_depth_first_gbm_unlock():
+    from qric.analysis import unlock_ubes
+
+    d, N = 3, 2
+    pairs = [(f"A'_{s}", f"{s}'") for s in range(2, N + 1)]
+    tuples = channels.enumerate_constrained_tuples(d, N, 0, 0)
+    acc = {}
+    for k in tuples:
+        comp = channels.product_bell_channel(d, N, k)
+        want = depth_first_leaves(comp, pairs)
+        assert_same_leaves(protocols.execute(comp, pairs, engine_leaves, "all-branches")[0], want)
+        for outs, prob, state in want:
+            slot = acc.setdefault(tuple(outs), [0.0, 0.0])
+            rho = np.outer(state.amps, state.amps.conj())
+            slot[0] = slot[0] + prob * rho / len(tuples)
+            slot[1] += prob / len(tuples)
+    reports = unlock_ubes(d, N)
+    assert [r.outcomes for r in reports] == sorted(acc)
+    for r in reports:
+        mat, prob = acc[r.outcomes]
+        assert r.probability == pytest.approx(prob, abs=1e-12)
+        rho = mat / prob
+        assert r.purity == pytest.approx(float(np.real(np.trace(rho @ rho))), abs=1e-12)
+
+
+@pytest.mark.parametrize("preset,d,N", [("ghz", 3, 2), ("beta", 2, 3)])
+def test_engine_sample_draws_like_chained_gbm_sample(preset, d, N):
+    joint, plan, _ = plan_run(preset, d, N, np.random.default_rng(103))
+    rng_engine, rng_chain = np.random.default_rng(5), np.random.default_rng(5)
+    for _ in range(25):
+        outs, prob, state = protocols.execute(joint, plan, engine_leaves, "sample", rng_engine)
+        want_outs, want_prob, st = [], 1.0, joint
+        for pair in plan:
+            br = gbm_sample(st, pair, rng_chain, remove=True)
+            want_outs.append((br.outcome.m, br.outcome.n))
+            want_prob *= br.outcome.probability
+            st = br.post_state
+        assert outs == want_outs
+        assert prob == pytest.approx(want_prob, abs=1e-12)
+        np.testing.assert_allclose(state.amps, st.amps, atol=1e-12)
+    assert rng_engine.random() == rng_chain.random()
