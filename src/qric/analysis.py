@@ -111,10 +111,11 @@ def unlock_ubes(d: int, N: int, mode: str = "all-branches",
     as purity < 1. The claim is that every outcome leaves a generalized
     Bell state on (A'_1, 1').
     """
-    tuples = channels.enumerate_constrained_tuples(d, N, 0, 0)
-    weight = 1.0 / len(tuples)
     pairs = [(f"A'_{s}", f"{s}'") for s in range(2, N + 1)]
     digits = (d,) * (2 * len(pairs))  # outcome code: the (m, n) digits in plan order
+    statealg.check_size("unlock table bytes", 16 * d ** len(digits) * d**4)
+    tuples = channels.enumerate_constrained_tuples(d, N, 0, 0)
+    weight = 1.0 / len(tuples)
     mats = np.zeros((d ** len(digits), d * d, d * d), dtype=np.complex128)
     masses = np.zeros(d ** len(digits))
     seen = np.zeros(d ** len(digits), dtype=bool)

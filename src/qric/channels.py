@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import opsbasis, statealg
-from .errors import ConstraintError, DimensionError, SizeGuardError
+from .errors import ConstraintError, DimensionError
 from .statealg import DensityOperator, PureState, Register
 
 WEIGHT_TOL = 1e-9
@@ -72,8 +72,10 @@ def enumerate_constrained_tuples(d: int, N: int, u: int, v: int) -> list[tuple[i
     """All 2N-index tuples with sum(k_odd) = u and sum(k_even) = v mod d.
 
     Exactly d^(2(N-1)) tuples, in lexicographic order: the free indices are
-    k_1..k_{2N-2}; the last pair is determined by the residues.
+    k_1..k_{2N-2}; the last pair is determined by the residues. The table is
+    guarded as if it were a dense int64 array.
     """
+    statealg.check_size("constrained tuple table bytes", 8 * 2 * N * d ** (2 * (N - 1)))
     u %= d
     v %= d
     out = []
@@ -249,8 +251,6 @@ def telecloning_channel(d: int, N: int) -> PureState:
     if d < 2 or N < 2:
         raise DimensionError("telecloning channel needs d >= 2 and N >= 2")
     reg = Register(d, telecloning_labels(N))
-    if reg.dim > statealg._pure_limit():
-        raise SizeGuardError(f"telecloning channel dim {reg.dim} exceeds guard")
     sub = d ** (2 * N - 1)
     amps = np.zeros(d**(2 * N), dtype=np.complex128)
     for j in range(d):
@@ -312,6 +312,7 @@ def beta_weighted_channel(d: int, N: int, beta: BetaVector | None = None, family
     """
     from .protocols import extract_clone_decomposition
 
+    reg = Register(d, channel_labels(N))
     if family is None:
         family = extract_clone_decomposition(d, N)
     if beta is None:
@@ -330,27 +331,26 @@ def beta_weighted_channel(d: int, N: int, beta: BetaVector | None = None, family
             vec = beta.values[y] * np.kron(front.amps, last.amps)
             out = vec if out is None else out + vec
     out /= np.sqrt(d)
-    return PureState(Register(d, channel_labels(N)), out)
+    return PureState(reg, out)
 
 
 def mixed_channel(spec: ChannelSpec) -> DensityOperator:
     """C-weighted mixture of Bell-product projectors (density form)."""
     if spec.kind not in ("mixed", "smolin-like"):
         raise ConstraintError("spec kind must be mixed or smolin-like")
+    reg = Register(spec.d, channel_labels(spec.N))
+    statealg.check_size("density matrix bytes", 16 * reg.dim**2)
     table = spec.table
     if spec.kind == "smolin-like" and not table:
         tuples = enumerate_constrained_tuples(spec.d, spec.N, 0, 0)
         table = [(k, 1.0 / len(tuples)) for k in tuples]
     if not table:
         raise ConstraintError("mixed channel needs a non-empty table")
-    dim = spec.d ** (2 * spec.N)
-    if dim > statealg._density_limit():
-        raise SizeGuardError(f"mixed channel density dim {dim} exceeds guard")
-    mat = np.zeros((dim, dim), dtype=np.complex128)
+    mat = np.zeros((reg.dim, reg.dim), dtype=np.complex128)
     for k, cw in table:
         comp = product_bell_channel(spec.d, spec.N, k)
         mat += cw * np.outer(comp.amps, comp.amps.conj())
-    return DensityOperator(Register(spec.d, channel_labels(spec.N)), mat, validate=False)
+    return DensityOperator(reg, mat, validate=False)
 
 
 def sample_mixed(spec: ChannelSpec, rng: np.random.Generator):

@@ -127,8 +127,6 @@ def cmd_ric(args):
             f"channel file is for (d,N)=({spec.d},{spec.N}), requested ({args.d},{args.N})"
         )
     d, N = args.d, args.N
-    # the clone state costs (N+1)^d steps to build: guard first
-    protocols._guard_joint_dim(d, 4 * N - 1, "RIC")
     rng = np.random.default_rng(args.seed)
     inp = statealg.random_qudit(d, rng)
     clone = protocols.clone_state(inp.amps, d, N)
@@ -149,7 +147,6 @@ def cmd_ric(args):
 
 def cmd_ric_mm_ghz(args):
     d, N, L = args.d, args.N, args.L
-    protocols._guard_joint_dim(d, (2 * N - 1) + (2 * N - 1 + L), "mm-ghz RIC")
     rng = np.random.default_rng(args.seed)
     inp = statealg.random_qudit(d, rng)
     clone = protocols.clone_state(inp.amps, d, N)
@@ -169,7 +166,6 @@ def cmd_ric_mm_ghz(args):
 
 def cmd_ric_mm_multi(args):
     d, N, L = args.d, args.N, args.L
-    protocols._guard_joint_dim(d, (2 * N - L) + 2 * N, "mm-multi RIC")
     rng = np.random.default_rng(args.seed)
     inp = statealg.random_qudit(d, rng)
     dist = protocols.synth_distributed_state(inp.amps, d, N, L)
@@ -192,6 +188,8 @@ def cmd_ric_mm_multi(args):
 
 def cmd_verify(args):
     d, N = args.d, args.N
+    # the largest object of the suite, built first (no rng) as its up-front size guard
+    rho = channels.smolin_like(d, N)
     rng = np.random.default_rng(args.seed)
     checks = []
 
@@ -245,7 +243,6 @@ def cmd_verify(args):
         dev = max(abs(v - 1.0) for v in table.values())
         checks.append(_check(f"stabilizer.{preset}.max_dev", dev, 0.0, _tol(args, 1e-9)))
 
-    rho = channels.smolin_like(d, N)
     rank, dev = analysis.smolin_spectrum_check(d, N)
     checks.append(_check("smolin.rank", rank, d ** (2 * (N - 1)), 0))
     checks.append(_check("smolin.flat_spectrum.max_dev", dev, 0.0, _tol(args, 1e-10)))

@@ -18,7 +18,8 @@ class NormalizationError(QricError):
 
 
 class SizeGuardError(QricError):
-    """Requested object exceeds the dense-representation size guard."""
+    """Raised only by statealg.check_size: a dense array over statealg.MAX_BYTES,
+    or a protocol run's joint dimension over statealg.MAX_JOINT_DIM."""
 
 
 class ConstraintError(QricError):

@@ -139,6 +139,27 @@ class OccupationVector:
         return sum(self.counts)
 
 
+def _orderings(d: int, counts) -> np.ndarray:
+    """Big-endian basis indices of every distinct ordering of the occupation multiset.
+
+    Letters 1..d-1 in turn take each combination of the still-free slots;
+    letter 0 fills what is left and adds nothing to the index.
+    """
+    n = sum(counts)
+    place = [d ** (n - 1 - p) for p in range(n)]
+    partial = [(0, tuple(range(n)))]  # (index so far, free slots)
+    for letter in range(1, d):
+        if not counts[letter]:
+            continue
+        partial = [
+            (idx + letter * sum(place[p] for p in taken),
+             tuple(p for p in free if p not in taken))
+            for idx, free in partial
+            for taken in itertools.combinations(free, counts[letter])
+        ]
+    return np.array([idx for idx, _ in partial], dtype=np.int64)
+
+
 def symmetric_vector(d: int, counts) -> np.ndarray:
     """Equal-weight superposition over all orderings of the occupation multiset."""
     counts = tuple(int(c) for c in counts)
@@ -147,18 +168,10 @@ def symmetric_vector(d: int, counts) -> np.ndarray:
     N = sum(counts)
     if N < 1:
         raise DimensionError("occupation must place at least one particle")
-    letters = []
-    for j, c in enumerate(counts):
-        letters.extend([j] * c)
     v = np.zeros(d**N, dtype=np.complex128)
-    seen = 0
-    for p in set(itertools.permutations(letters)):
-        idx = 0
-        for x in p:
-            idx = idx * d + x
-        v[idx] = 1.0
-        seen += 1
-    return v / np.sqrt(seen)
+    idx = _orderings(d, counts)
+    v[idx] = 1.0
+    return v / np.sqrt(idx.size)
 
 
 def symmetric_state(d: int, occupation: OccupationVector | tuple, labels) -> PureState:
@@ -180,22 +193,24 @@ def phi_vector(d: int, N: int, j: int) -> np.ndarray:
     """Clone-basis state amplitudes on (clones 1..N, ancillas A_1..A_{N-1}).
 
     Sum over occupation vectors with n_j >= 1 of alpha_{n_j} times the
-    symmetric clone state tensored with the one-fewer-j ancilla state.
+    symmetric clone state tensored with the one-fewer-j ancilla state. Only
+    those C(N+d-2, d-1) vectors are visited, in lexicographic order, and each
+    writes its (disjoint) support directly.
     """
     if not 0 <= j < d:
         raise DimensionError(f"j={j} out of range for d={d}")
-    out = np.zeros(d ** (2 * N - 1), dtype=np.complex128)
-    for occ in itertools.product(range(N + 1), repeat=d):
-        if sum(occ) != N or occ[j] < 1:
-            continue
-        anc = list(occ)
-        anc[j] -= 1
-        clone = symmetric_vector(d, occ)
-        if N > 1:
-            part = np.kron(clone, symmetric_vector(d, anc))
-        else:
-            part = clone
-        out += alpha_coeff(d, N, occ[j]) * part
+    out = np.zeros(Register(d, clone_labels(N)).dim, dtype=np.complex128)
+    # stars and bars: lexicographic bar positions give the ancilla occupations
+    # (compositions of N-1) in lexicographic order
+    for bars in itertools.combinations(range(N + d - 2), d - 1):
+        edges = (-1,) + bars + (N + d - 2,)
+        anc = tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
+        occ = anc[:j] + (anc[j] + 1,) + anc[j + 1:]
+        clone, ancilla = _orderings(d, occ), _orderings(d, anc)
+        # alpha * (clone amp * ancilla amp), as the dense kron formed it
+        amp = (1.0 / np.sqrt(clone.size)) * (1.0 / np.sqrt(ancilla.size))
+        idx = clone[:, None] * d ** (N - 1) + ancilla[None, :]
+        out[idx.ravel()] = alpha_coeff(d, N, occ[j]) * amp
     return out
 
 

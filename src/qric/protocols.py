@@ -9,7 +9,6 @@ x = u'' + u' - u, y = v'' + v' - v (mod d).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import log2
@@ -18,23 +17,9 @@ import numpy as np
 
 from . import channels, measurement, opsbasis, statealg
 from .channels import BetaVector, ChannelSpec, channel_labels
-from .errors import NormalizationError, ProtocolError, SizeGuardError
+from .errors import NormalizationError, ProtocolError
 from .opsbasis import clone_labels, weyl_r, weyl_u
 from .statealg import PureState, Register
-
-PROTOCOL_DIM_LIMIT = 2**18
-
-
-def _guard_joint_dim(d: int, n_qudits: int, what: str):
-    """Protocol runs cap the joint register size below the raw state guard."""
-    env = os.environ.get("QRIC_MAX_DIM")
-    limit = int(env) if env else PROTOCOL_DIM_LIMIT
-    if d**n_qudits > limit:
-        raise SizeGuardError(
-            f"{what} joint dimension {d}^{n_qudits} exceeds guard {limit} "
-            "(set QRIC_MAX_DIM to override)"
-        )
-
 
 # ---------------------------------------------------------------------------
 # parties and transcripts
@@ -160,9 +145,11 @@ def execute(joint: PureState, plan, finish, mode: str = "sample", rng=None):
     (B, dim) the normalized residuals on `register`. execute returns finish's
     value: for "sample" its first item (the one leaf), for "all-branches"
     (value, coverage) with coverage 1.0, as every non-null branch is enumerated.
+    A joint register over statealg.MAX_JOINT_DIM raises SizeGuardError.
     """
     if mode not in ("sample", "all-branches"):
         raise ProtocolError(f"unknown mode {mode!r}")
+    statealg.check_size("protocol joint dimension", joint.dim, statealg.MAX_JOINT_DIM)
     if mode == "all-branches":
         rng = None
     elif rng is None:
@@ -191,10 +178,11 @@ def clone_state(x, d: int, N: int) -> PureState:
         raise ProtocolError(f"need {d} input amplitudes, got {x.shape[0]}")
     if abs(np.sum(np.abs(x) ** 2) - 1.0) > 1e-8:
         raise NormalizationError("input amplitudes not normalized")
-    amps = np.zeros(d ** (2 * N - 1), dtype=np.complex128)
+    reg = Register(d, clone_labels(N))
+    amps = np.zeros(reg.dim, dtype=np.complex128)
     for j in range(d):
         amps += x[j] * opsbasis.phi_vector(d, N, j)
-    return PureState(Register(d, clone_labels(N)), amps, validate=False)
+    return PureState(reg, amps, validate=False)
 
 
 def telecloning_registry(N: int) -> PartyRegistry:
@@ -222,7 +210,6 @@ def run_telecloning(
     """
     if input_state.register.n != 1 or input_state.d != d:
         raise ProtocolError("input must be a single qudit of dimension d")
-    _guard_joint_dim(d, 2 * N + 1, "telecloning")
     inp = statealg.permute(input_state, {input_state.register.labels[0]: "t"})
     joint = statealg.tensor(inp, channels.telecloning_channel(d, N))
     registry = telecloning_registry(N)
@@ -412,7 +399,6 @@ def run_ric(
         )
     if registry is None:
         registry = default_ric_registry(N)
-    _guard_joint_dim(d, 4 * N - 1, "RIC")
     chan_state, u, v = _resolve_channel(channel, rng)
     if tuple(chan_state.register.labels) != channel_labels(N):
         chan_state = statealg.reorder(chan_state, channel_labels(N))
@@ -473,15 +459,15 @@ def mm_ghz_labels(N: int, L: int) -> tuple:
 
 def _ghz_last_state(d: int, N: int, L: int, kappa: int, sigma: int) -> PureState:
     """GHZ factor with legs N'_1..N'_L unshifted and the shift on A'_N."""
-    labels = tuple(f"{N}'_{i}" for i in range(1, L + 1)) + (f"A'_{N}",)
-    v = np.zeros(d ** (L + 1), dtype=np.complex128)
+    reg = Register(d, tuple(f"{N}'_{i}" for i in range(1, L + 1)) + (f"A'_{N}",))
+    v = np.zeros(reg.dim, dtype=np.complex128)
     for a in range(d):
         idx = 0
         for _ in range(L):
             idx = idx * d + a
         idx = idx * d + (a + sigma) % d
         v[idx] = opsbasis.omega_power(d, a * kappa)
-    return PureState(Register(d, labels), v / np.sqrt(d), validate=False)
+    return PureState(reg, v / np.sqrt(d), validate=False)
 
 
 def mm_ghz_channel(d: int, N: int, L: int, spec: ChannelSpec | None = None) -> PureState:
@@ -495,7 +481,8 @@ def mm_ghz_channel(d: int, N: int, L: int, spec: ChannelSpec | None = None) -> P
     else:
         raise ProtocolError("mm-ghz channel needs a product-bell or general-pure spec")
     labels = mm_ghz_labels(N, L)
-    out = np.zeros(d ** (2 * N - 1 + L), dtype=np.complex128)
+    reg = Register(d, labels)
+    out = np.zeros(reg.dim, dtype=np.complex128)
     front_labels = labels[: 2 * (N - 1)]
     for ktup, p in table:
         parts = []
@@ -507,7 +494,7 @@ def mm_ghz_channel(d: int, N: int, L: int, spec: ChannelSpec | None = None) -> P
         parts.append(_ghz_last_state(d, N, L, ktup[2 * N - 2], ktup[2 * N - 1]))
         comp = statealg.reorder(statealg.tensor_many(parts), labels)
         out += np.sqrt(p) * comp.amps
-    return PureState(Register(d, labels), out)
+    return PureState(reg, out)
 
 
 def run_mm_ghz(
@@ -527,7 +514,6 @@ def run_mm_ghz(
     if spec is None:
         spec = channels.preset_spec("bell-product", d, N)
     u, v = spec.u, spec.v
-    _guard_joint_dim(d, (2 * N - 1) + (2 * N - 1 + L), "mm-ghz RIC")
     chan = mm_ghz_channel(d, N, L, spec)
     registry_roles = dict(default_ric_registry(N).roles)
     registry_roles["Diana"] = tuple(f"{N}'_{i}" for i in range(1, L + 1))
@@ -554,13 +540,14 @@ def ghz_correlated_state(x, d: int, L: int, labels=None) -> PureState:
     x = np.asarray(x, dtype=np.complex128)
     if labels is None:
         labels = tuple(f"t_{i}" for i in range(1, L + 1))
-    v = np.zeros(d**L, dtype=np.complex128)
+    reg = Register(d, tuple(labels))
+    v = np.zeros(reg.dim, dtype=np.complex128)
     for j in range(d):
         idx = 0
         for _ in range(L):
             idx = idx * d + j
         v[idx] = x[j]
-    return PureState(Register(d, tuple(labels)), v)
+    return PureState(reg, v)
 
 
 # ---------------------------------------------------------------------------
@@ -596,6 +583,7 @@ def synth_distributed_state(
     if abs(np.sum(np.abs(x) ** 2) - 1.0) > 1e-8:
         raise NormalizationError("input amplitudes not normalized")
     labels = mm_multi_labels(N, L)
+    reg = Register(d, labels)
     leg_labels = labels[2 * (N - L):]
     if L == N:
         if beta is not None and any(
@@ -622,8 +610,7 @@ def synth_distributed_state(
         if beta is None:
             beta = family.beta
     check_bbar_covariance(bbar, d, N - L)
-    front_dim = d ** (2 * (N - L))
-    out = np.zeros(front_dim * d**L, dtype=np.complex128)
+    out = np.zeros(reg.dim, dtype=np.complex128)
     for m in range(d):
         for n in range(d):
             tail = weyl_u(d, -m, n) @ x
@@ -632,7 +619,7 @@ def synth_distributed_state(
                 legs = np.kron(legs, tail)
             out += beta.values[n] * np.kron(bbar[(m, n)], legs)
     out /= np.sqrt(d)
-    return PureState(Register(d, labels), out)
+    return PureState(reg, out)
 
 
 def _covariance_ops(d: int, pairs: int, k: int, ell: int):
@@ -699,7 +686,6 @@ def run_mm_multiqudit(
     labels = mm_multi_labels(N, L)
     if tuple(distributed.register.labels) != labels:
         raise ProtocolError(f"distributed state must live on labels {labels}")
-    _guard_joint_dim(d, (2 * N - L) + 2 * N, "mm-multi RIC")
     chan = channels.product_bell_channel(d, N, (0,) * (2 * N))
     joint = statealg.tensor(distributed, chan)
     plan = [(str(s), f"{s}'") for s in range(1, N - L + 1)]

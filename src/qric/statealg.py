@@ -7,7 +7,6 @@ string (j_0, ..., j_{n-1}) is sum_k j_k * d**(n-1-k).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,18 +15,23 @@ from . import kernels
 from .errors import DimensionError, LabelError, NormalizationError, SizeGuardError
 
 TOL = 1e-10
-PURE_DIM_LIMIT = 2**22
-DENSITY_DIM_LIMIT = 2**12
+# every dense array, checked before it is allocated: 2**22 amplitudes, a 2**11-row density
+MAX_BYTES = 2**26
+# protocol runs (joint register dimension): bounds the all-branches leaf
+# records, not one array; ric --d 3 --N 3 over bell-product keeps 59,049
+# leaves and peaks at 167 MB
+MAX_JOINT_DIM = 2**18
 
 
-def _pure_limit() -> int:
-    env = os.environ.get("QRIC_MAX_DIM")
-    return int(env) if env else PURE_DIM_LIMIT
+def check_size(what: str, size: int, limit: int = MAX_BYTES):
+    """The one size guard: SizeGuardError when `size` exceeds `limit`.
 
-
-def _density_limit() -> int:
-    env = os.environ.get("QRIC_MAX_DIM")
-    return int(env) if env else DENSITY_DIM_LIMIT
+    Callers pass the bytes of a dense array before allocating it (16 per
+    complex entry) against MAX_BYTES, or a protocol run's joint dimension
+    against MAX_JOINT_DIM.
+    """
+    if size > limit:
+        raise SizeGuardError(f"{what} {size:,} over the size guard {limit:,}")
 
 
 @dataclass(frozen=True)
@@ -46,6 +50,9 @@ class Register:
             raise LabelError("register needs at least one label")
         if len(set(self.labels)) != len(self.labels):
             raise LabelError(f"duplicate labels in {self.labels}")
+        # no state vector over an oversized register can exist, so code that
+        # builds the register before its amplitudes is guarded before allocating
+        check_size("state vector bytes", 16 * self.dim)
 
     @property
     def n(self) -> int:
@@ -77,11 +84,6 @@ class PureState:
     """Immutable dense amplitude vector over a labeled register."""
 
     def __init__(self, register: Register, amps: np.ndarray, *, validate: bool = True):
-        if register.dim > _pure_limit():
-            raise SizeGuardError(
-                f"pure state dim {register.dim} exceeds guard {_pure_limit()} "
-                "(set QRIC_MAX_DIM to override)"
-            )
         amps = np.asarray(amps, dtype=np.complex128).reshape(-1).copy()
         if amps.shape[0] != register.dim:
             raise DimensionError(f"expected {register.dim} amplitudes, got {amps.shape[0]}")
@@ -112,10 +114,7 @@ class PureState:
 
     def to_density(self) -> "DensityOperator":
         reg = self.register
-        if reg.dim > _density_limit():
-            raise SizeGuardError(
-                f"density dim {reg.dim} exceeds guard {_density_limit()}"
-            )
+        check_size("density matrix bytes", 16 * reg.dim**2)
         return DensityOperator(reg, np.outer(self.amps, self.amps.conj()), validate=False)
 
     def __repr__(self):
@@ -126,11 +125,7 @@ class DensityOperator:
     """Immutable dense Hermitian trace-one operator over a labeled register."""
 
     def __init__(self, register: Register, mat: np.ndarray, *, validate: bool = True):
-        if register.dim > _density_limit():
-            raise SizeGuardError(
-                f"density dim {register.dim} exceeds guard {_density_limit()} "
-                "(set QRIC_MAX_DIM to override)"
-            )
+        check_size("density matrix bytes", 16 * register.dim**2)
         mat = np.asarray(mat, dtype=np.complex128).copy()
         if mat.shape != (register.dim, register.dim):
             raise DimensionError(f"expected {register.dim}x{register.dim} matrix")
@@ -275,8 +270,7 @@ def partial_trace(state: PureState | DensityOperator, keep) -> DensityOperator:
     d = reg.d
     dk = d ** len(keep_pos)
     new_reg = Register(d, tuple(reg.labels[p] for p in keep_pos))
-    if new_reg.dim > _density_limit():
-        raise SizeGuardError(f"reduced density dim {new_reg.dim} exceeds guard")
+    check_size("density matrix bytes", 16 * new_reg.dim**2)
     if isinstance(state, PureState):
         t = state.amps.reshape([d] * reg.n)
         t = np.transpose(t, keep_pos + out_pos).reshape(dk, -1)

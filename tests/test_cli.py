@@ -168,9 +168,14 @@ def test_negative_max_transcripts_exit_2(capsys):
     ["ric", "--d", "20", "--N", "2"],
     ["ric-mm-ghz", "--d", "20", "--N", "2", "--L", "2"],
     ["ric-mm-multi", "--d", "20", "--N", "2", "--L", "2"],
-], ids=["ric", "ric-mm-ghz", "ric-mm-multi"])
+    ["verify", "--d", "20", "--N", "2"],
+    ["report", "--d", "20", "--N", "2"],
+    ["unlock", "--d", "20", "--N", "2"],
+    ["ric", "--d", "60", "--N", "3", "--channel", "mixed-uniform"],
+], ids=["ric", "ric-mm-ghz", "ric-mm-multi", "verify", "report", "unlock", "ric-mixed-uniform"])
 def test_large_d_hits_the_size_guard_before_building_states(argv):
-    # building the clone state alone would loop over (N+1)^d occupation tuples
+    # each would otherwise allocate gigabytes: the joint state, the Smolin
+    # density, the unlock outcome table, or the d^(2(N-1)) mixture table
     assert main(argv + ["--out", "/dev/null"]) == 3
 
 

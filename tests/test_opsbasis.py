@@ -161,6 +161,45 @@ def test_phi_states_orthonormal():
                 assert abs(overlap(a, b) - want) < 1e-10
 
 
+def _symmetric_by_permutations(d, counts):
+    """Reference: every distinct permutation of the letters, N! candidates."""
+    letters = [j for j, c in enumerate(counts) for _ in range(c)]
+    v = np.zeros(d ** len(letters), dtype=np.complex128)
+    perms = set(itertools.permutations(letters))
+    for p in perms:
+        v[sum(x * d ** (len(p) - 1 - k) for k, x in enumerate(p))] = 1.0
+    return v / np.sqrt(len(perms))
+
+
+def _phi_by_occupation_product(d, N, j):
+    """Reference: filter all (N+1)^d occupation tuples, dense kron per term."""
+    out = np.zeros(d ** (2 * N - 1), dtype=np.complex128)
+    for occ in itertools.product(range(N + 1), repeat=d):
+        if sum(occ) != N or occ[j] < 1:
+            continue
+        anc = list(occ)
+        anc[j] -= 1
+        part = np.kron(_symmetric_by_permutations(d, occ), _symmetric_by_permutations(d, anc))
+        out += alpha_coeff(d, N, occ[j]) * part
+    return out
+
+
+@pytest.mark.parametrize("d,N", [(2, 2), (3, 2), (2, 3), (3, 3), (4, 2), (2, 4), (5, 2),
+                                 (4, 3), (2, 6)])
+def test_clone_builders_match_the_exhaustive_enumeration_bit_for_bit(d, N):
+    for j in range(d):
+        assert np.array_equal(opsbasis.phi_vector(d, N, j), _phi_by_occupation_product(d, N, j))
+    for occ in itertools.product(range(N + 1), repeat=d):
+        if sum(occ) == N:
+            assert np.array_equal(opsbasis.symmetric_vector(d, occ),
+                                  _symmetric_by_permutations(d, occ))
+
+
+def test_phi_vector_large_d_is_fast_and_normalized():
+    # the exhaustive enumeration would visit 3^20 occupation tuples here
+    assert abs(np.linalg.norm(opsbasis.phi_vector(20, 2, 0)) - 1) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # stabilizer expectations
 

@@ -1,0 +1,46 @@
+"""Source rules for src/qric, checked on the syntax tree: one size guard, no environment knobs."""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "qric"
+
+
+def _trees():
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def _name(node):
+    """Dotted name of a Name/Attribute chain, '' for anything else."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = _name(node.value)
+        return f"{base}.{node.attr}" if base else ""
+    return ""
+
+
+def test_no_environment_reads():
+    hits = [
+        f"{fname}:{node.lineno}"
+        for fname, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Attribute, ast.Name))
+        and _name(node) in ("os.environ", "os.getenv", "environ", "getenv")
+    ]
+    assert hits == []
+
+
+def test_exactly_one_function_raises_size_guard_error():
+    raisers = []
+    for fname, tree in _trees().items():
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Raise) and node.exc is not None:
+                    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                    if _name(exc).split(".")[-1] == "SizeGuardError":
+                        raisers.append(f"{fname}:{func.name}")
+    assert raisers == ["statealg.py:check_size"]

@@ -16,6 +16,7 @@ from qric import (
     overlap,
     partial_trace,
     permute,
+    smolin_like,
     tensor,
 )
 from qric import statealg
@@ -59,10 +60,29 @@ def test_norm_validation():
         from_amplitudes(2, [1.0, 1.0], ("a", ))
 
 
-def test_pure_size_guard(monkeypatch):
+def test_size_guard_ignores_the_environment(monkeypatch):
     monkeypatch.setenv("QRIC_MAX_DIM", "8")
+    assert basis_state(2, (0,) * 4, ("a", "b", "c", "e")).dim == 16
+
+
+def test_oversized_register_raises_before_allocating(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated an oversized array")
+
+    labels = tuple(f"q{i}" for i in range(24))  # 2^24 amplitudes, 256 MiB
+    front = basis_state(2, (0,) * 12, labels[:12])
+    back = basis_state(2, (0,) * 12, labels[12:])
+    monkeypatch.setattr(np, "zeros", refuse)
+    monkeypatch.setattr(np, "kron", refuse)
     with pytest.raises(SizeGuardError):
-        basis_state(2, (0,) * 4, ("a", "b", "c", "e"))
+        basis_state(2, (0,) * 24, labels)
+    with pytest.raises(SizeGuardError):
+        tensor(front, back)
+
+
+def test_density_byte_budget_refuses_2401_rows():
+    with pytest.raises(SizeGuardError):
+        smolin_like(7, 2)
 
 
 # ---------------------------------------------------------------------------
