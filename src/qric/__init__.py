@@ -25,7 +25,6 @@ from .statealg import (
 )
 from .opsbasis import (
     OccupationVector,
-    StabilizerElement,
     WeylOp,
     alpha_coeff,
     bell_state,

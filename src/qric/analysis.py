@@ -192,8 +192,12 @@ class SymmetryReport:
 
 
 def _swap_distance(rho: DensityOperator, a: str, b: str) -> float:
-    swapped = statealg.permute(rho, {a: b, b: a})
-    return float(np.linalg.norm(rho.mat - swapped.mat))
+    """||rho - SWAP_ab rho SWAP_ab||_F, with the swap taken as axis views of rho."""
+    reg = rho.register
+    pa, pb = reg.position(a), reg.position(b)
+    t = rho.mat.reshape([reg.d] * (2 * reg.n))
+    swapped = t.swapaxes(pa, pb).swapaxes(reg.n + pa, reg.n + pb)
+    return float(np.linalg.norm(t - swapped))
 
 
 def symmetry_report(rho: DensityOperator, d: int, N: int) -> SymmetryReport:

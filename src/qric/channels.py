@@ -346,11 +346,11 @@ def mixed_channel(spec: ChannelSpec) -> DensityOperator:
         table = [(k, 1.0 / len(tuples)) for k in tuples]
     if not table:
         raise ConstraintError("mixed channel needs a non-empty table")
-    mat = np.zeros((reg.dim, reg.dim), dtype=np.complex128)
-    for k, cw in table:
-        comp = product_bell_channel(spec.d, spec.N, k)
-        mat += cw * np.outer(comp.amps, comp.amps.conj())
-    return DensityOperator(reg, mat, validate=False)
+    statealg.check_size("mixture component bytes", 16 * len(table) * reg.dim)
+    vecs = np.stack([product_bell_channel(spec.d, spec.N, k).amps for k, _ in table])
+    weights = np.array([cw for _, cw in table])
+    # sum_k C_k |v_k><v_k| as one (dim, K) @ (K, dim) product
+    return DensityOperator(reg, (vecs.T * weights) @ vecs.conj(), validate=False)
 
 
 def sample_mixed(spec: ChannelSpec, rng: np.random.Generator):

@@ -238,8 +238,7 @@ def cmd_verify(args):
     )
 
     for preset in ("ghz", "beta", "bell-product", "smolin", "mixed-uniform"):
-        state = channels.preset_spec(preset, d, N).build()
-        table = analysis.stabilizer_suite(state, d, N)
+        table = analysis.stabilizer_suite(channels.preset_spec(preset, d, N).build(), d, N)
         dev = max(abs(v - 1.0) for v in table.values())
         checks.append(_check(f"stabilizer.{preset}.max_dev", dev, 0.0, _tol(args, 1e-9)))
 

@@ -1,5 +1,5 @@
 """Weyl phase-shift operators, generalized Bell/GHZ states, symmetric
-clone-basis states, and stabilizer-group elements.
+clone-basis states, and stabilizer-group expectations.
 
 Conventions (fixed throughout the package):
   U^{m,n} = sum_k omega^{km} |k+n mod d><k|        (phase index m, shift n)
@@ -18,7 +18,6 @@ from math import factorial
 
 import numpy as np
 
-from . import statealg
 from .errors import DimensionError, LabelError
 from .statealg import DensityOperator, PureState, Register
 
@@ -224,29 +223,23 @@ def phi_state(d: int, N: int, j: int) -> PureState:
 
 
 # ---------------------------------------------------------------------------
-# stabilizer elements
+# stabilizer expectations
 
-@dataclass(frozen=True)
-class StabilizerElement:
-    """S^{mn}: U^{-m,n} on minus_labels, U^{m,n} on plus_labels."""
+def _monomial(d: int, m: int, n: int, signs) -> tuple[np.ndarray, np.ndarray]:
+    """(col, val) of U^{s_0 m,n} (x) U^{s_1 m,n} (x) ... for signs s_l = +-1.
 
-    d: int
-    m: int
-    n: int
-    minus_labels: tuple[str, ...]
-    plus_labels: tuple[str, ...]
-
-    def __post_init__(self):
-        if set(self.minus_labels) & set(self.plus_labels):
-            raise LabelError("stabilizer group assignment overlaps")
-
-    def apply(self, state: PureState) -> PureState:
-        out = state
-        for l in self.minus_labels:
-            out = statealg.apply_local(out, weyl_u(self.d, -self.m, self.n), l)
-        for l in self.plus_labels:
-            out = statealg.apply_local(out, weyl_u(self.d, self.m, self.n), l)
-        return out
+    The product is monomial: row r has its one nonzero, val_r, in column
+    col_r. U^{m,n} maps |i - n> to omega^{(i-n) m} |i>, so each factor adds
+    one big-endian digit i - n to the column and (i - n) s_l m to the phase
+    exponent, kept mod d.
+    """
+    src = (np.arange(d) - n) % d
+    col = np.zeros(1, dtype=np.intp)
+    power = np.zeros(1, dtype=np.intp)
+    for s in signs:
+        col = (col[:, None] * d + src).ravel()
+        power = ((power[:, None] + s * m * src) % d).ravel()
+    return col, omega_table(d)[power]
 
 
 def stabilizer_expectation(
@@ -256,21 +249,21 @@ def stabilizer_expectation(
     minus_labels,
     plus_labels,
 ) -> complex:
-    """tr(S^{mn} rho) with U^{-m,n} on minus_labels and U^{m,n} on plus_labels."""
+    """tr(S^{mn} rho) with U^{-m,n} on minus_labels and U^{m,n} on plus_labels.
+
+    Every register label must sit in exactly one group. With S^{mn} as
+    (col, val) from `_monomial`, <psi|S|psi> = sum_r conj(psi_r) val_r psi[col_r]
+    and tr(S rho) = sum_r val_r rho[col_r, r].
+    """
     minus_labels = tuple(minus_labels)
     plus_labels = tuple(plus_labels)
-    labels = set(minus_labels) | set(plus_labels)
-    if labels != set(state.register.labels):
-        raise LabelError("group assignment must cover the register")
-    if isinstance(state, PureState):
-        elem = StabilizerElement(state.d, m % state.d, n % state.d, minus_labels, plus_labels)
-        return statealg.overlap(state, elem.apply(state))
-    # density: apply the local unitaries on the left and take the trace
-    d = state.d
     reg = state.register
-    t = state.mat.reshape([d] * (2 * reg.n))
-    for l in minus_labels + plus_labels:
-        op = weyl_u(d, -m if l in minus_labels else m, n)
-        pos = reg.position(l)
-        t = np.moveaxis(np.tensordot(op, t, axes=([1], [pos])), 0, pos)
-    return complex(np.trace(t.reshape(state.dim, state.dim)))
+    if set(minus_labels) & set(plus_labels):
+        raise LabelError("stabilizer group assignment overlaps")
+    if sorted(minus_labels + plus_labels) != sorted(reg.labels):
+        raise LabelError("group assignment must cover the register")
+    signs = [-1 if l in minus_labels else 1 for l in reg.labels]
+    col, val = _monomial(reg.d, m, n, signs)
+    if isinstance(state, PureState):
+        return complex(np.vdot(state.amps, val * state.amps[col]))
+    return complex(np.dot(val, state.mat[col, np.arange(reg.dim)]))

@@ -399,10 +399,12 @@ def run_ric(
         )
     if registry is None:
         registry = default_ric_registry(N)
+    # the joint register checks its own bytes before any channel state is built
+    joint_reg = Register(d, clone.register.labels + channel_labels(N))
+    registry.validate_partition(joint_reg.labels)
     chan_state, u, v = _resolve_channel(channel, rng)
     if tuple(chan_state.register.labels) != channel_labels(N):
         chan_state = statealg.reorder(chan_state, channel_labels(N))
-    registry.validate_partition(clone.register.labels + chan_state.register.labels)
     joint = statealg.tensor(clone, chan_state)
     plan = ric_measurement_plan(N)
     routes = _ric_routes(N)

@@ -155,6 +155,27 @@ def test_symmetry_d3_n3_within_group():
     assert rep.cross_max() > 1e-3
 
 
+def _random_density(d, N, rng):
+    reg = Register(d, channel_labels(N))
+    g = rng.normal(size=(reg.dim, reg.dim)) + 1j * rng.normal(size=(reg.dim, reg.dim))
+    rho = g @ g.conj().T
+    return DensityOperator(reg, rho / np.trace(rho), validate=False)
+
+
+@pytest.mark.parametrize("source", ["smolin", "random"])
+@pytest.mark.parametrize("d,N", [(2, 2), (3, 2)])
+def test_symmetry_report_matches_permute_reference(d, N, source):
+    rho = smolin_like(d, N) if source == "smolin" else _random_density(d, N, np.random.default_rng(d))
+    rep = symmetry_report(rho, d, N)
+    for dists in (rep.within_g1, rep.within_g2, rep.cross):
+        assert dists
+        for (a, b), dist in dists.items():
+            want = np.linalg.norm(rho.mat - statealg.permute(rho, {a: b, b: a}).mat)
+            assert abs(dist - want) < 1e-12, (a, b)
+    if source == "random":
+        assert rep.within_max() > 1e-3 and rep.cross_max() > 1e-3
+
+
 def test_permute_smolin_within_group_swap_identity():
     # one concrete swap inside the first-slot group leaves the matrix unchanged
     rho = smolin_like(2, 2)

@@ -229,18 +229,41 @@ def test_uniform_mixed_equals_smolin(d, N):
     np.testing.assert_allclose(mixed_channel(spec).mat, smolin_like(d, N).mat, atol=1e-12)
 
 
+def _outer_product_density(spec):
+    # the mixture as a running sum of C_k |v_k><v_k|, one outer product per term;
+    # a smolin-like spec without a table is uniform over the u = v = 0 tuples
+    tuples = enumerate_constrained_tuples(spec.d, spec.N, 0, 0)
+    table = spec.table or [(k, 1 / len(tuples)) for k in tuples]
+    mat = np.zeros((spec.d ** (2 * spec.N),) * 2, dtype=np.complex128)
+    for k, cw in table:
+        comp = product_bell_channel(spec.d, spec.N, k)
+        mat += cw * np.outer(comp.amps, comp.amps.conj())
+    return mat
+
+
 def test_mixed_channel_is_weighted_sum_of_products():
     rng = np.random.default_rng(3)
     tuples = enumerate_constrained_tuples(2, 2, 1, 1)
     w = rng.random(len(tuples))
     w /= w.sum()
     spec = ChannelSpec(kind="mixed", d=2, N=2, u=1, v=1, table=list(zip(tuples, w)))
-    rho = mixed_channel(spec)
-    acc = np.zeros_like(rho.mat)
-    for k, cw in zip(tuples, w):
-        comp = product_bell_channel(2, 2, k)
-        acc += cw * np.outer(comp.amps, comp.amps.conj())
-    np.testing.assert_allclose(rho.mat, acc, atol=1e-12)
+    np.testing.assert_allclose(mixed_channel(spec).mat, _outer_product_density(spec), atol=1e-12)
+
+
+@pytest.mark.parametrize("spec", [
+    ChannelSpec(kind="smolin-like", d=2, N=2),
+    ChannelSpec(kind="smolin-like", d=3, N=2),
+    ChannelSpec(kind="smolin-like", d=2, N=3),
+    preset_spec("mixed-uniform", 3, 2),
+    # unequal weights, nonzero residues, one tuple listed twice
+    ChannelSpec(kind="mixed", d=3, N=2, u=1, v=2, table=[
+        ((0, 0, 1, 2), 0.5), ((1, 2, 0, 0), 0.25), ((2, 1, 2, 1), 0.125),
+        ((0, 0, 1, 2), 0.125),
+    ]),
+], ids=["smolin-2-2", "smolin-3-2", "smolin-2-3", "mixed-uniform-3-2", "mixed-unequal-3-2"])
+def test_mixed_channel_matches_sum_of_outer_products(spec):
+    np.testing.assert_allclose(mixed_channel(spec).mat, _outer_product_density(spec),
+                               rtol=0, atol=1e-13)
 
 
 def test_smolin_d2_equals_generalized_smolin_form():

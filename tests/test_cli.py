@@ -172,10 +172,15 @@ def test_negative_max_transcripts_exit_2(capsys):
     ["report", "--d", "20", "--N", "2"],
     ["unlock", "--d", "20", "--N", "2"],
     ["ric", "--d", "60", "--N", "3", "--channel", "mixed-uniform"],
-], ids=["ric", "ric-mm-ghz", "ric-mm-multi", "verify", "report", "unlock", "ric-mixed-uniform"])
+    ["ric", "--d", "40", "--N", "2", "--channel", "beta"],
+    ["ric", "--d", "12", "--N", "3", "--channel", "beta"],
+], ids=["ric", "ric-mm-ghz", "ric-mm-multi", "verify", "report", "unlock", "ric-mixed-uniform",
+        "ric-beta-40-2", "ric-beta-12-3"])
 def test_large_d_hits_the_size_guard_before_building_states(argv):
     # each would otherwise allocate gigabytes: the joint state, the Smolin
-    # density, the unlock outcome table, or the d^(2(N-1)) mixture table
+    # density, the unlock outcome table, or the d^(2(N-1)) mixture table;
+    # the beta channels fit the budget, but their O(d^(2N+2)) build would
+    # run for seconds to minutes before the joint register is refused
     assert main(argv + ["--out", "/dev/null"]) == 3
 
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -19,7 +20,7 @@ from qric import (
     weyl_u,
 )
 from qric import channels, opsbasis, statealg
-from qric.errors import DimensionError
+from qric.errors import DimensionError, LabelError
 from qric.statealg import DensityOperator, Register
 
 
@@ -236,6 +237,61 @@ def test_stabilizer_expectation_maximally_mixed():
             val = stabilizer_expectation(rho, m, n, minus, plus)
             want = 1.0 if (m, n) == (0, 0) else 0.0
             assert abs(val - want) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["pure", "density"])
+def test_stabilizer_expectation_overlapping_groups_raise(kind):
+    from qric.analysis import stabilizer_groups
+
+    _, plus = stabilizer_groups(2)
+    state = channels.product_bell_channel(2, 2, (0, 0, 0, 0))
+    if kind == "density":
+        state = state.to_density()
+    with pytest.raises(LabelError):
+        stabilizer_expectation(state, 1, 1, channels.channel_labels(2), plus)
+
+
+def _dense_stabilizer_halves(d, m, n, signs):
+    # S = A (x) B, each half the Kronecker product of its weyl_u factors
+    half = len(signs) // 2
+    A, B = ([weyl_u(d, s * m, n) for s in part] for part in (signs[:half], signs[half:]))
+    return [functools.reduce(np.kron, part) for part in (A, B)]
+
+
+# every d in {2, 3, 4} and N in {2, 3}; no density at (4, 3), whose 4096 rows
+# are over the byte budget
+@pytest.mark.parametrize("d,N,kind", [
+    (d, N, kind) for d in (2, 3, 4) for N in (2, 3) for kind in ("pure", "density")
+    if (d, N, kind) != (4, 3, "density")
+])
+def test_stabilizer_expectation_matches_dense_reference(d, N, kind):
+    rng = np.random.default_rng(100 * d + N)
+    labels = channels.channel_labels(N)
+    reg = Register(d, labels)
+    minus_mask = rng.random(len(labels)) < 0.5
+    minus = [l for l, neg in zip(labels, minus_mask) if neg]
+    plus = [l for l, neg in zip(labels, minus_mask) if not neg]
+    signs = [-1 if neg else 1 for neg in minus_mask]
+    g = rng.normal(size=(reg.dim, reg.dim if kind == "density" else 1))
+    g = g + 1j * rng.normal(size=g.shape)
+    if kind == "pure":
+        psi = g[:, 0] / np.linalg.norm(g)
+        state = statealg.PureState(reg, psi)
+    else:
+        rho = g @ g.conj().T
+        rho /= np.trace(rho)
+        state = DensityOperator(reg, rho, validate=False)
+    # every (m, n), plus indices below 0 and at d (taken mod d)
+    for m, n in itertools.product(range(-1, d + 1), repeat=2):
+        A, B = _dense_stabilizer_halves(d, m, n, signs)
+        if kind == "pure":
+            # (A (x) B) psi, without forming the full Kronecker product
+            s_psi = (A @ psi.reshape(A.shape[0], B.shape[0]) @ B.T).ravel()
+            want = np.vdot(psi, s_psi)
+        else:
+            want = np.einsum("ij,ji->", np.kron(A, B), rho)  # trace(S @ rho)
+        got = stabilizer_expectation(state, m, n, minus, plus)
+        assert abs(got - want) < 1e-12, (m, n)
 
 
 def test_stabilizer_elements_commute():
