@@ -114,21 +114,21 @@ def unlock_ubes(d: int, N: int, mode: str = "all-branches",
     pairs = [(f"A'_{s}", f"{s}'") for s in range(2, N + 1)]
     digits = (d,) * (2 * len(pairs))  # outcome code: the (m, n) digits in plan order
     statealg.check_size("unlock table bytes", 16 * d ** len(digits) * d**4)
-    tuples = channels.enumerate_constrained_tuples(d, N, 0, 0)
-    weight = 1.0 / len(tuples)
+    tuples, weights, _ = channels.preset_spec("smolin", d, N).mixture()
+    joint = protocols.Joint(statealg.Register(d, channel_labels(N)),
+                            lambda k: channels.product_bell_channel(d, N, tuples[k]).amps,
+                            weights)
+    (outs, prob, pair_reg, vecs), _ = protocols.execute(
+        joint, pairs, lambda *leaf_arrays: leaf_arrays, "all-branches"
+    )
+    # codes repeat across components: np.add.at sums them, a fancy += would not
+    codes = np.ravel_multi_index(outs.reshape(len(prob), -1).T, digits)
     mats = np.zeros((d ** len(digits), d * d, d * d), dtype=np.complex128)
     masses = np.zeros(d ** len(digits))
+    np.add.at(mats, codes, prob[:, None, None] * (vecs[:, :, None] * vecs[:, None, :].conj()))
+    np.add.at(masses, codes, prob)
     seen = np.zeros(d ** len(digits), dtype=bool)
-    for k in tuples:
-        comp = channels.product_bell_channel(d, N, k)
-        (outs, prob, pair_reg, vecs), _ = protocols.execute(
-            comp, pairs, lambda *leaf_arrays: leaf_arrays, "all-branches"
-        )
-        codes = np.ravel_multi_index(outs.reshape(len(prob), -1).T, digits)
-        w = weight * prob
-        mats[codes] += w[:, None, None] * (vecs[:, :, None] * vecs[:, None, :].conj())
-        masses[codes] += w
-        seen[codes] = True
+    seen[codes] = True
     reports = []
     for code in np.flatnonzero(seen):
         flat = [int(i) for i in np.unravel_index(code, digits)]

@@ -231,16 +231,26 @@ class ChannelSpec:
             return mixed_channel(self)
         return smolin_like(self.d, self.N)
 
-    def sample(self, rng: np.random.Generator):
-        """(tuple, PureState) drawn from the mixture; pure kinds return their state."""
-        if self.kind == "mixed":
-            return sample_mixed(self, rng)
+    def mixture(self):
+        """(tuples, weights, draw) of a mixed kind's Bell-product components;
+        draw(rng) is the index of one drawn component (rng.integers or rng.choice)."""
         if self.kind == "smolin-like":
             tuples = enumerate_constrained_tuples(self.d, self.N, 0, 0)
-            k = tuples[int(rng.integers(0, len(tuples)))]
-            return k, product_bell_channel(self.d, self.N, k)
-        state = self.build()
-        return self.c, state
+            return (tuples, np.full(len(tuples), 1.0 / len(tuples)),
+                    lambda rng: int(rng.integers(0, len(tuples))))
+        if not self.table:
+            raise ConstraintError("mixed channel needs a non-empty table")
+        weights = np.array([wgt for _, wgt in self.table])
+        p = weights / weights.sum()
+        return [k for k, _ in self.table], weights, lambda rng: int(rng.choice(len(p), p=p))
+
+    def sample(self, rng: np.random.Generator):
+        """(tuple, PureState) drawn from the mixture; pure kinds return their state."""
+        if not self.is_mixed:
+            return self.c, self.build()
+        tuples, _, draw = self.mixture()
+        k = tuples[draw(rng)]
+        return k, product_bell_channel(self.d, self.N, k)
 
 
 # ---------------------------------------------------------------------------
@@ -355,12 +365,9 @@ def mixed_channel(spec: ChannelSpec) -> DensityOperator:
 
 def sample_mixed(spec: ChannelSpec, rng: np.random.Generator):
     """Draw (tuple, PureState) with probability C - the purification shortcut."""
-    if not spec.table:
-        raise ConstraintError("mixed channel needs a non-empty table")
-    weights = np.array([wgt for _, wgt in spec.table])
-    idx = int(rng.choice(len(weights), p=weights / weights.sum()))
-    k = spec.table[idx][0]
-    return k, product_bell_channel(spec.d, spec.N, k)
+    if spec.kind != "mixed":
+        raise ConstraintError("spec kind must be mixed")
+    return spec.sample(rng)
 
 
 def smolin_like(d: int, N: int) -> DensityOperator:

@@ -78,11 +78,7 @@ def cmd_teleclone(args):
     expected = analysis.clone_fidelity_formula(d, N)
     checks = []
     transcripts = []
-    if args.mode == "all-branches":
-        runs = protocols.run_telecloning(inp, d, N, mode="all-branches")
-    else:
-        runs = [protocols.run_telecloning(inp, d, N, mode="sample", rng=rng)
-                for _ in range(args.trials)]
+    runs = protocols.run_telecloning(inp, d, N, mode=args.mode, rng=rng, trials=args.trials)
     for i, (state, transcript) in enumerate(runs):
         for s in range(1, N + 1):
             rho = statealg.partial_trace(state, [str(s)])
@@ -98,18 +94,18 @@ def cmd_teleclone(args):
     }
 
 
-def _fidelity_runs(args, run, target, rng, exhaustive=True):
-    """Score each leaf of run(mode=..., rng=rng) against target.
+def _fidelity_runs(args, run, target, rng):
+    """Score each leaf of run(mode=..., rng=rng, trials=...) against target.
 
-    --mode all-branches enumerates once (unless `exhaustive` is False, as for
-    mixed channels); otherwise --trials samples are drawn. Returns
+    --mode all-branches enumerates every branch (of every component of a
+    mixed channel); --mode sample draws --trials runs in one call. Returns
     (fidelities, transcripts, checks, coverage).
     """
-    if args.mode == "all-branches" and exhaustive:
-        branches, coverage = run(mode="all-branches", rng=rng)
+    branches = run(mode=args.mode, rng=rng, trials=args.trials)
+    if args.mode == "all-branches":
+        branches, coverage = branches
     else:
         coverage = 1.0
-        branches = [run(mode="sample", rng=rng) for _ in range(args.trials)]
     fids, transcripts = [], []
     for state, transcript in branches:
         transcript.fidelity = abs(statealg.overlap(state, target)) ** 2
@@ -131,8 +127,7 @@ def cmd_ric(args):
     inp = statealg.random_qudit(d, rng)
     clone = protocols.clone_state(inp.amps, d, N)
     fids, transcripts, checks, coverage = _fidelity_runs(
-        args, lambda **kw: protocols.run_ric(clone, spec, **kw), _diana_target(inp, N), rng,
-        exhaustive=not spec.is_mixed,
+        args, lambda **kw: protocols.run_ric(clone, spec, **kw), _diana_target(inp, N), rng
     )
     bits_expected = (2 * N - 1) * 2.0 * log2(d)
     checks.append(_check("classical_bits", transcripts[0].total_bits(), bits_expected, 1e-12))

@@ -99,44 +99,57 @@ def gbm_sample(state: PureState, pair, rng: np.random.Generator, *, remove: bool
     return _collapse(state, pair, m, n, residuals[idx], float(probs[idx]), remove)
 
 
-def select_outcomes(projected: np.ndarray, rng: np.random.Generator | None = None):
-    """Keep every non-null outcome of each row, or draw one per row if rng is given.
+def select_outcomes(projected: np.ndarray, uniforms: np.ndarray | None = None,
+                    at: np.ndarray | None = None):
+    """Keep every non-null outcome of each row, or the outcomes pre-drawn uniforms pick.
 
     projected is (B, k, r): row b's unnormalized residual for each of k
-    outcomes. Returns (rows, outcomes, probabilities, residuals), one entry
-    per kept branch in row-major (row, outcome) order: the parent row, the
-    outcome index, its probability given the row, and the normalized
-    residual (r amplitudes). A draw makes one rng.random() per row, with the
-    rule of gbm_sample.
+    outcomes. With uniforms (T,), trial t draws from row at[t] (default t)
+    by the rule of gbm_sample, and only the distinct (row, outcome) pairs
+    drawn are kept. Returns (rows, outcomes, probabilities, residuals,
+    visits), one entry per kept branch in row-major (row, outcome) order:
+    the parent row, the outcome index, its probability given the row, and
+    the residual normalized in place; visits[t] is trial t's kept branch
+    (None without uniforms).
     """
     B, k, r = projected.shape
     flat = projected.reshape(B * k, r)
     pv = flat.view(np.float64)
     probs = np.einsum("ij,ij->i", pv, pv)
-    if rng is None:
+    visits = None
+    if uniforms is None:
         keep = np.flatnonzero(probs >= NULL_PROB)
     else:
-        keep = np.array([b * k + _draw(probs[b * k:(b + 1) * k], rng) for b in range(B)])
+        at = np.arange(B) if at is None else at
+        p = probs.reshape(B, k)[at]
+        below = np.cumsum(p, axis=1) < (uniforms * p.sum(axis=1))[:, None]
+        drawn = np.minimum(below.sum(axis=1), k - 1)
+        keep, visits = np.unique(at * k + drawn, return_inverse=True)
         if (probs[keep] < NULL_PROB).any():
             raise ProtocolError("sampled a null branch")  # pragma: no cover
     residuals = flat if len(keep) == B * k else flat[keep]
     residuals /= np.sqrt(probs[keep])[:, None]
-    return keep // k, keep % k, probs[keep], residuals
+    return keep // k, keep % k, probs[keep], residuals, visits
+
+
+def bell_projections(batch: np.ndarray, register: Register, pair) -> np.ndarray:
+    """(B, d^2, dim / d^2): the residual of every row for every Bell outcome m*d + n,
+    on register minus the ordered pair."""
+    pair = _checked_pair(register, pair)
+    return kernels.project_bell_pairs(
+        batch, opsbasis.bell_bras(register.d), register.stride(pair[0]), register.stride(pair[1])
+    )
 
 
 def gbm_batch(batch: np.ndarray, register: Register, pair,
               rng: np.random.Generator | None = None):
     """GBM on the ordered pair of every row of batch (B, register.dim), pair removed.
 
-    Outcome index m*d + n names |B^{m,n}>. Returns select_outcomes' tuple:
-    every non-null branch of every row, or one drawn branch per row if rng
-    is given; the residual rows live on register minus the pair.
+    Returns select_outcomes' first four arrays: every non-null branch of
+    every row, or one branch per row drawn with one rng.random() per row.
     """
-    pair = _checked_pair(register, pair)
-    projected = kernels.project_bell_pairs(
-        batch, opsbasis.bell_bras(register.d), register.stride(pair[0]), register.stride(pair[1])
-    )
-    return select_outcomes(projected, rng)
+    uniforms = None if rng is None else rng.random(len(batch))
+    return select_outcomes(bell_projections(batch, register, pair), uniforms)[:4]
 
 
 def swap_identity_check(d: int, m: int, n: int, m2: int, n2: int) -> float:

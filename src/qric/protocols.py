@@ -9,6 +9,7 @@ x = u'' + u' - u, y = v'' + v' - v (mod d).
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import log2
@@ -127,45 +128,103 @@ def _apply_r(amps: np.ndarray, register: Register, label: str, x, y) -> np.ndarr
 
 
 def _leaves(register: Register, amps: np.ndarray, transcripts) -> list:
-    return [(PureState(register, row, validate=False), t) for row, t in zip(amps, transcripts)]
+    amps.setflags(write=False)  # the leaf states share the rows of this fresh array
+    return [(PureState(register, row, validate=False, _owned=True), t)
+            for row, t in zip(amps, transcripts)]
 
 
 # ---------------------------------------------------------------------------
 # measurement-plan execution
 
-def execute(joint: PureState, plan, finish, mode: str = "sample", rng=None):
+@dataclass(frozen=True)
+class Joint:
+    """Initial rows of a plan run on `register`: row(k), prior priors[k], k < len(priors).
+
+    execute builds one row at a time, so a mixture never holds two joints;
+    draw(rng), set for mixtures, picks the row of one sampled trial.
+    """
+
+    register: Register
+    row: Callable
+    priors: np.ndarray
+    draw: Callable | None = None
+
+    @classmethod
+    def product(cls, front: PureState, back: PureState) -> "Joint":
+        """front (x) back as one row, front's labels first, the outer product written once."""
+        register = Register(front.d, front.register.labels + back.register.labels)
+        return cls(register, lambda k: np.multiply.outer(front.amps, back.amps), np.ones(1))
+
+
+def _descend(amps, register, plan, prior, uniforms=None):
+    """Leaves (outcomes, probs, register, amps) of one initial row amps, level by level.
+
+    Every non-null branch is kept, or with uniforms (T, len(plan)) only the
+    branches T trials visit, and then one leaf per trial is returned.
+    """
+    amps = amps.reshape(1, -1)
+    outcomes = np.zeros((1, 0, 2), dtype=np.int64)
+    probs = np.full(1, prior)
+    visits = None if uniforms is None else np.zeros(len(uniforms), dtype=np.int64)
+    for level, pair in enumerate(plan):
+        # rebinding amps releases the parent batch before select_outcomes gathers
+        amps = measurement.bell_projections(amps, register, pair)
+        rows, outs, cond, amps, visits = measurement.select_outcomes(
+            amps, None if uniforms is None else uniforms[:, level], visits)
+        step = np.stack(np.divmod(outs, register.d), axis=-1)[:, None, :]
+        outcomes = np.concatenate((outcomes[rows], step), axis=1)
+        probs = probs[rows] * cond
+        register = statealg.drop_labels(register, pair)
+    if visits is None:
+        return outcomes, probs, register, amps
+    return outcomes[visits], probs[visits], register, amps[visits]
+
+
+def execute(joint, plan, finish, mode: str = "sample", rng=None, *, trials: int | None = None):
     """Measure the ordered pairs of `plan` in turn (GBM, pairs removed), level by level.
 
-    The live branches are the rows of one (B, dim) array; each plan pair
-    replaces every row by its non-null outcomes (mode="all-branches") or by
-    one drawn outcome (mode="sample", B = 1), so rows stay in depth-first
-    order and B * dim never exceeds the joint dimension. The leaves go to
-    finish(outcomes, probs, register, amps) at once: outcomes (B, len(plan), 2)
-    holds the (m, n) per plan pair, probs (B,) the branch probabilities, amps
-    (B, dim) the normalized residuals on `register`. execute returns finish's
-    value: for "sample" its first item (the one leaf), for "all-branches"
-    (value, coverage) with coverage 1.0, as every non-null branch is enumerated.
-    A joint register over statealg.MAX_JOINT_DIM raises SizeGuardError.
+    joint (a PureState or a Joint) goes through one row at a time; a row's
+    live branches are the rows of one (B, dim) array in depth-first order,
+    B * dim never above the joint dimension. "all-branches" keeps every
+    non-null outcome, probabilities starting at the rows' priors. "sample"
+    draws `trials` trials (one if None) up front in the seed order of one run
+    per trial, joint.draw(rng) (mixtures only) then rng.random(len(plan)),
+    and keeps only the rows and branches some trial visits: the all-branches
+    tree pruned to the drawn branches, probabilities from 1.
+    finish(outcomes (B, len(plan), 2), probs (B,), register, amps (B, dim))
+    gets every leaf at once, one per trial in trial order when sampling.
+    Returns (finish's value, coverage 1.0) for "all-branches"; for "sample"
+    a tuple of its items, or its first item if trials is None. A joint
+    register over statealg.MAX_JOINT_DIM raises SizeGuardError.
     """
     if mode not in ("sample", "all-branches"):
         raise ProtocolError(f"unknown mode {mode!r}")
-    statealg.check_size("protocol joint dimension", joint.dim, statealg.MAX_JOINT_DIM)
+    if trials is not None and trials < 1:
+        raise ProtocolError(f"need at least one trial, got {trials}")
+    if isinstance(joint, PureState):
+        state = joint
+        joint = Joint(state.register, lambda k: state.amps, np.ones(1))
+    statealg.check_size("protocol joint dimension", joint.register.dim, statealg.MAX_JOINT_DIM)
     if mode == "all-branches":
-        rng = None
-    elif rng is None:
-        rng = np.random.default_rng(0)
-    d = joint.d
-    register, amps = joint.register, joint.amps[None, :]
-    outcomes = np.zeros((1, 0, 2), dtype=np.int64)
-    probs = np.ones(1)
-    for pair in plan:
-        rows, outs, cond, amps = measurement.gbm_batch(amps, register, pair, rng)
-        level = np.stack(np.divmod(outs, d), axis=-1)[:, None, :]
-        outcomes = np.concatenate((outcomes[rows], level), axis=1)
-        probs = probs[rows] * cond
-        register = statealg.drop_labels(register, pair)
-    leaves = finish(outcomes, probs, register, amps)
-    return leaves[0] if mode == "sample" else (leaves, 1.0)
+        parts = [_descend(joint.row(k), joint.register, plan, prior)
+                 for k, prior in enumerate(joint.priors.tolist())]
+    else:
+        rng = np.random.default_rng(0) if rng is None else rng
+        starts, uniforms = [], np.empty((1 if trials is None else trials, len(plan)))
+        for u in uniforms:
+            starts.append(0 if joint.draw is None else joint.draw(rng))
+            u[:] = rng.random(len(plan))
+        firsts, start_of = np.unique(starts, return_inverse=True)
+        groups = [np.flatnonzero(start_of == i) for i in range(len(firsts))]
+        parts = [_descend(joint.row(k), joint.register, plan, 1.0, uniforms[group])
+                 for k, group in zip(firsts.tolist(), groups)]
+    outcomes, probs, registers, amps = zip(*parts)
+    outcomes, probs, amps = (np.concatenate(a) for a in (outcomes, probs, amps))
+    if mode == "all-branches":
+        return finish(outcomes, probs, registers[0], amps), 1.0
+    order = np.argsort(np.concatenate(groups))  # back to trial order
+    leaves = finish(outcomes[order], probs[order], registers[0], amps[order])
+    return leaves[0] if trials is None else tuple(leaves)
 
 
 # ---------------------------------------------------------------------------
@@ -202,16 +261,18 @@ def run_telecloning(
     rng: np.random.Generator | None = None,
     *,
     correct_ancillas: bool = True,
+    trials: int | None = None,
 ):
     """Teleclone one unknown qudit to N receivers.
 
-    mode="sample" returns (clone-register state, Transcript); "all-branches"
-    returns the list over Alice's d^2 outcomes.
+    mode="sample" returns (clone-register state, Transcript), or a tuple of
+    `trials` such pairs; "all-branches" returns the list over Alice's d^2
+    outcomes.
     """
     if input_state.register.n != 1 or input_state.d != d:
         raise ProtocolError("input must be a single qudit of dimension d")
     inp = statealg.permute(input_state, {input_state.register.labels[0]: "t"})
-    joint = statealg.tensor(inp, channels.telecloning_channel(d, N))
+    joint = Joint.product(inp, channels.telecloning_channel(d, N))
     registry = telecloning_registry(N)
     routes = [("Alice", f"Bob_{s}") for s in range(1, N + 1)]
     if correct_ancillas:
@@ -228,7 +289,7 @@ def run_telecloning(
         return _leaves(register, amps,
                        _transcripts(registry, routes, messages, probs, d, outcomes[:, 0]))
 
-    out = execute(joint, [("t", "t'")], finish, mode, rng)
+    out = execute(joint, [("t", "t'")], finish, mode, rng, trials=trials)
     return out if mode == "sample" else out[0]  # one pair: coverage is always 1
 
 
@@ -350,21 +411,25 @@ def _ric_routes(N: int) -> list:
     return [(party, "Diana") for party in senders]
 
 
-def _resolve_channel(channel, rng):
-    """ChannelSpec | PureState -> (pure channel state, u, v)."""
+def _ric_joint(clone: PureState, channel, register: Register):
+    """(Joint, u, v) of clone (x) channel: one row for a pure channel, one per
+    component of a mixed ChannelSpec, its weight C_k as prior."""
     if isinstance(channel, PureState):
-        return channel, 0, 0
-    if not isinstance(channel, ChannelSpec):
+        state, u, v = channel, 0, 0
+    elif not isinstance(channel, ChannelSpec):
         raise ProtocolError("channel must be a ChannelSpec or PureState")
-    if channel.is_mixed:
-        if rng is None:
-            rng = np.random.default_rng(channel.seed or 0)
-        _, state = channel.sample(rng)
-        return state, channel.u, channel.v
-    state = channel.build()
-    if not isinstance(state, PureState):  # pragma: no cover
-        raise ProtocolError("channel did not materialize to a pure state")
-    return state, channel.u, channel.v
+    elif channel.is_mixed:
+        tuples, weights, draw = channel.mixture()
+
+        def row(k):
+            back = channels.product_bell_channel(channel.d, channel.N, tuples[k])
+            return np.multiply.outer(clone.amps, back.amps)
+
+        return Joint(register, row, weights, draw), channel.u, channel.v
+    else:
+        state, u, v = channel.build(), channel.u, channel.v
+    back = statealg.reorder(state, register.labels[clone.register.n:])
+    return Joint.product(clone, back), u, v
 
 
 def run_ric(
@@ -373,13 +438,15 @@ def run_ric(
     registry: PartyRegistry | None = None,
     mode: str = "sample",
     rng: np.random.Generator | None = None,
+    trials: int | None = None,
 ):
     """Concentrate the clone-state information onto Diana's qudit N'.
 
     mode="sample" draws one measurement branch and returns
-    (Diana's PureState, Transcript); "all-branches" returns
-    (list of such pairs, coverage). Mixed channels are sampled per run
-    (the untouched-purification argument makes this exact).
+    (Diana's PureState, Transcript), or a tuple of `trials` such pairs;
+    "all-branches" returns (list of such pairs, coverage). A mixed channel
+    is one initial row per component, exact by the untouched-purification
+    argument: a trial draws its component, all-branches weights each by C_k.
     """
     d = clone.d
     if isinstance(channel, ChannelSpec):
@@ -402,10 +469,12 @@ def run_ric(
     # the joint register checks its own bytes before any channel state is built
     joint_reg = Register(d, clone.register.labels + channel_labels(N))
     registry.validate_partition(joint_reg.labels)
-    chan_state, u, v = _resolve_channel(channel, rng)
-    if tuple(chan_state.register.labels) != channel_labels(N):
-        chan_state = statealg.reorder(chan_state, channel_labels(N))
-    joint = statealg.tensor(clone, chan_state)
+    joint, u, v = _ric_joint(clone, channel, joint_reg)
+    if mode == "all-branches":  # the leaves of every component are kept
+        statealg.check_size("mixture components x joint dimension",
+                            len(joint.priors) * joint_reg.dim, statealg.MAX_JOINT_DIM)
+    elif rng is None and isinstance(channel, ChannelSpec) and channel.is_mixed:
+        rng = np.random.default_rng(channel.seed or 0)
     plan = ric_measurement_plan(N)
     routes = _ric_routes(N)
 
@@ -419,7 +488,7 @@ def run_ric(
         return _leaves(register, amps,
                        _transcripts(registry, routes, outcomes, probs, d, corrections))
 
-    return execute(joint, plan, finish, mode, rng)
+    return execute(joint, plan, finish, mode, rng, trials=trials)
 
 
 # ---------------------------------------------------------------------------
@@ -507,8 +576,9 @@ def run_mm_ghz(
     mode: str = "sample",
     rng: np.random.Generator | None = None,
     spec: ChannelSpec | None = None,
+    trials: int | None = None,
 ):
-    """Concentrate clone-state information onto L GHZ-correlated receiver qudits."""
+    """Concentrate clone-state information onto L GHZ-correlated receivers; returns as run_ric."""
     if L < 1:
         raise ProtocolError("L must be >= 1")
     if tuple(clone.register.labels) != clone_labels(N):
@@ -520,7 +590,7 @@ def run_mm_ghz(
     registry_roles = dict(default_ric_registry(N).roles)
     registry_roles["Diana"] = tuple(f"{N}'_{i}" for i in range(1, L + 1))
     registry = PartyRegistry(registry_roles)
-    joint = statealg.tensor(clone, chan)
+    joint = Joint.product(clone, chan)
     plan = ric_measurement_plan(N)
     routes = _ric_routes(N)
     leg_labels = [f"{N}'_{i}" for i in range(1, L + 1)]
@@ -534,7 +604,7 @@ def run_mm_ghz(
         return _leaves(register, amps,
                        _transcripts(registry, routes, outcomes, probs, d, corrections))
 
-    return execute(joint, plan, finish, mode, rng)
+    return execute(joint, plan, finish, mode, rng, trials=trials)
 
 
 def ghz_correlated_state(x, d: int, L: int, labels=None) -> PureState:
@@ -677,11 +747,12 @@ def run_mm_multiqudit(
     L: int,
     mode: str = "sample",
     rng: np.random.Generator | None = None,
+    trials: int | None = None,
 ):
     """Concentrate L-fold distributed information back onto L receiver qudits.
 
     Channel is |B^{0,0}>^(x N): senders hold every A'_s plus s' for
-    s <= N-L; the receiver holds (N-L+1)'..N'.
+    s <= N-L; the receiver holds (N-L+1)'..N'. Returns as run_ric does.
     """
     if not 1 <= L <= N:
         raise ProtocolError("need 1 <= L <= N")
@@ -689,7 +760,7 @@ def run_mm_multiqudit(
     if tuple(distributed.register.labels) != labels:
         raise ProtocolError(f"distributed state must live on labels {labels}")
     chan = channels.product_bell_channel(d, N, (0,) * (2 * N))
-    joint = statealg.tensor(distributed, chan)
+    joint = Joint.product(distributed, chan)
     plan = [(str(s), f"{s}'") for s in range(1, N - L + 1)]
     plan += [(f"A'_{s}", f"A_{s}") for s in range(1, N - L + 1)]
     plan += [(str(s), f"A'_{s}") for s in range(N - L + 1, N + 1)]
@@ -719,4 +790,4 @@ def run_mm_multiqudit(
         return _leaves(register, amps,
                        _transcripts(registry, routes, outcomes, probs, d, legs[:, 0], legs))
 
-    return execute(joint, plan, finish, mode, rng)
+    return execute(joint, plan, finish, mode, rng, trials=trials)

@@ -81,10 +81,17 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 class PureState:
-    """Immutable dense amplitude vector over a labeled register."""
+    """Immutable dense amplitude vector over a labeled register.
 
-    def __init__(self, register: Register, amps: np.ndarray, *, validate: bool = True):
-        amps = np.asarray(amps, dtype=np.complex128).reshape(-1).copy()
+    The constructor copies `amps`; code here hands over an array it has just
+    built with _owned=True, which freezes it in place instead.
+    """
+
+    def __init__(self, register: Register, amps: np.ndarray, *, validate: bool = True,
+                 _owned: bool = False):
+        amps = np.asarray(amps, dtype=np.complex128).reshape(-1)
+        if not _owned:
+            amps = amps.copy()
         if amps.shape[0] != register.dim:
             raise DimensionError(f"expected {register.dim} amplitudes, got {amps.shape[0]}")
         if validate:
@@ -213,7 +220,7 @@ def tensor(a: PureState, b: PureState) -> PureState:
     if set(a.register.labels) & set(b.register.labels):
         raise LabelError("tensor factors share labels")
     reg = Register(a.d, a.register.labels + b.register.labels)
-    return PureState(reg, np.kron(a.amps, b.amps), validate=False)
+    return PureState(reg, np.kron(a.amps, b.amps), validate=False, _owned=True)
 
 
 def tensor_many(states) -> PureState:
@@ -291,7 +298,8 @@ def reorder(state: PureState, new_order) -> PureState:
         raise LabelError("new_order must be a permutation of the register labels")
     perm = reg.positions(new_order)
     t = state.amps.reshape([reg.d] * reg.n)
-    return PureState(Register(reg.d, new_order), np.transpose(t, perm).reshape(-1), validate=False)
+    return PureState(Register(reg.d, new_order), np.transpose(t, perm).reshape(-1),
+                     validate=False, _owned=True)
 
 
 def reorder_density(rho: DensityOperator, new_order) -> DensityOperator:

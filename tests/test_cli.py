@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -52,6 +53,15 @@ def test_ric_smolin_sampled_trials(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert rc == 0
     assert len(doc["fidelities"]) == 25
+
+
+def test_ric_smolin_all_branches_enumerates_every_component(capsys):
+    rc = main(["ric", "--d", "2", "--N", "2", "--channel", "smolin", "--mode", "all-branches",
+               "--trials", "7"])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert doc["coverage"] == 1.0
+    assert len(doc["fidelities"]) == 4 * 64  # 4 Bell-product components, 64 branches each
 
 
 def test_ric_bad_channel_table_exit_2(tmp_path):
@@ -174,8 +184,9 @@ def test_negative_max_transcripts_exit_2(capsys):
     ["ric", "--d", "60", "--N", "3", "--channel", "mixed-uniform"],
     ["ric", "--d", "40", "--N", "2", "--channel", "beta"],
     ["ric", "--d", "12", "--N", "3", "--channel", "beta"],
+    ["ric", "--d", "3", "--N", "3", "--channel", "smolin", "--mode", "all-branches"],
 ], ids=["ric", "ric-mm-ghz", "ric-mm-multi", "verify", "report", "unlock", "ric-mixed-uniform",
-        "ric-beta-40-2", "ric-beta-12-3"])
+        "ric-beta-40-2", "ric-beta-12-3", "ric-smolin-all-branches"])
 def test_large_d_hits_the_size_guard_before_building_states(argv):
     # each would otherwise allocate gigabytes: the joint state, the Smolin
     # density, the unlock outcome table, or the d^(2(N-1)) mixture table;
@@ -199,4 +210,32 @@ def test_benchmark_cases_keep_their_certified_counts(tmp_path, capsys):
         assert all(c["status"] == "pass" for c in checks)
         certified = {m.group(1) for c in checks if (m := CERTIFIED_CHECK.match(c["name"]))}
         assert len(certified) == case["certified"], case["argv"]
+    capsys.readouterr()
+
+
+# sha256 of the --out report at --seed 1, pinned from the per-trial sampler
+# that ran one plan execution per trial; the batched sampler must match it
+SAMPLED_REPORTS = {
+    "ric --d 3 --N 2 --channel smolin --trials 200":
+        "fd924c4c1b2709df88e361095fdd9ea8b2581a30c5d791ed19cb8a5c7a724c8a",
+    "ric --d 4 --N 2 --channel mixed-uniform --trials 100":
+        "83f1e60490e9eed27cb59db370cec57a2ba5f5facc1ec0a3818b185066134941",
+    "ric --d 3 --N 3 --channel smolin --trials 20":
+        "fec3d1b609d99272dd1ecbdd90db52a13ebf18a4d01343855447ab0426ccc6df",
+    "ric --d 3 --N 3 --channel ghz --trials 20":
+        "37ebdcacf0d0761d316e7b8ead45ec09674570301006189c70198b5b8afd56fc",
+    "teleclone --d 3 --N 2 --trials 30":
+        "eb79c5ffbf959edd682b77838285706be52eb67c0f507dfb2df52b9852977f23",
+    "ric-mm-ghz --d 3 --N 2 --L 2 --trials 30":
+        "3fba56ae145c74de6d0c82aafe6fbb89509ffe1b2f56546bebab019674daf22d",
+    "ric-mm-multi --d 3 --N 2 --L 1 --trials 30":
+        "7d44c256908379ff55e0188acea9712cc677936f62034f41c7cc565eca03e720",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(SAMPLED_REPORTS))
+def test_sampled_reports_are_byte_identical_to_the_per_trial_sampler(argv, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(argv.split() + ["--mode", "sample", "--seed", "1", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SAMPLED_REPORTS[argv]
     capsys.readouterr()

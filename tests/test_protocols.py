@@ -615,10 +615,12 @@ def test_engine_matches_depth_first_gbm_unlock():
 
 @pytest.mark.parametrize("preset,d,N", [("ghz", 3, 2), ("beta", 2, 3)])
 def test_engine_sample_draws_like_chained_gbm_sample(preset, d, N):
+    # one call with T trials against T chained single-state runs from the same seed
     joint, plan, _ = plan_run(preset, d, N, np.random.default_rng(103))
     rng_engine, rng_chain = np.random.default_rng(5), np.random.default_rng(5)
-    for _ in range(25):
-        outs, prob, state = protocols.execute(joint, plan, engine_leaves, "sample", rng_engine)
+    got = protocols.execute(joint, plan, engine_leaves, "sample", rng_engine, trials=25)
+    assert isinstance(got, tuple) and len(got) == 25
+    for outs, prob, state in got:
         want_outs, want_prob, st = [], 1.0, joint
         for pair in plan:
             br = gbm_sample(st, pair, rng_chain, remove=True)
@@ -629,3 +631,75 @@ def test_engine_sample_draws_like_chained_gbm_sample(preset, d, N):
         assert prob == pytest.approx(want_prob, abs=1e-12)
         np.testing.assert_allclose(state.amps, st.amps, atol=1e-12)
     assert rng_engine.random() == rng_chain.random()
+    # without trials, one trial and its leaf alone
+    rng_engine, rng_chain = np.random.default_rng(6), np.random.default_rng(6)
+    outs, prob, _state = protocols.execute(joint, plan, engine_leaves, "sample", rng_engine)
+    (want_outs, want_prob, _st), = protocols.execute(joint, plan, engine_leaves, "sample",
+                                                     rng_chain, trials=1)
+    assert (outs, prob) == (want_outs, want_prob)
+    with pytest.raises(ProtocolError):
+        protocols.execute(joint, plan, engine_leaves, "sample", rng_engine, trials=0)
+
+
+@pytest.mark.parametrize("preset,d,N", [("smolin", 2, 2), ("smolin", 3, 2),
+                                        ("mixed-uniform", 2, 3)])
+def test_ric_mixed_all_branches_enumerates_every_component(preset, d, N):
+    rng = np.random.default_rng(59)
+    inp = random_qudit(d, rng)
+    clone = clone_state(inp.amps, d, N)
+    spec = preset_spec(preset, d, N)
+    branches, coverage = run_ric(clone, spec, mode="all-branches")
+    assert coverage == 1.0
+    target = diana_target(inp, N)
+    assert all(abs(overlap(state, target)) ** 2 > 1 - 1e-9 for state, _t in branches)
+    assert sum(t.branch_probability for _s, t in branches) == pytest.approx(1.0, abs=1e-12)
+    tuples, weights, _ = spec.mixture()
+    per_component = [
+        run_ric(clone, ChannelSpec(kind="product-bell", d=d, N=N, c=k), mode="all-branches")[0]
+        for k in tuples
+    ]
+    assert len(branches) == sum(len(leaves) for leaves in per_component)
+    # component by component, each leaf weighted by its component's C_k
+    flat = [(w, t) for w, leaves in zip(weights, per_component) for _s, t in leaves]
+    for (_s, t), (w, t_k) in zip(branches, flat):
+        assert [(m.m, m.n) for m in t.messages] == [(m.m, m.n) for m in t_k.messages]
+        assert t.branch_probability == pytest.approx(w * t_k.branch_probability, abs=1e-12)
+
+
+def test_ric_mixed_all_branches_over_the_joint_budget_is_refused():
+    d, N = 3, 3  # 81 components of a 3^11 joint
+    clone = clone_state(np.ones(d) / np.sqrt(d), d, N)
+    with pytest.raises(SizeGuardError):
+        run_ric(clone, preset_spec("smolin", d, N), mode="all-branches")
+    state, _t = run_ric(clone, preset_spec("smolin", d, N), mode="sample",
+                        rng=np.random.default_rng(1))
+    assert state.register.labels == (f"{N}'",)
+
+
+@pytest.mark.parametrize("preset", ["smolin", "mixed-uniform", "ghz"])
+def test_run_ric_trials_draw_like_one_run_per_trial(preset):
+    # seed order per trial: the component draw, then one uniform per plan level
+    d, N = 3, 2
+    rng = np.random.default_rng(61)
+    clone = clone_state(random_qudit(d, rng).amps, d, N)
+    spec = preset_spec(preset, d, N)
+    rng_batch, rng_single = np.random.default_rng(8), np.random.default_rng(8)
+    got = run_ric(clone, spec, mode="sample", rng=rng_batch, trials=30)
+    assert isinstance(got, tuple) and len(got) == 30
+    plan = protocols.ric_measurement_plan(N)
+    for state, transcript in got:
+        if spec.is_mixed:
+            _k, chan = spec.sample(rng_single)
+        else:
+            chan = spec.build()
+        want_outs, want_prob, st = [], 1.0, statealg.tensor(clone, chan)
+        for pair in plan:
+            br = gbm_sample(st, pair, rng_single, remove=True)
+            want_outs.append((br.outcome.m, br.outcome.n))
+            want_prob *= br.outcome.probability
+            st = br.post_state
+        assert [(m.m, m.n) for m in transcript.messages] == want_outs
+        assert transcript.branch_probability == pytest.approx(want_prob, abs=1e-12)
+        want = corrected(st, [(f"{N}'", *transcript.correction)])
+        np.testing.assert_allclose(state.amps, want.amps / want.norm(), atol=1e-12)
+    assert rng_batch.random() == rng_single.random()

@@ -273,3 +273,19 @@ def test_states_are_frozen():
     st = basis_state(2, [0], ["q"])
     with pytest.raises(ValueError):
         st.amps[0] = 5.0
+
+
+def test_constructor_copies_the_callers_array():
+    amps = np.array([1.0, 0.0], dtype=np.complex128)
+    st = from_amplitudes(2, amps, ("q",))
+    amps[:] = [0.0, 1.0]
+    assert st.amps.tolist() == [1.0, 0.0]
+    assert amps.flags.writeable
+
+
+def test_tensor_and_reorder_results_are_frozen():
+    rng = np.random.default_rng(4)
+    joint = tensor(rand_state(2, ("a",), rng), rand_state(2, ("b", "c"), rng))
+    for st in (joint, statealg.reorder(joint, ("c", "a", "b"))):
+        with pytest.raises(ValueError):
+            st.amps[0] = 5.0
