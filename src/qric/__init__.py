@@ -8,7 +8,6 @@ from .statealg import (
     DensityOperator,
     PureState,
     Register,
-    apply_local,
     basis_state,
     entropy_across_cut,
     equal_up_to_phase,
@@ -25,14 +24,12 @@ from .statealg import (
 )
 from .opsbasis import (
     OccupationVector,
-    WeylOp,
     alpha_coeff,
     bell_state,
     ghz_state,
     phi_state,
     stabilizer_expectation,
     symmetric_state,
-    weyl_matrix,
     weyl_r,
     weyl_u,
 )
@@ -57,7 +54,6 @@ from .measurement import (
     GbmOutcome,
     gbm_batch,
     gbm_branches,
-    gbm_sample,
     swap_identity_check,
 )
 from .protocols import (
@@ -84,7 +80,6 @@ from .analysis import (
     fingerprint,
     ppt_min_eigenvalue,
     stabilizer_suite,
-    stabilizer_suite_passes,
     symmetry_report,
     unlock_ubes,
     verify_appendix_b,

@@ -43,10 +43,6 @@ def stabilizer_suite(state: PureState | DensityOperator, d: int, N: int) -> dict
     }
 
 
-def stabilizer_suite_passes(table: dict, tol: float = 1e-9) -> bool:
-    return all(abs(val - 1.0) <= tol for val in table.values())
-
-
 # ---------------------------------------------------------------------------
 # appendix equivalences
 
@@ -213,9 +209,10 @@ def symmetry_report(rho: DensityOperator, d: int, N: int) -> SymmetryReport:
     return SymmetryReport(within_g1, within_g2, cross)
 
 
-def smolin_spectrum_check(d: int, N: int, tol: float = 1e-10) -> tuple[int, float]:
-    """(rank, max deviation of nonzero eigenvalues from 1/d^{2(N-1)})."""
-    rho = channels.smolin_like(d, N)
+def smolin_spectrum_check(rho: DensityOperator) -> tuple[int, float]:
+    """(rank, max deviation of nonzero eigenvalues from 1/d^{2(N-1)}) of the
+    2N-qudit Smolin-like density rho."""
+    d, N = rho.d, rho.register.n // 2
     vals = np.linalg.eigvalsh(rho.mat)
     target = 1.0 / d ** (2 * (N - 1))
     nonzero = vals[vals > target / 2]

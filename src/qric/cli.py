@@ -161,6 +161,9 @@ def cmd_ric_mm_ghz(args):
 
 def cmd_ric_mm_multi(args):
     d, N, L = args.d, args.N, args.L
+    # the joint register is refused before the distributed state is built
+    joint = statealg.Register(d, protocols.mm_multi_labels(N, L) + channel_labels(N))
+    statealg.check_size("protocol joint dimension", joint.dim, statealg.MAX_JOINT_DIM)
     rng = np.random.default_rng(args.seed)
     inp = statealg.random_qudit(d, rng)
     dist = protocols.synth_distributed_state(inp.amps, d, N, L)
@@ -183,7 +186,7 @@ def cmd_ric_mm_multi(args):
 
 def cmd_verify(args):
     d, N = args.d, args.N
-    # the largest object of the suite, built first (no rng) as its up-front size guard
+    # the largest object of the suite, built once and first (no rng) as its up-front size guard
     rho = channels.smolin_like(d, N)
     rng = np.random.default_rng(args.seed)
     checks = []
@@ -233,11 +236,14 @@ def cmd_verify(args):
     )
 
     for preset in ("ghz", "beta", "bell-product", "smolin", "mixed-uniform"):
-        table = analysis.stabilizer_suite(channels.preset_spec(preset, d, N).build(), d, N)
+        # passed as a temporary, so each preset's density is freed before the next build
+        table = analysis.stabilizer_suite(
+            rho if preset == "smolin" else channels.preset_spec(preset, d, N).build(), d, N
+        )
         dev = max(abs(v - 1.0) for v in table.values())
         checks.append(_check(f"stabilizer.{preset}.max_dev", dev, 0.0, _tol(args, 1e-9)))
 
-    rank, dev = analysis.smolin_spectrum_check(d, N)
+    rank, dev = analysis.smolin_spectrum_check(rho)
     checks.append(_check("smolin.rank", rank, d ** (2 * (N - 1)), 0))
     checks.append(_check("smolin.flat_spectrum.max_dev", dev, 0.0, _tol(args, 1e-10)))
 

@@ -35,12 +35,6 @@ class Branch:
         return self.post_state is None
 
 
-def _residual(state: PureState, pair, m: int, n: int):
-    vec = statealg.project_pair(state, opsbasis.bell_vector(state.d, m, n), pair)
-    prob = float(np.real(np.vdot(vec, vec)))
-    return vec, prob
-
-
 def _collapse(state: PureState, pair, m: int, n: int, vec, prob: float, remove: bool) -> Branch:
     """Branch for outcome (m, n) given its unnormalized residual and probability."""
     outcome = GbmOutcome(m, n, prob, pair)
@@ -66,37 +60,16 @@ def _checked_pair(register: Register, pair) -> tuple:
     return pair
 
 
-def _draw(probs: np.ndarray, rng: np.random.Generator) -> int:
-    """Index drawn by cumulative probability: first i with u * sum(p) <= cumsum(p)[i]."""
-    r = float(rng.random()) * probs.sum()
-    return min(int(np.searchsorted(np.cumsum(probs), r)), len(probs) - 1)
-
-
 def gbm_branches(state: PureState, pair, *, remove: bool = False) -> list[Branch]:
-    """All d^2 branches of a GBM on the ordered pair, row-major in (m, n)."""
+    """All d^2 branches of a GBM on the ordered pair, row-major in (m, n),
+    from one bell_projections call on the state as a batch of one row."""
     pair = _checked_pair(state.register, pair)
     d = state.d
+    residuals = bell_projections(state.amps[None], state.register, pair)[0]
     return [
-        _collapse(state, pair, m, n, *_residual(state, pair, m, n), remove)
-        for m in range(d)
-        for n in range(d)
+        _collapse(state, pair, *divmod(k, d), vec, float(np.vdot(vec, vec).real), remove)
+        for k, vec in enumerate(residuals)
     ]
-
-
-def gbm_sample(state: PureState, pair, rng: np.random.Generator, *, remove: bool = False) -> Branch:
-    """Draw one branch by cumulative probability; deterministic given the rng state."""
-    pair = _checked_pair(state.register, pair)
-    d = state.d
-    probs = np.empty(d * d)
-    residuals = []
-    for m in range(d):
-        for n in range(d):
-            vec, prob = _residual(state, pair, m, n)
-            probs[m * d + n] = prob
-            residuals.append(vec)
-    idx = _draw(probs, rng)
-    m, n = divmod(idx, d)
-    return _collapse(state, pair, m, n, residuals[idx], float(probs[idx]), remove)
 
 
 def select_outcomes(projected: np.ndarray, uniforms: np.ndarray | None = None,
@@ -105,8 +78,9 @@ def select_outcomes(projected: np.ndarray, uniforms: np.ndarray | None = None,
 
     projected is (B, k, r): row b's unnormalized residual for each of k
     outcomes. With uniforms (T,), trial t draws from row at[t] (default t)
-    by the rule of gbm_sample, and only the distinct (row, outcome) pairs
-    drawn are kept. Returns (rows, outcomes, probabilities, residuals,
+    the first outcome whose cumulative probability reaches u_t times the
+    row's total, and only the distinct (row, outcome) pairs drawn are
+    kept. Returns (rows, outcomes, probabilities, residuals,
     visits), one entry per kept branch in row-major (row, outcome) order:
     the parent row, the outcome index, its probability given the row, and
     the residual normalized in place; visits[t] is trial t's kept branch

@@ -35,22 +35,6 @@ def omega_table(d: int) -> np.ndarray:
     return table
 
 
-@dataclass(frozen=True)
-class WeylOp:
-    """Symbolic single-qudit Weyl operator."""
-
-    d: int
-    m: int
-    n: int
-    kind: str = "U"  # "U" or "R"
-
-    def __post_init__(self):
-        if self.kind not in ("U", "R"):
-            raise DimensionError(f"kind must be 'U' or 'R', got {self.kind!r}")
-        if not (0 <= self.m < self.d and 0 <= self.n < self.d):
-            raise DimensionError(f"indices ({self.m},{self.n}) out of range for d={self.d}")
-
-
 def weyl_u(d: int, m: int, n: int) -> np.ndarray:
     """U^{m,n} as a dense d x d matrix (indices taken mod d)."""
     M = np.zeros((d, d), dtype=np.complex128)
@@ -67,10 +51,36 @@ def weyl_r(d: int, m: int, n: int) -> np.ndarray:
     return M
 
 
-def weyl_matrix(op: WeylOp) -> np.ndarray:
-    if op.kind == "U":
-        return weyl_u(op.d, op.m, op.n)
-    return weyl_r(op.d, op.m, op.n)
+def weyl_monomial(d: int, factors) -> tuple[np.ndarray, np.ndarray]:
+    """(col, val) of the Weyl product W_0 (x) W_1 (x) ..., factor l = (kind, m, n).
+
+    kind "U" gives U^{m,n}, "R" gives R^{m,n}; m and n are ints or int
+    arrays, broadcast together to one batch shape b. The product is
+    monomial: its row r (big-endian over the factors) has one nonzero,
+    val[..., r], in column col[..., r], so (W psi)[r] = val[r] psi[col[r]].
+    Both arrays have shape b + (d**len(factors),). U^{m,n} maps |i - n> to
+    w^{(i-n) m} |i> and R^{m,n} maps |i + n> to w^{im} |i>, so each factor
+    adds one big-endian column digit and one phase exponent, kept mod d.
+    """
+    i = np.arange(d)
+    col = np.zeros(1, dtype=np.intp)
+    power = np.zeros(1, dtype=np.intp)
+    for kind, m, n in factors:
+        m, n = np.asarray(m)[..., None], np.asarray(n)[..., None]
+        if kind == "U":
+            src = (i - n) % d
+            exponent = src * m
+        elif kind == "R":
+            src = (i + n) % d
+            exponent = i * m
+        else:
+            raise DimensionError(f"kind must be 'U' or 'R', got {kind!r}")
+        col = col[..., :, None] * d + src[..., None, :]
+        col = col.reshape(col.shape[:-2] + (-1,))
+        power = (power[..., :, None] + exponent[..., None, :]) % d
+        power = power.reshape(power.shape[:-2] + (-1,))
+    col, power = np.broadcast_arrays(col, power)
+    return col, omega_table(d)[power]
 
 
 def bell_vector(d: int, m: int, n: int) -> np.ndarray:
@@ -225,23 +235,6 @@ def phi_state(d: int, N: int, j: int) -> PureState:
 # ---------------------------------------------------------------------------
 # stabilizer expectations
 
-def _monomial(d: int, m: int, n: int, signs) -> tuple[np.ndarray, np.ndarray]:
-    """(col, val) of U^{s_0 m,n} (x) U^{s_1 m,n} (x) ... for signs s_l = +-1.
-
-    The product is monomial: row r has its one nonzero, val_r, in column
-    col_r. U^{m,n} maps |i - n> to omega^{(i-n) m} |i>, so each factor adds
-    one big-endian digit i - n to the column and (i - n) s_l m to the phase
-    exponent, kept mod d.
-    """
-    src = (np.arange(d) - n) % d
-    col = np.zeros(1, dtype=np.intp)
-    power = np.zeros(1, dtype=np.intp)
-    for s in signs:
-        col = (col[:, None] * d + src).ravel()
-        power = ((power[:, None] + s * m * src) % d).ravel()
-    return col, omega_table(d)[power]
-
-
 def stabilizer_expectation(
     state: PureState | DensityOperator,
     m: int,
@@ -252,7 +245,7 @@ def stabilizer_expectation(
     """tr(S^{mn} rho) with U^{-m,n} on minus_labels and U^{m,n} on plus_labels.
 
     Every register label must sit in exactly one group. With S^{mn} as
-    (col, val) from `_monomial`, <psi|S|psi> = sum_r conj(psi_r) val_r psi[col_r]
+    (col, val) from `weyl_monomial`, <psi|S|psi> = sum_r conj(psi_r) val_r psi[col_r]
     and tr(S rho) = sum_r val_r rho[col_r, r].
     """
     minus_labels = tuple(minus_labels)
@@ -263,7 +256,7 @@ def stabilizer_expectation(
     if sorted(minus_labels + plus_labels) != sorted(reg.labels):
         raise LabelError("group assignment must cover the register")
     signs = [-1 if l in minus_labels else 1 for l in reg.labels]
-    col, val = _monomial(reg.d, m, n, signs)
+    col, val = weyl_monomial(reg.d, [("U", s * m, n) for s in signs])
     if isinstance(state, PureState):
         return complex(np.vdot(state.amps, val * state.amps[col]))
     return complex(np.dot(val, state.mat[col, np.arange(reg.dim)]))

@@ -19,7 +19,8 @@ import numpy as np
 from . import channels, measurement, opsbasis, statealg
 from .channels import BetaVector, ChannelSpec, channel_labels
 from .errors import NormalizationError, ProtocolError
-from .opsbasis import clone_labels, weyl_r, weyl_u
+# weyl_r has no use here; perfbench/test_perfbench.py checks the tracer rebinds protocols.weyl_r
+from .opsbasis import clone_labels, weyl_r, weyl_u  # noqa: F401
 from .statealg import PureState, Register
 
 # ---------------------------------------------------------------------------
@@ -114,16 +115,15 @@ def _transcripts(registry, routes, outcomes, probs, d, corrections, legs=None):
 def _apply_r(amps: np.ndarray, register: Register, label: str, x, y) -> np.ndarray:
     """R^{x_b, y_b} on `label` of every row b of amps (B, dim): a gather plus a phase.
 
-    (R^{x,y} psi)(j) = w^{jx} psi(j + y); x and y are ints or (B,) int arrays.
+    x and y are ints or (B,) int arrays; weyl_monomial gives the (B, d)
+    column and phase of the one-factor product, applied on the label's axis.
     """
     d = register.d
     B = amps.shape[0]
-    x = np.broadcast_to(x, (B,))[:, None]
-    y = np.broadcast_to(y, (B,))[:, None]
-    j = np.arange(d)
+    col, val = (np.broadcast_to(a, (B, d)) for a in opsbasis.weyl_monomial(d, [("R", x, y)]))
     t = amps.reshape(B, -1, d, register.stride(label))
-    out = np.take_along_axis(t, ((j + y) % d)[:, None, :, None], axis=2)
-    out *= opsbasis.omega_table(d)[(j * x) % d][:, None, :, None]
+    out = np.take_along_axis(t, col[:, None, :, None], axis=2)
+    out *= val[:, None, :, None]
     return out.reshape(B, -1)
 
 
@@ -632,6 +632,9 @@ def mm_multi_labels(N: int, L: int) -> tuple:
     return front + legs
 
 
+BBAR_SOURCES = ("clone-family", "random-orthonormal")
+
+
 def synth_distributed_state(
     x,
     d: int,
@@ -651,6 +654,10 @@ def synth_distributed_state(
     """
     if not 1 <= L <= N:
         raise ProtocolError("need 1 <= L <= N")
+    if not (bbar_source in BBAR_SOURCES or isinstance(bbar_source, CloneFamily)):
+        raise ProtocolError(
+            f"unknown bbar_source {bbar_source!r}: use one of {BBAR_SOURCES} or a CloneFamily"
+        )
     x = np.asarray(x, dtype=np.complex128).reshape(-1)
     if abs(np.sum(np.abs(x) ** 2) - 1.0) > 1e-8:
         raise NormalizationError("input amplitudes not normalized")
@@ -664,12 +671,7 @@ def synth_distributed_state(
             raise ProtocolError("L = N admits only the trivial beta = e_0")
         legs = [PureState(Register(d, (l,)), x) for l in leg_labels]
         return statealg.tensor_many(legs)
-    if bbar_source == "clone-family":
-        family = extract_clone_decomposition(d, N - L + 1)
-        bbar = {mn: st.amps for mn, st in family.bbar.items()}
-        if beta is None:
-            beta = family.beta
-    elif bbar_source == "random-orthonormal":
+    if bbar_source == "random-orthonormal":
         if rng is None:
             rng = np.random.default_rng(0)
         bbar = random_covariant_bbar(d, N - L, rng)
@@ -677,10 +679,11 @@ def synth_distributed_state(
             vals = np.ones(d) / np.sqrt(d)
             beta = BetaVector(tuple(vals))
     else:
-        family = bbar_source  # a CloneFamily
-        bbar = {mn: st.amps for mn, st in family.bbar.items()}
+        if bbar_source == "clone-family":
+            bbar_source = extract_clone_decomposition(d, N - L + 1)
+        bbar = {mn: st.amps for mn, st in bbar_source.bbar.items()}
         if beta is None:
-            beta = family.beta
+            beta = bbar_source.beta
     check_bbar_covariance(bbar, d, N - L)
     out = np.zeros(reg.dim, dtype=np.complex128)
     for m in range(d):
@@ -694,45 +697,43 @@ def synth_distributed_state(
     return PureState(reg, out)
 
 
-def _covariance_ops(d: int, pairs: int, k: int, ell: int):
-    """R^{k,l} on the first-slot qudits, R^{-k,l} on the second-slot qudits."""
-    return [weyl_r(d, k, ell)] * pairs + [weyl_r(d, -k, ell)] * pairs
+def _covariance(d: int, pairs: int, k, ell):
+    """(col, val) of R^{k,l} on the first-slot qudits and R^{-k,l} on the second-slot ones."""
+    return opsbasis.weyl_monomial(d, [("R", k, ell)] * pairs + [("R", -k, ell)] * pairs)
 
 
 def check_bbar_covariance(bbar: dict, d: int, pairs: int, tol: float = 1e-9):
-    """Verify R^{k,l}-tensor covariance with eigenvalue w^{lm-nk}."""
+    """Verify R^{k,l}-tensor covariance with eigenvalue w^{lm-nk}, (k,l) in (1,0), (0,1), (1,1)."""
     if pairs == 0:
         return
-    dim = d ** (2 * pairs)
-    reg = Register(d, tuple(f"q{i}" for i in range(2 * pairs)))
+    k, ell = np.array([1, 0, 1]), np.array([0, 1, 1])
+    col, val = _covariance(d, pairs, k, ell)  # one row per (k, l)
     for (m, n), vec in bbar.items():
-        st = PureState(reg, vec, validate=False)
-        for k, ell in ((1, 0), (0, 1), (1, 1)):
-            moved = st
-            for pos, op in enumerate(_covariance_ops(d, pairs, k, ell)):
-                moved = statealg.apply_local(moved, op, reg.labels[pos])
-            want = opsbasis.omega_power(d, ell * m - n * k) * st.amps
-            if np.abs(moved.amps - want).max() > tol:
-                raise ProtocolError(
-                    f"Bbar_({m},{n}) violates the covariance for (k,l)=({k},{ell})"
-                )
+        want = opsbasis.omega_table(d)[(ell * m - n * k) % d][:, None] * vec
+        bad = np.abs(val * vec[col] - want).max(axis=1) > tol
+        if bad.any():
+            i = int(bad.argmax())
+            raise ProtocolError(
+                f"Bbar_({m},{n}) violates the covariance for (k,l)=({k[i]},{ell[i]})"
+            )
 
 
 def random_covariant_bbar(d: int, pairs: int, rng: np.random.Generator) -> dict:
-    """Orthonormal covariant set: project random vectors onto each eigenspace."""
+    """Orthonormal covariant set: project random vectors onto each eigenspace.
+
+    The (m, n) eigenspace projector is the sum over (k, l) of
+    w^{-(lm-nk)} R^{k,l} (x) R^{-k,l}, up to a factor; all d^2 products form
+    one (d^2, dim) gather table, so a projection is a gather and one product.
+    """
     dim = d ** (2 * pairs)
-    reg = Register(d, tuple(f"q{i}" for i in range(2 * pairs)))
+    statealg.check_size("covariance table bytes", 24 * d * d * dim)
+    k, ell = np.divmod(np.arange(d * d), d)
+    col, val = _covariance(d, pairs, k, ell)
     out = {}
     for m in range(d):
         for n in range(d):
             raw = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-            acc = np.zeros(dim, dtype=np.complex128)
-            for k in range(d):
-                for ell in range(d):
-                    moved = PureState(reg, raw / np.linalg.norm(raw), validate=False)
-                    for pos, op in enumerate(_covariance_ops(d, pairs, k, ell)):
-                        moved = statealg.apply_local(moved, op, reg.labels[pos])
-                    acc += opsbasis.omega_power(d, -(ell * m - n * k)) * moved.amps
+            acc = opsbasis.omega_table(d)[-(ell * m - n * k) % d] @ (val * raw[col])
             nrm = np.linalg.norm(acc)
             if nrm < 1e-8:  # pragma: no cover - eigenspaces are never empty here
                 raise ProtocolError("eigenspace projection vanished; retry with a new seed")

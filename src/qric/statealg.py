@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .errors import DimensionError, LabelError, NormalizationError, SizeGuardError
 
 TOL = 1e-10
@@ -230,37 +229,6 @@ def tensor_many(states) -> PureState:
     return out
 
 
-def apply_local(state: PureState, op: np.ndarray, target: str, *, check_unitary: bool = False) -> PureState:
-    """Apply a single-qudit operator on `target` via stride arithmetic."""
-    op = np.asarray(op, dtype=np.complex128)
-    d = state.d
-    if op.shape != (d, d):
-        raise DimensionError(f"operator must be {d}x{d}, got {op.shape}")
-    if check_unitary and np.abs(op @ op.conj().T - np.eye(d)).max() > TOL:
-        raise DimensionError("operator is not unitary")
-    stride = state.register.stride(target)
-    out = kernels.apply_single(state.amps, op, d, stride)
-    return PureState(state.register, out, validate=False)
-
-
-def project_pair(state: PureState, pair_amps: np.ndarray, pair: tuple[str, str]) -> np.ndarray:
-    """<pair_amps|_{pair} state: unnormalized residual with the pair removed.
-
-    `pair_amps` indexes (first label, second label) big-endian.
-    """
-    d = state.d
-    p1, p2 = state.register.position(pair[0]), state.register.position(pair[1])
-    if p1 == p2:
-        raise LabelError("pair labels must be distinct")
-    P = np.asarray(pair_amps, dtype=np.complex128).reshape(d, d)
-    if p1 > p2:  # kernel wants the left qudit first
-        P = P.T
-        p1, p2 = p2, p1
-    s1 = d ** (state.register.n - 1 - p1)
-    s2 = d ** (state.register.n - 1 - p2)
-    return kernels.project_pair(state.amps, P.reshape(-1), d, s1, s2, state.dim // (d * d))
-
-
 def drop_labels(register: Register, labels) -> Register:
     keep = tuple(l for l in register.labels if l not in set(labels))
     return Register(register.d, keep)
@@ -371,14 +339,3 @@ def entropy_across_cut(state: PureState, cut: Cut) -> float:
     """Von Neumann entropy (bits) of the reduced state on cut.groupB."""
     cut.validate(state.register)
     return von_neumann_entropy(partial_trace(state, cut.groupB))
-
-
-def dense_local_operator(register: Register, op: np.ndarray, target: str) -> np.ndarray:
-    """Full dim x dim embedding of a single-qudit operator (test oracle only)."""
-    d = register.d
-    mats = [np.eye(d, dtype=np.complex128)] * register.n
-    mats[register.position(target)] = np.asarray(op, dtype=np.complex128)
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out

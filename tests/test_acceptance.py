@@ -190,7 +190,7 @@ def test_criterion_6_ubes_properties():
     msgs = []
     ok = True
     for d, N in [(2, 2), (3, 2), (2, 3)]:
-        rank, dev = smolin_spectrum_check(d, N)
+        rank, dev = smolin_spectrum_check(channels.smolin_like(d, N))
         good = rank == d ** (2 * (N - 1)) and dev < 1e-10
         ok &= good
         msgs.append(f"spectrum({d},{N}) rank={rank} dev={dev:.1e}")

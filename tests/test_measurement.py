@@ -3,12 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
+import reference
 from qric import (
     bell_state,
     from_amplitudes,
     gbm_batch,
     gbm_branches,
-    gbm_sample,
         permute,
     swap_identity_check,
     telecloning_channel,
@@ -86,21 +86,27 @@ def test_remove_drops_pair():
     assert br.post_state.register.labels == ("b",)
 
 
+def drawn_outcomes(st, pair, rng, trials=1):
+    """Outcome indices m*d + n that gbm_batch draws for `trials` copies of st."""
+    batch = np.repeat(st.amps[None, :], trials, axis=0)
+    rows, outcomes, _probs, _residuals = gbm_batch(batch, st.register, pair, rng)
+    assert rows.tolist() == list(range(trials))
+    return outcomes
+
+
 def test_sample_deterministic_and_consistent():
     rng1 = np.random.default_rng(42)
     rng2 = np.random.default_rng(42)
     st = rand_state(3, ("a", "b"), np.random.default_rng(7))
-    br1 = gbm_sample(st, ("a", "b"), rng1)
-    br2 = gbm_sample(st, ("a", "b"), rng2)
-    assert (br1.outcome.m, br1.outcome.n) == (br2.outcome.m, br2.outcome.n)
+    out1 = drawn_outcomes(st, ("a", "b"), rng1, 5)
+    out2 = drawn_outcomes(st, ("a", "b"), rng2, 5)
+    assert out1.tolist() == out2.tolist()
 
 
 def test_sample_eigenstate_always_eigen_outcome():
     b = bell_state(3, 2, 1, ("X", "Y"))
     rng = np.random.default_rng(0)
-    for _ in range(10):
-        br = gbm_sample(b, ("X", "Y"), rng)
-        assert (br.outcome.m, br.outcome.n) == (2, 1)
+    assert drawn_outcomes(b, ("X", "Y"), rng, 10).tolist() == [2 * 3 + 1] * 10
 
 
 def test_sample_frequencies_match_branch_probabilities():
@@ -108,10 +114,8 @@ def test_sample_frequencies_match_branch_probabilities():
     probs = {(b.outcome.m, b.outcome.n): b.outcome.probability for b in gbm_branches(st, ("a", "b"))}
     rng = np.random.default_rng(123)
     trials = 10_000
-    counts = {k: 0 for k in probs}
-    for _ in range(trials):
-        br = gbm_sample(st, ("a", "b"), rng)
-        counts[(br.outcome.m, br.outcome.n)] += 1
+    drawn = drawn_outcomes(st, ("a", "b"), rng, trials)
+    counts = {(m, n): int(np.sum(drawn == m * 2 + n)) for m, n in probs}
     for k, p in probs.items():
         sigma = max(np.sqrt(trials * p * (1 - p)), 1.0)
         assert abs(counts[k] - trials * p) < 5 * sigma
@@ -124,15 +128,11 @@ def test_sample_frequencies_uniform_on_telecloning_joint():
     inp = statealg.random_qudit(2, rng, "t")
     joint = tensor(inp, telecloning_channel(2, 2))
     trials = 10_000
-    counts = {}
-    for _ in range(trials):
-        br = gbm_sample(joint, ("t", "t'"), rng)
-        key = (br.outcome.m, br.outcome.n)
-        counts[key] = counts.get(key, 0) + 1
+    drawn = drawn_outcomes(joint, ("t", "t'"), rng, trials)
     p = 0.25
     sigma = np.sqrt(trials * p * (1 - p))
-    for key in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        assert abs(counts.get(key, 0) - trials * p) < 5 * sigma
+    for key in range(4):
+        assert abs(np.sum(drawn == key) - trials * p) < 5 * sigma
 
 
 def test_gbm_commutes_with_relabeling():
@@ -189,7 +189,7 @@ def test_swap_identity_d5_sampled():
 
 @pytest.mark.parametrize("d,pair", [(2, ("b", "d")), (3, ("c", "a"))])
 def test_gbm_batch_matches_gbm_branches_row_by_row(d, pair):
-    # oracle: the single-state GBM, one row at a time; the last row is a Bell
+    # oracle: the test-local single-state GBM, one row at a time; the last row is a Bell
     # eigenstate on the pair, so its null outcomes must be dropped
     rng = np.random.default_rng(d)
     labels = ("a", "b", "c", "d")
@@ -200,7 +200,7 @@ def test_gbm_batch_matches_gbm_branches_row_by_row(d, pair):
     batch = np.stack([st.amps for st in states])
     rows, outcomes, probs, residuals = gbm_batch(batch, states[0].register, pair)
     want = [(b, br) for b, st in enumerate(states)
-            for br in gbm_branches(st, pair, remove=True) if not br.null]
+            for br in reference.gbm_branches(st, pair) if not br.null]
     assert rows.tolist() == [b for b, _ in want]
     assert outcomes.tolist() == [br.outcome.m * d + br.outcome.n for _, br in want]
     np.testing.assert_allclose(probs, [br.outcome.probability for _, br in want], atol=1e-12)
@@ -212,8 +212,23 @@ def test_gbm_batch_draw_matches_gbm_sample():
     rng1, rng2 = np.random.default_rng(9), np.random.default_rng(9)
     for _ in range(40):
         _, outcome, prob, residual = gbm_batch(st.amps[None, :], st.register, ("c", "a"), rng1)
-        br = gbm_sample(st, ("c", "a"), rng2, remove=True)
+        br = reference.gbm_sample(st, ("c", "a"), rng2)
         assert outcome.tolist() == [br.outcome.m * 3 + br.outcome.n]
         assert prob[0] == pytest.approx(br.outcome.probability, abs=1e-12)
         np.testing.assert_allclose(residual[0], br.post_state.amps, atol=1e-12)
     assert rng1.random() == rng2.random()
+
+
+@pytest.mark.parametrize("d,pair", [(2, ("d", "a")), (3, ("b", "c"))])
+def test_gbm_branches_matches_the_einsum_reference(d, pair):
+    # the one-row bell_projections path against the per-outcome einsum GBM
+    rng = np.random.default_rng(40 + d)
+    st = rand_state(d, ("a", "b", "c", "d"), rng)
+    got = gbm_branches(st, pair, remove=True)
+    want = reference.gbm_branches(st, pair)
+    for br, ref in zip(got, want, strict=True):
+        assert (br.outcome.m, br.outcome.n, br.outcome.pair) == (ref.outcome.m, ref.outcome.n,
+                                                                 ref.outcome.pair)
+        assert br.outcome.probability == pytest.approx(ref.outcome.probability, abs=1e-12)
+        assert br.post_state.register == ref.post_state.register
+        np.testing.assert_allclose(br.post_state.amps, ref.post_state.amps, atol=1e-12)

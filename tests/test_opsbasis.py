@@ -3,19 +3,20 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
+from reference import apply_local
 from qric import (
     OccupationVector,
-    WeylOp,
     alpha_coeff,
-    apply_local,
     bell_state,
         ghz_state,
     overlap,
     phi_state,
     stabilizer_expectation,
     symmetric_state,
-    weyl_matrix,
     weyl_r,
     weyl_u,
 )
@@ -51,17 +52,47 @@ def test_r_inverts_u(d):
 def test_weyl_unitarity_and_adjoint_relation(d):
     for m in range(d):
         for n in range(d):
-            U = weyl_matrix(WeylOp(d, m, n, "U"))
-            R = weyl_matrix(WeylOp(d, m, n, "R"))
+            U = weyl_u(d, m, n)
+            R = weyl_r(d, m, n)
             np.testing.assert_allclose(U @ U.conj().T, np.eye(d), atol=1e-12)
             np.testing.assert_allclose(R, weyl_u(d, -m, n).conj().T, atol=1e-12)
 
 
-def test_weylop_validation():
+@st.composite
+def weyl_products(draw):
+    """(d, batch, factors): 1-3 U/R factors over d <= 5, each index an int or a (batch,) array."""
+    d = draw(st.integers(2, 5))
+    batch = draw(st.integers(1, 3))
+    index = st.one_of(
+        st.integers(-2 * d, 2 * d),
+        st.lists(st.integers(-2 * d, 2 * d), min_size=batch, max_size=batch).map(np.array),
+    )
+    factors = draw(st.lists(st.tuples(st.sampled_from("UR"), index, index), min_size=1, max_size=3))
+    return d, batch, factors
+
+
+@settings(max_examples=300, deadline=None)
+@given(weyl_products())
+def test_weyl_monomial_matches_dense_kron(case):
+    # oracle: the Kronecker product of the dense weyl_u / weyl_r factors
+    d, batch, factors = case
+    col, val = opsbasis.weyl_monomial(d, factors)
+    batched = any(np.ndim(m) or np.ndim(n) for _, m, n in factors)
+    dim = d ** len(factors)
+    assert col.shape == val.shape == ((batch, dim) if batched else (dim,))
+    dense = {"U": weyl_u, "R": weyl_r}
+    for b in range(batch):
+        pick = lambda i: int(i[b]) if np.ndim(i) else i  # noqa: E731
+        want = functools.reduce(np.kron,
+                                [dense[kind](d, pick(m), pick(n)) for kind, m, n in factors])
+        got = np.zeros((dim, dim), dtype=complex)
+        got[np.arange(dim), col[b] if batched else col] = val[b] if batched else val
+        np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+def test_weyl_monomial_rejects_unknown_kind():
     with pytest.raises(DimensionError):
-        WeylOp(2, 2, 0, "U")
-    with pytest.raises(DimensionError):
-        WeylOp(2, 0, 0, "Q")
+        opsbasis.weyl_monomial(3, [("U", 1, 0), ("Q", 0, 0)])
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +338,7 @@ def test_stabilizer_elements_commute():
             out = np.eye(d ** (2 * N), dtype=complex)
             for l in labels:
                 op = weyl_u(d, -m if l in minus else m, n)
-                out = statealg.dense_local_operator(reg, op, l) @ out
+                out = reference.dense_local_operator(reg, op, l) @ out
             return out
 
         pairs = [(1, 0), (0, 1), (1, 1)]

