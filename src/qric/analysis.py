@@ -111,9 +111,10 @@ def unlock_ubes(d: int, N: int, mode: str = "all-branches",
     digits = (d,) * (2 * len(pairs))  # outcome code: the (m, n) digits in plan order
     statealg.check_size("unlock table bytes", 16 * d ** len(digits) * d**4)
     tuples, weights, _ = channels.preset_spec("smolin", d, N).mixture()
-    joint = protocols.Joint(statealg.Register(d, channel_labels(N)),
-                            lambda k: channels.product_bell_channel(d, N, tuples[k]).amps,
-                            weights)
+    joint = protocols.Joint(
+        statealg.Register(d, channel_labels(N)),
+        lambda k, out: np.copyto(out, channels.product_bell_channel(d, N, tuples[k]).amps),
+        weights)
     (outs, prob, pair_reg, vecs), _ = protocols.execute(
         joint, pairs, lambda *leaf_arrays: leaf_arrays, "all-branches"
     )

@@ -328,7 +328,7 @@ def cmd_stabilizers(args):
 
 def cmd_unlock(args):
     reports = analysis.unlock_ubes(args.d, args.N, mode=args.mode,
-                                   rng=np.random.default_rng(args.seed))
+                                   rng=np.random.default_rng(args.seed), trials=args.trials)
     checks = []
     outcome_rows = []
     for r in reports:

@@ -11,7 +11,9 @@ import numpy as np
 HAVE_NUMBA = False  # numpy is the only kernel implementation; the benchmark worker reports it
 
 
-def project_bell_pairs(batch: np.ndarray, bras: np.ndarray, stride1: int, stride2: int) -> np.ndarray:
+def project_bell_pairs(batch: np.ndarray, bras: np.ndarray, stride1: int, stride2: int,
+                       out: np.ndarray | None = None,
+                       scratch: np.ndarray | None = None) -> np.ndarray:
     """Contract every Bell bra onto one qudit pair of every row of `batch`.
 
     batch is (B, dim); the ordered pair's first qudit has index stride
@@ -22,7 +24,10 @@ def project_bell_pairs(batch: np.ndarray, bras: np.ndarray, stride1: int, stride
     (j, j + n) of the strided batch view. The batch is never moved or
     conjugated; one buffer of a d-th of its size holds a shift's slices.
     Returns (B, d^2, dim / d^2): the unnormalized residuals with both qudits
-    removed, the remaining qudits in register order.
+    removed, the remaining qudits in register order. out (at least B * dim)
+    and scratch (at least B * dim / d) are flat complex buffers to write the
+    result and the slices into, neither overlapping batch; the result is
+    then a view of out. Left None, both are fresh arrays.
     """
     B, dim = batch.shape
     d = bras.shape[1]
@@ -30,8 +35,12 @@ def project_bell_pairs(batch: np.ndarray, bras: np.ndarray, stride1: int, stride
     t = batch.reshape(B, dim // (hi * d), d, hi // (lo * d), d, lo)
     if stride1 < stride2:  # put the pair's first qudit on axis 2
         t = t.transpose(0, 1, 4, 3, 2, 5)
-    out = np.empty((B, d, d, dim // (d * d)), dtype=np.complex128)  # (row, m, n, rest)
-    diag = np.empty((B, d, t.shape[1], t.shape[3], t.shape[5]), dtype=np.complex128)
+    if out is None:
+        out = np.empty(B * dim, dtype=np.complex128)
+    if scratch is None:
+        scratch = np.empty(B * dim // d, dtype=np.complex128)
+    out = out[:B * dim].reshape(B, d, d, dim // (d * d))  # (row, m, n, rest)
+    diag = scratch[:B * dim // d].reshape(B, d, t.shape[1], t.shape[3], t.shape[5])
     j = np.arange(d)
     for n in range(d):
         np.stack([t[:, :, i, :, (i + n) % d, :] for i in range(d)], axis=1, out=diag)

@@ -73,7 +73,7 @@ def gbm_branches(state: PureState, pair, *, remove: bool = False) -> list[Branch
 
 
 def select_outcomes(projected: np.ndarray, uniforms: np.ndarray | None = None,
-                    at: np.ndarray | None = None):
+                    at: np.ndarray | None = None, into: np.ndarray | None = None):
     """Keep every non-null outcome of each row, or the outcomes pre-drawn uniforms pick.
 
     projected is (B, k, r): row b's unnormalized residual for each of k
@@ -84,7 +84,10 @@ def select_outcomes(projected: np.ndarray, uniforms: np.ndarray | None = None,
     visits), one entry per kept branch in row-major (row, outcome) order:
     the parent row, the outcome index, its probability given the row, and
     the residual normalized in place; visits[t] is trial t's kept branch
-    (None without uniforms).
+    (None without uniforms). When every branch is kept, the residuals are
+    projected's own rows; otherwise they are gathered into a fresh array,
+    or into the flat buffer `into` (at least as large as the kept rows,
+    not overlapping projected).
     """
     B, k, r = projected.shape
     flat = projected.reshape(B * k, r)
@@ -101,17 +104,25 @@ def select_outcomes(projected: np.ndarray, uniforms: np.ndarray | None = None,
         keep, visits = np.unique(at * k + drawn, return_inverse=True)
         if (probs[keep] < NULL_PROB).any():
             raise ProtocolError("sampled a null branch")  # pragma: no cover
-    residuals = flat if len(keep) == B * k else flat[keep]
+    if len(keep) == B * k:
+        residuals = flat
+    elif into is None:
+        residuals = flat[keep]
+    else:  # "clip" mode writes straight into out; "raise" would buffer
+        residuals = np.take(flat, keep, axis=0, mode="clip",
+                            out=into[:len(keep) * r].reshape(len(keep), r))
     residuals /= np.sqrt(probs[keep])[:, None]
     return keep // k, keep % k, probs[keep], residuals, visits
 
 
-def bell_projections(batch: np.ndarray, register: Register, pair) -> np.ndarray:
+def bell_projections(batch: np.ndarray, register: Register, pair, out: np.ndarray | None = None,
+                     scratch: np.ndarray | None = None) -> np.ndarray:
     """(B, d^2, dim / d^2): the residual of every row for every Bell outcome m*d + n,
-    on register minus the ordered pair."""
+    on register minus the ordered pair; out and scratch as in kernels.project_bell_pairs."""
     pair = _checked_pair(register, pair)
     return kernels.project_bell_pairs(
-        batch, opsbasis.bell_bras(register.d), register.stride(pair[0]), register.stride(pair[1])
+        batch, opsbasis.bell_bras(register.d), register.stride(pair[0]), register.stride(pair[1]),
+        out=out, scratch=scratch,
     )
 
 

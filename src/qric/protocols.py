@@ -138,10 +138,11 @@ def _leaves(register: Register, amps: np.ndarray, transcripts) -> list:
 
 @dataclass(frozen=True)
 class Joint:
-    """Initial rows of a plan run on `register`: row(k), prior priors[k], k < len(priors).
+    """Initial rows of a plan run on `register`: row(k, out) writes row k into
+    the flat (register.dim,) buffer out; its prior is priors[k], k < len(priors).
 
-    execute builds one row at a time, so a mixture never holds two joints;
-    draw(rng), set for mixtures, picks the row of one sampled trial.
+    execute writes every row into the same buffer, so a mixture never holds
+    two joints; draw(rng), set for mixtures, picks the row of one sampled trial.
     """
 
     register: Register
@@ -153,24 +154,43 @@ class Joint:
     def product(cls, front: PureState, back: PureState) -> "Joint":
         """front (x) back as one row, front's labels first, the outer product written once."""
         register = Register(front.d, front.register.labels + back.register.labels)
-        return cls(register, lambda k: np.multiply.outer(front.amps, back.amps), np.ones(1))
+        return cls(register, lambda k, out: np.multiply.outer(
+            front.amps, back.amps, out=out.reshape(front.register.dim, -1)), np.ones(1))
 
 
-def _descend(amps, register, plan, prior, uniforms=None):
-    """Leaves (outcomes, probs, register, amps) of one initial row amps, level by level.
+def _workspace(register: Register) -> tuple:
+    """Two joint-dimension buffers and the kernel's dim/d scratch, views of one block."""
+    dim = register.dim
+    block = np.empty(2 * dim + dim // register.d, dtype=np.complex128)
+    return block[:dim], block[dim:2 * dim], block[2 * dim:]
+
+
+def _descend(joint, k, plan, prior, work, uniforms=None):
+    """Leaves (outcomes, probs, register, amps) of the joint's row k, level by level.
 
     Every non-null branch is kept, or with uniforms (T, len(plan)) only the
-    branches T trials visit, and then one leaf per trial is returned.
+    branches T trials visit, and then one leaf per trial is returned. The
+    row is written into the first buffer of work (see _workspace); each
+    non-final level projects into the buffer not holding the batch and
+    gathers its kept rows back into the freed one. The last level writes
+    fresh arrays, so no leaf shares memory with work.
     """
-    amps = amps.reshape(1, -1)
+    register = joint.register
+    joint.row(k, work[0])
+    # with no level to write fresh arrays, an empty plan's leaf is a copy
+    amps = work[0].reshape(1, -1) if plan else work[0].reshape(1, -1).copy()
+    at = 0  # index of the buffer holding amps
     outcomes = np.zeros((1, 0, 2), dtype=np.int64)
     probs = np.full(1, prior)
     visits = None if uniforms is None else np.zeros(len(uniforms), dtype=np.int64)
     for level, pair in enumerate(plan):
-        # rebinding amps releases the parent batch before select_outcomes gathers
-        amps = measurement.bell_projections(amps, register, pair)
+        last = level == len(plan) - 1
+        out, into, scratch = (None,) * 3 if last else (work[1 - at], work[at], work[2])
+        projected = measurement.bell_projections(amps, register, pair, out, scratch)
         rows, outs, cond, amps, visits = measurement.select_outcomes(
-            amps, None if uniforms is None else uniforms[:, level], visits)
+            projected, None if uniforms is None else uniforms[:, level], visits, into)
+        if len(rows) == projected.shape[0] * projected.shape[1]:
+            at = 1 - at  # every branch kept: the batch stays where it was projected
         step = np.stack(np.divmod(outs, register.d), axis=-1)[:, None, :]
         outcomes = np.concatenate((outcomes[rows], step), axis=1)
         probs = probs[rows] * cond
@@ -185,8 +205,12 @@ def execute(joint, plan, finish, mode: str = "sample", rng=None, *, trials: int 
 
     joint (a PureState or a Joint) goes through one row at a time; a row's
     live branches are the rows of one (B, dim) array in depth-first order,
-    B * dim never above the joint dimension. "all-branches" keeps every
-    non-null outcome, probabilities starting at the rows' priors. "sample"
+    B * dim never above the joint dimension. So one workspace per call (two
+    joint-dimension buffers and the kernel scratch) holds every row that
+    joint.row(k, out) writes, every non-final level's projection and its
+    kept rows; only the last level allocates, and the workspace is dropped
+    before finish runs. "all-branches" keeps every non-null outcome,
+    probabilities starting at the rows' priors. "sample"
     draws `trials` trials (one if None) up front in the seed order of one run
     per trial, joint.draw(rng) (mixtures only) then rng.random(len(plan)),
     and keeps only the rows and branches some trial visits: the all-branches
@@ -203,10 +227,11 @@ def execute(joint, plan, finish, mode: str = "sample", rng=None, *, trials: int 
         raise ProtocolError(f"need at least one trial, got {trials}")
     if isinstance(joint, PureState):
         state = joint
-        joint = Joint(state.register, lambda k: state.amps, np.ones(1))
+        joint = Joint(state.register, lambda k, out: np.copyto(out, state.amps), np.ones(1))
     statealg.check_size("protocol joint dimension", joint.register.dim, statealg.MAX_JOINT_DIM)
+    work = _workspace(joint.register)
     if mode == "all-branches":
-        parts = [_descend(joint.row(k), joint.register, plan, prior)
+        parts = [_descend(joint, k, plan, prior, work)
                  for k, prior in enumerate(joint.priors.tolist())]
     else:
         rng = np.random.default_rng(0) if rng is None else rng
@@ -216,8 +241,9 @@ def execute(joint, plan, finish, mode: str = "sample", rng=None, *, trials: int 
             u[:] = rng.random(len(plan))
         firsts, start_of = np.unique(starts, return_inverse=True)
         groups = [np.flatnonzero(start_of == i) for i in range(len(firsts))]
-        parts = [_descend(joint.row(k), joint.register, plan, 1.0, uniforms[group])
+        parts = [_descend(joint, k, plan, 1.0, work, uniforms[group])
                  for k, group in zip(firsts.tolist(), groups)]
+    del work  # the leaves are fresh arrays; finish runs without the workspace
     outcomes, probs, registers, amps = zip(*parts)
     outcomes, probs, amps = (np.concatenate(a) for a in (outcomes, probs, amps))
     if mode == "all-branches":
@@ -421,9 +447,9 @@ def _ric_joint(clone: PureState, channel, register: Register):
     elif channel.is_mixed:
         tuples, weights, draw = channel.mixture()
 
-        def row(k):
+        def row(k, out):
             back = channels.product_bell_channel(channel.d, channel.N, tuples[k])
-            return np.multiply.outer(clone.amps, back.amps)
+            np.multiply.outer(clone.amps, back.amps, out=out.reshape(clone.register.dim, -1))
 
         return Joint(register, row, weights, draw), channel.u, channel.v
     else:

@@ -135,6 +135,15 @@ def test_unlock_outcomes(capsys):
     assert len(doc["outcomes"]) == 4
 
 
+@pytest.mark.parametrize("trials", [1, 3, 4, 10])
+def test_unlock_sample_draws_trials_outcomes(trials, capsys):
+    rc = main(["unlock", "--d", "2", "--N", "2", "--mode", "sample", "--trials", str(trials)])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert doc["config"]["trials"] == trials
+    assert len(doc["outcomes"]) == min(trials, 4)
+
+
 def test_mm_subcommands(capsys):
     rc = main(["ric-mm-ghz", "--d", "2", "--N", "2", "--L", "2"])
     assert rc == 0
@@ -237,6 +246,30 @@ SAMPLED_REPORTS = {
     "ric-mm-multi --d 3 --N 2 --L 1 --trials 30":
         "7d44c256908379ff55e0188acea9712cc677936f62034f41c7cc565eca03e720",
 }
+
+
+# sha256 of the all-branches reports at --seed 1, pinned before the executor
+# reused one workspace; the mixed-uniform run reuses it across 9 components
+ALL_BRANCHES_REPORTS = {
+    "ric --d 3 --N 2 --channel ghz":
+        "9eab8d3ac4d135f58121bbb6372ddce9f17bf38da0fda5bda2f7103c424eb0f3",
+    "ric --d 3 --N 2 --channel mixed-uniform":
+        "857442c5ade0b991c50d1f308a9a429cdd962f148864db3ff7e2c407167a6563",
+    "unlock --d 3 --N 3":
+        "23680b6c180510c67d46a1f8cd71fbfd2029754ee8ed8b00351c7d9149481736",
+    "teleclone --d 3 --N 2":
+        "e2eda57ae140dc2915ce462c56cf15dcc66972dd6b8fb0c989ee65908a0226f5",
+    "ric-mm-multi --d 3 --N 2 --L 1":
+        "10031410f093c16f17f6e9603023380630fb8f60989dd131cea0e9dbb32a66db",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(ALL_BRANCHES_REPORTS))
+def test_all_branches_reports_are_byte_identical(argv, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(argv.split() + ["--mode", "all-branches", "--seed", "1", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == ALL_BRANCHES_REPORTS[argv]
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("argv", sorted(SAMPLED_REPORTS))

@@ -66,3 +66,19 @@ def test_project_bell_pairs_matches_dense_contraction(d, n, p1, p2, B):
     ])
     assert got.shape == (B, d * d, d ** (n - 2))
     np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("d,n,p1,p2,B", [(3, 4, 0, 2, 2), (3, 4, 3, 1, 3), (2, 5, 4, 0, 1)])
+def test_project_bell_pairs_into_given_buffers_matches_fresh_output(d, n, p1, p2, B):
+    # p1 < p2 and p1 > p2: both stride orders; buffers larger than needed, filled with nan
+    rng = np.random.default_rng(20 * d + n + p1 + B)
+    batch = np.stack([rand_amps(d**n, rng) for _ in range(B)])
+    bras = opsbasis.bell_bras(d)
+    s1, s2 = d ** (n - 1 - p1), d ** (n - 1 - p2)
+    buf = np.full(B * d**n + 7, np.nan, dtype=np.complex128)
+    scratch = np.full(B * d ** (n - 1) + 5, np.nan, dtype=np.complex128)
+    got = kernels.project_bell_pairs(batch, bras, s1, s2, out=buf, scratch=scratch)
+    assert np.array_equal(got, kernels.project_bell_pairs(batch, bras, s1, s2))
+    assert got.shape == (B, d * d, d ** (n - 2))
+    assert got.base is buf and np.shares_memory(got, buf)
+    assert np.isnan(buf[B * d**n:]).all()  # nothing written past the result

@@ -722,3 +722,38 @@ def test_run_ric_trials_draw_like_one_run_per_trial(preset):
         want = corrected(st, [(f"{N}'", *transcript.correction)])
         np.testing.assert_allclose(state.amps, want.amps / want.norm(), atol=1e-12)
     assert rng_batch.random() == rng_single.random()
+
+
+@pytest.mark.parametrize("mode", ["sample", "all-branches"])
+def test_executor_reuses_one_workspace_across_components(mode, monkeypatch):
+    # smolin (3,2): 9 components, a 3-level plan, so 2 non-final levels per component
+    from qric import kernels
+
+    d, N = 3, 2
+    calls = []
+    project = kernels.project_bell_pairs
+
+    def recording(batch, bras, s1, s2, out=None, scratch=None):
+        got = project(batch, bras, s1, s2, out=out, scratch=scratch)
+        calls.append((out, scratch, got))
+        return got
+
+    monkeypatch.setattr(kernels, "project_bell_pairs", recording)
+    clone = clone_state(random_qudit(d, np.random.default_rng(67)).amps, d, N)
+    spec = preset_spec("smolin", d, N)
+    if mode == "sample":
+        leaves = run_ric(clone, spec, mode="sample", rng=np.random.default_rng(3), trials=60)
+    else:
+        leaves, _coverage = run_ric(clone, spec, mode="all-branches")
+    finals = [c for c in calls if c[0] is None]
+    levels = [c for c in calls if c[0] is not None]
+    assert len(finals) >= 5  # one last-level call per distinct component
+    assert len(levels) == 2 * len(finals)
+    block, dim = levels[0][0].base, d ** (4 * N - 1)  # clone (x) channel: 4N - 1 qudits
+    ptrs = {out.ctypes.data for out, _s, _g in levels}
+    assert ptrs <= {block.ctypes.data, block.ctypes.data + 16 * dim}
+    assert len({scratch.ctypes.data for _o, scratch, _g in levels}) == 1
+    for out, scratch, got in levels:
+        assert out.base is block and scratch.base is block and np.shares_memory(got, out)
+    assert all(scratch is None and not np.shares_memory(got, block) for _o, scratch, got in finals)
+    assert leaves and not any(np.shares_memory(state.amps, block) for state, _t in leaves)
