@@ -113,7 +113,7 @@ def unlock_ubes(d: int, N: int, mode: str = "all-branches",
     tuples, weights, _ = channels.preset_spec("smolin", d, N).mixture()
     joint = protocols.Joint(
         statealg.Register(d, channel_labels(N)),
-        lambda k, out: np.copyto(out, channels.product_bell_channel(d, N, tuples[k]).amps),
+        lambda k, out: np.copyto(out, channels.bell_products(d, N, tuples[k])[0]),
         weights)
     (outs, prob, pair_reg, vecs), _ = protocols.execute(
         joint, pairs, lambda *leaf_arrays: leaf_arrays, "all-branches"
@@ -143,7 +143,7 @@ def unlock_ubes(d: int, N: int, mode: str = "all-branches",
         if rng is None:
             rng = np.random.default_rng(0)
         probs = np.array([r.probability for r in reports])
-        idx = rng.choice(len(reports), size=min(trials, len(reports)),
+        idx = rng.choice(len(reports), size=min(trials, len(reports)), replace=False,
                          p=probs / probs.sum())
         reports = [reports[int(i)] for i in idx]
     return reports

@@ -268,29 +268,34 @@ def telecloning_channel(d: int, N: int) -> PureState:
     return PureState(reg, amps / np.sqrt(d), validate=False)
 
 
-def _pair_states(d: int, N: int, k) -> list[PureState]:
-    """Bell factors for one tuple: (A'_s, s') canonical, last pair on (N', A'_N)."""
-    labels = channel_labels(N)
-    parts = []
-    for s in range(N - 1):
-        parts.append(
-            opsbasis.bell_state(d, k[2 * s], k[2 * s + 1], (labels[2 * s], labels[2 * s + 1]))
-        )
-    parts.append(
-        opsbasis.bell_state(d, k[2 * N - 2], k[2 * N - 1], (labels[2 * N - 1], labels[2 * N - 2]))
-    )
-    return parts
+def bell_products(d: int, N: int, tuples) -> np.ndarray:
+    """(K, d^(2N)) amplitudes of the Bell products of K index tuples (or of one
+    tuple, K = 1), in channel label order.
+
+    Pair s < N is |B^{k_2s, k_2s+1}> on (A'_s, s'), the last pair is built on
+    (N', A'_N) and its two axes swapped; the pairs are multiplied left to
+    right, as a chain of krons would, so each amplitude is the same product.
+    """
+    k = np.atleast_2d(np.asarray(tuples, dtype=np.intp))
+    if k.ndim != 2 or k.shape[1] != 2 * N:
+        raise ConstraintError(f"need {2*N}-tuples, got {tuples}")
+    bad = ((k < 0) | (k >= d)).any(axis=1)
+    if bad.any():
+        raise ConstraintError(f"tuple {tuple(k[bad.argmax()].tolist())} out of range for d={d}")
+    statealg.check_size("Bell product bytes", 16 * len(k) * d ** (2 * N))
+    vecs = opsbasis.bell_bras(d).conj()
+    tables = [vecs.reshape(d * d, -1)] * (N - 1) + [vecs.transpose(0, 2, 1).reshape(d * d, -1)]
+    rows = k[:, 0::2] * d + k[:, 1::2]  # Bell table row of every pair
+    out = tables[0][rows[:, 0]]
+    for table, pair in zip(tables[1:], rows.T[1:]):
+        out = (out[:, :, None] * table[pair][:, None, :]).reshape(len(k), -1)
+    return out
 
 
 def product_bell_channel(d: int, N: int, c) -> PureState:
     """Product of N generalized Bell pairs for a fixed index tuple."""
-    c = tuple(int(x) for x in c)
-    if len(c) != 2 * N:
-        raise ConstraintError(f"need a {2*N}-tuple, got {c}")
-    if any(not 0 <= x < d for x in c):
-        raise ConstraintError(f"tuple {c} out of range for d={d}")
-    state = statealg.tensor_many(_pair_states(d, N, c))
-    return statealg.reorder(state, channel_labels(N))
+    return PureState(Register(d, channel_labels(N)), bell_products(d, N, c)[0],
+                     validate=False, _owned=True)
 
 
 def general_pure_channel(spec: ChannelSpec) -> PureState:
@@ -299,11 +304,10 @@ def general_pure_channel(spec: ChannelSpec) -> PureState:
         raise ConstraintError("spec kind must be general-pure")
     if not spec.table:
         raise ConstraintError("general-pure channel needs a non-empty table")
-    out = None
-    for k, p in spec.table:
-        comp = product_bell_channel(spec.d, spec.N, k)
-        vec = comp.amps * np.sqrt(p)
-        out = vec if out is None else out + vec
+    vecs = bell_products(spec.d, spec.N, [k for k, _ in spec.table])
+    out = np.zeros(vecs.shape[1], dtype=np.complex128)
+    for vec, (_, p) in zip(vecs, spec.table):
+        out += vec * np.sqrt(p)
     return PureState(Register(spec.d, channel_labels(spec.N)), out)
 
 
@@ -312,7 +316,7 @@ def ghz_channel(d: int, N: int) -> PureState:
     return opsbasis.ghz_state(d, channel_labels(N), 0, 0)
 
 
-def beta_weighted_channel(d: int, N: int, beta: BetaVector | None = None, family=None) -> PureState:
+def beta_weighted_channel(d: int, N: int) -> PureState:
     """Clone-decomposition channel: (1/sqrt d) sum_{x,y} beta_y Bbar_{xy} |B^{-x,-y}>.
 
     Bbar states come from the Appendix-A extraction of the telecloning clone
@@ -320,28 +324,16 @@ def beta_weighted_channel(d: int, N: int, beta: BetaVector | None = None, family
     last pair is built canonically on (A'_N, N'). This lands in the RIC-valid
     family because the transplant swaps each pair's slots.
     """
-    from .protocols import extract_clone_decomposition
+    from .protocols import bbar_sum, extract_clone_decomposition
 
-    reg = Register(d, channel_labels(N))
-    if family is None:
-        family = extract_clone_decomposition(d, N)
-    if beta is None:
-        beta = family.beta
-    if beta.d != d:
-        raise ConstraintError("beta length must equal d")
-    mapping = {str(s): f"{s}'" for s in range(1, N)}
-    mapping.update({f"A_{s}": f"A'_{s}" for s in range(1, N)})
-    front_labels = channel_labels(N)[: 2 * (N - 1)]
-    out = None
-    for x in range(d):
-        for y in range(d):
-            front = statealg.permute(family.bbar[(x, y)], mapping)
-            front = statealg.reorder(front, front_labels)
-            last = opsbasis.bell_state(d, (-x) % d, (-y) % d, (f"A'_{N}", f"{N}'"))
-            vec = beta.values[y] * np.kron(front.amps, last.amps)
-            out = vec if out is None else out + vec
-    out /= np.sqrt(d)
-    return PureState(reg, out)
+    family = extract_clone_decomposition(d, N)
+    # the transplant is one axis permutation: (1..N-1, A_1..A_{N-1}) -> (A'_1, 1', A'_2, 2', ...)
+    axes = [a for s in range(N - 1) for a in (N - 1 + s, s)]
+    bbar = {mn: st.amps.reshape((d,) * (2 * N - 2)).transpose(axes).reshape(-1)
+            for mn, st in family.bbar.items()}
+    neg = -np.arange(d) % d
+    tails = opsbasis.bell_bras(d).conj().reshape(d, d, d * d)[np.ix_(neg, neg)]
+    return PureState(Register(d, channel_labels(N)), bbar_sum(bbar, family.beta.values, tails))
 
 
 def mixed_channel(spec: ChannelSpec) -> DensityOperator:
@@ -356,8 +348,7 @@ def mixed_channel(spec: ChannelSpec) -> DensityOperator:
         table = [(k, 1.0 / len(tuples)) for k in tuples]
     if not table:
         raise ConstraintError("mixed channel needs a non-empty table")
-    statealg.check_size("mixture component bytes", 16 * len(table) * reg.dim)
-    vecs = np.stack([product_bell_channel(spec.d, spec.N, k).amps for k, _ in table])
+    vecs = bell_products(spec.d, spec.N, [k for k, _ in table])
     weights = np.array([cw for _, cw in table])
     # sum_k C_k |v_k><v_k| as one (dim, K) @ (K, dim) product
     return DensityOperator(reg, (vecs.T * weights) @ vecs.conj(), validate=False)

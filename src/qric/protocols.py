@@ -32,13 +32,6 @@ class PartyRegistry:
 
     roles: dict
 
-    def validate_partition(self, labels):
-        owned = [l for ls in self.roles.values() for l in ls]
-        if len(owned) != len(set(owned)):
-            raise ProtocolError("registry assigns a label to two parties")
-        if set(owned) != set(labels):
-            raise ProtocolError("registry does not partition the register labels")
-
 
 def default_ric_registry(N: int) -> PartyRegistry:
     roles = {}
@@ -383,17 +376,41 @@ def extract_clone_decomposition(d: int, N: int) -> CloneFamily:
     return family
 
 
+def bbar_sum(bbar, beta, tails) -> np.ndarray:
+    """(1/sqrt d) sum_{m,n} beta_n Bbar_mn (x) tails_mn, accumulated in (m, n) order.
+
+    bbar[m, n] and tails[m, n] are flat amplitude vectors (a dict keyed by
+    (m, n) or a (d, d, dim) array); each term is scaled after its kron.
+    """
+    d = len(beta)
+    acc = np.zeros(len(bbar[0, 0]) * len(tails[0, 0]), dtype=np.complex128)
+    for m in range(d):
+        for n in range(d):
+            acc += beta[n] * np.kron(bbar[m, n], tails[m, n])
+    acc /= np.sqrt(d)
+    return acc
+
+
+def _clone_tails(d: int, x, L: int) -> dict:
+    """(U^{-m,n} x)^(x L) for every (m, n), the legs of a Bbar expansion of x."""
+    tails = {}
+    for m in range(d):
+        for n in range(d):
+            tail = weyl_u(d, -m, n) @ x
+            legs = tail
+            for _ in range(L - 1):
+                legs = np.kron(legs, tail)
+            tails[(m, n)] = legs
+    return tails
+
+
 def reconstruction_deviation(family: CloneFamily, x) -> float:
     """Max amplitude deviation of clone_state(x) from its Bbar expansion."""
     d, N = family.d, family.N
     x = np.asarray(x, dtype=np.complex128)
     direct = clone_state(x, d, N)
-    acc = np.zeros(d ** (2 * N - 1), dtype=np.complex128)
-    for m in range(d):
-        for n in range(d):
-            tail = weyl_u(d, -m, n) @ x
-            acc += family.beta.values[n] * np.kron(family.bbar[(m, n)].amps, tail)
-    acc /= np.sqrt(d)
+    bbar = {mn: st.amps for mn, st in family.bbar.items()}
+    acc = bbar_sum(bbar, family.beta.values, _clone_tails(d, x, 1))
     # expansion register order: (1..N-1, A_*, N) -> reorder to clone labels
     labels = family.front_labels + (str(N),)
     expanded = PureState(Register(d, labels), acc, validate=False)
@@ -448,8 +465,8 @@ def _ric_joint(clone: PureState, channel, register: Register):
         tuples, weights, draw = channel.mixture()
 
         def row(k, out):
-            back = channels.product_bell_channel(channel.d, channel.N, tuples[k])
-            np.multiply.outer(clone.amps, back.amps, out=out.reshape(clone.register.dim, -1))
+            back = channels.bell_products(channel.d, channel.N, tuples[k])[0]
+            np.multiply.outer(clone.amps, back, out=out.reshape(clone.register.dim, -1))
 
         return Joint(register, row, weights, draw), channel.u, channel.v
     else:
@@ -461,7 +478,6 @@ def _ric_joint(clone: PureState, channel, register: Register):
 def run_ric(
     clone: PureState,
     channel,
-    registry: PartyRegistry | None = None,
     mode: str = "sample",
     rng: np.random.Generator | None = None,
     trials: int | None = None,
@@ -490,11 +506,9 @@ def run_ric(
         raise ProtocolError(
             f"clone state must live on labels {clone_labels(N)}"
         )
-    if registry is None:
-        registry = default_ric_registry(N)
+    registry = default_ric_registry(N)
     # the joint register checks its own bytes before any channel state is built
     joint_reg = Register(d, clone.register.labels + channel_labels(N))
-    registry.validate_partition(joint_reg.labels)
     joint, u, v = _ric_joint(clone, channel, joint_reg)
     if mode == "all-branches":  # the leaves of every component are kept
         statealg.check_size("mixture components x joint dimension",
@@ -554,44 +568,15 @@ def mm_ghz_labels(N: int, L: int) -> tuple:
     return front + (f"A'_{N}",) + tuple(f"{N}'_{i}" for i in range(1, L + 1))
 
 
-def _ghz_last_state(d: int, N: int, L: int, kappa: int, sigma: int) -> PureState:
-    """GHZ factor with legs N'_1..N'_L unshifted and the shift on A'_N."""
-    reg = Register(d, tuple(f"{N}'_{i}" for i in range(1, L + 1)) + (f"A'_{N}",))
-    v = np.zeros(reg.dim, dtype=np.complex128)
-    for a in range(d):
-        idx = 0
-        for _ in range(L):
-            idx = idx * d + a
-        idx = idx * d + (a + sigma) % d
-        v[idx] = opsbasis.omega_power(d, a * kappa)
-    return PureState(reg, v / np.sqrt(d), validate=False)
-
-
-def mm_ghz_channel(d: int, N: int, L: int, spec: ChannelSpec | None = None) -> PureState:
-    """RIC channel with the last Bell pair replaced by an (L+1)-leg GHZ state."""
-    if spec is None:
-        spec = channels.preset_spec("bell-product", d, N)
-    if spec.kind == "product-bell":
-        table = [(spec.c, 1.0)]
-    elif spec.kind == "general-pure":
-        table = spec.table
-    else:
-        raise ProtocolError("mm-ghz channel needs a product-bell or general-pure spec")
-    labels = mm_ghz_labels(N, L)
-    reg = Register(d, labels)
-    out = np.zeros(reg.dim, dtype=np.complex128)
-    front_labels = labels[: 2 * (N - 1)]
-    for ktup, p in table:
-        parts = []
-        for s in range(N - 1):
-            parts.append(
-                opsbasis.bell_state(d, ktup[2 * s], ktup[2 * s + 1],
-                                    (front_labels[2 * s], front_labels[2 * s + 1]))
-            )
-        parts.append(_ghz_last_state(d, N, L, ktup[2 * N - 2], ktup[2 * N - 1]))
-        comp = statealg.reorder(statealg.tensor_many(parts), labels)
-        out += np.sqrt(p) * comp.amps
-    return PureState(reg, out)
+def mm_ghz_channel(d: int, N: int, L: int) -> PureState:
+    """RIC channel |B^{00}>^(N-1) (x) |G^{00}>: the last Bell pair replaced by an
+    (L+1)-leg GHZ state on (A'_N, N'_1..N'_L)."""
+    if N < 2:
+        raise ProtocolError("mm-ghz channel needs N >= 2")
+    # |B^{00}> is swap-symmetric, so the builder's turned last pair is canonical here
+    front = channels.bell_products(d, N - 1, (0,) * (2 * N - 2))[0]
+    return PureState(Register(d, mm_ghz_labels(N, L)),
+                     np.kron(front, opsbasis.ghz_vector(d, L + 1, 0, 0)))
 
 
 def run_mm_ghz(
@@ -601,7 +586,6 @@ def run_mm_ghz(
     L: int,
     mode: str = "sample",
     rng: np.random.Generator | None = None,
-    spec: ChannelSpec | None = None,
     trials: int | None = None,
 ):
     """Concentrate clone-state information onto L GHZ-correlated receivers; returns as run_ric."""
@@ -609,10 +593,7 @@ def run_mm_ghz(
         raise ProtocolError("L must be >= 1")
     if tuple(clone.register.labels) != clone_labels(N):
         raise ProtocolError(f"clone state must live on labels {clone_labels(N)}")
-    if spec is None:
-        spec = channels.preset_spec("bell-product", d, N)
-    u, v = spec.u, spec.v
-    chan = mm_ghz_channel(d, N, L, spec)
+    chan = mm_ghz_channel(d, N, L)
     registry_roles = dict(default_ric_registry(N).roles)
     registry_roles["Diana"] = tuple(f"{N}'_{i}" for i in range(1, L + 1))
     registry = PartyRegistry(registry_roles)
@@ -622,7 +603,7 @@ def run_mm_ghz(
     leg_labels = [f"{N}'_{i}" for i in range(1, L + 1)]
 
     def finish(outcomes, probs, register, amps):
-        x, y = deduce_correction(outcomes[:, :-1], outcomes[:, -1], u, v, d)
+        x, y = deduce_correction(outcomes[:, :-1], outcomes[:, -1], 0, 0, d)
         amps = _apply_r(amps, register, leg_labels[0], x, y)
         for leg in leg_labels[1:]:
             amps = _apply_r(amps, register, leg, 0, y)
@@ -667,7 +648,7 @@ def synth_distributed_state(
     N: int,
     L: int,
     beta: BetaVector | None = None,
-    bbar_source="clone-family",
+    bbar_source: str = "clone-family",
     rng: np.random.Generator | None = None,
 ) -> PureState:
     """(1/sqrt d) sum_{m,n} beta_n Bbar_{mn} (x) (U^{-m,n}|phi>)^(x L).
@@ -680,10 +661,8 @@ def synth_distributed_state(
     """
     if not 1 <= L <= N:
         raise ProtocolError("need 1 <= L <= N")
-    if not (bbar_source in BBAR_SOURCES or isinstance(bbar_source, CloneFamily)):
-        raise ProtocolError(
-            f"unknown bbar_source {bbar_source!r}: use one of {BBAR_SOURCES} or a CloneFamily"
-        )
+    if bbar_source not in BBAR_SOURCES:
+        raise ProtocolError(f"unknown bbar_source {bbar_source!r}: use one of {BBAR_SOURCES}")
     x = np.asarray(x, dtype=np.complex128).reshape(-1)
     if abs(np.sum(np.abs(x) ** 2) - 1.0) > 1e-8:
         raise NormalizationError("input amplitudes not normalized")
@@ -705,22 +684,12 @@ def synth_distributed_state(
             vals = np.ones(d) / np.sqrt(d)
             beta = BetaVector(tuple(vals))
     else:
-        if bbar_source == "clone-family":
-            bbar_source = extract_clone_decomposition(d, N - L + 1)
-        bbar = {mn: st.amps for mn, st in bbar_source.bbar.items()}
+        family = extract_clone_decomposition(d, N - L + 1)
+        bbar = {mn: st.amps for mn, st in family.bbar.items()}
         if beta is None:
-            beta = bbar_source.beta
+            beta = family.beta
     check_bbar_covariance(bbar, d, N - L)
-    out = np.zeros(reg.dim, dtype=np.complex128)
-    for m in range(d):
-        for n in range(d):
-            tail = weyl_u(d, -m, n) @ x
-            legs = tail
-            for _ in range(L - 1):
-                legs = np.kron(legs, tail)
-            out += beta.values[n] * np.kron(bbar[(m, n)], legs)
-    out /= np.sqrt(d)
-    return PureState(reg, out)
+    return PureState(reg, bbar_sum(bbar, beta.values, _clone_tails(d, x, L)))
 
 
 def _covariance(d: int, pairs: int, k, ell):

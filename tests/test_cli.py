@@ -142,6 +142,8 @@ def test_unlock_sample_draws_trials_outcomes(trials, capsys):
     assert rc == 0
     assert doc["config"]["trials"] == trials
     assert len(doc["outcomes"]) == min(trials, 4)
+    names = [c["name"] for c in doc["checks"]]
+    assert len(set(names)) == len(names)  # outcomes are drawn without replacement
 
 
 def test_mm_subcommands(capsys):
@@ -249,8 +251,21 @@ SAMPLED_REPORTS = {
 
 
 # sha256 of the all-branches reports at --seed 1, pinned before the executor
-# reused one workspace; the mixed-uniform run reuses it across 9 components
+# reused one workspace; the mixed-uniform run reuses it across 9 components.
+# The beta, bell-product, ric-mm-ghz, verify and stabilizers entries were
+# pinned from the per-tuple Bell-pair builds and the separate Bbar kron loops
+# that bell_products and bbar_sum replaced
 ALL_BRANCHES_REPORTS = {
+    "ric --d 3 --N 2 --channel beta":
+        "441b6e88b593548649225b396ca587869f921346ff1379a63fd0d065f11c7f40",
+    "ric --d 3 --N 2 --channel bell-product":
+        "d87a2a94f7b28b98b170ba084073fe792a02a44e243e1759bb355031ff9333af",
+    "ric-mm-ghz --d 3 --N 2 --L 2":
+        "3bb10f37a5b1b69a76ecf1de064f634cfa09cfb99f45f3274ca4b059b53f5c43",
+    "verify --d 3 --N 2":
+        "a654def55ed4f5f21f57aa15bbaafd94df52473dc901d0374669d56037b0d758",
+    "stabilizers --d 3 --N 2 --channel mixed-uniform":
+        "78334b9a166c7a5bc24ddaf040c99ef5e91d654a2439d39ddc83b63d19733d04",
     "ric --d 3 --N 2 --channel ghz":
         "9eab8d3ac4d135f58121bbb6372ddce9f17bf38da0fda5bda2f7103c424eb0f3",
     "ric --d 3 --N 2 --channel mixed-uniform":

@@ -1,4 +1,5 @@
-"""Source rules for src/qric, checked on the syntax tree: one size guard, no environment knobs."""
+"""Source rules for src/qric, checked on the syntax tree: one size guard, no environment
+knobs, one Bell-product builder."""
 
 import ast
 import pathlib
@@ -44,3 +45,13 @@ def test_exactly_one_function_raises_size_guard_error():
                     if _name(exc).split(".")[-1] == "SizeGuardError":
                         raisers.append(f"{fname}:{func.name}")
     assert raisers == ["statealg.py:check_size"]
+
+
+def test_channels_compose_bell_pairs_only_through_bell_products():
+    calls = [
+        f"channels.py:{node.lineno}"
+        for node in ast.walk(_trees()["channels.py"])
+        if isinstance(node, ast.Call)
+        and _name(node.func).split(".")[-1] in ("bell_state", "tensor", "tensor_many")
+    ]
+    assert calls == []
