@@ -34,7 +34,6 @@ from .opsbasis import (
     weyl_u,
 )
 from .channels import (
-    BetaVector,
     ChannelSpec,
     beta_weighted_channel,
     channel_labels,

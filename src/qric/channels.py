@@ -49,25 +49,6 @@ def telecloning_labels(N: int) -> tuple[str, ...]:
     return ("t'",) + opsbasis.clone_labels(N)
 
 
-@dataclass(frozen=True)
-class BetaVector:
-    """Non-negative branch weights with sum of squares 1."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        object.__setattr__(self, "values", vals)
-        if any(v < 0 for v in vals):
-            raise ConstraintError("beta entries must be non-negative")
-        if abs(sum(v * v for v in vals) - 1.0) > statealg.TOL * len(vals) * 10:
-            raise ConstraintError(f"sum beta^2 = {sum(v*v for v in vals)}, not 1")
-
-    @property
-    def d(self) -> int:
-        return len(self.values)
-
-
 def enumerate_constrained_tuples(d: int, N: int, u: int, v: int) -> list[tuple[int, ...]]:
     """All 2N-index tuples with sum(k_odd) = u and sum(k_even) = v mod d.
 
@@ -328,12 +309,11 @@ def beta_weighted_channel(d: int, N: int) -> PureState:
 
     family = extract_clone_decomposition(d, N)
     # the transplant is one axis permutation: (1..N-1, A_1..A_{N-1}) -> (A'_1, 1', A'_2, 2', ...)
-    axes = [a for s in range(N - 1) for a in (N - 1 + s, s)]
-    bbar = {mn: st.amps.reshape((d,) * (2 * N - 2)).transpose(axes).reshape(-1)
-            for mn, st in family.bbar.items()}
+    axes = [2 + a for s in range(N - 1) for a in (N - 1 + s, s)]
+    bbar = family.bbar.reshape((d,) * (2 * N)).transpose([0, 1] + axes).reshape(d, d, -1)
     neg = -np.arange(d) % d
     tails = opsbasis.bell_bras(d).conj().reshape(d, d, d * d)[np.ix_(neg, neg)]
-    return PureState(Register(d, channel_labels(N)), bbar_sum(bbar, family.beta.values, tails))
+    return PureState(Register(d, channel_labels(N)), bbar_sum(bbar, family.beta, tails))
 
 
 def mixed_channel(spec: ChannelSpec) -> DensityOperator:

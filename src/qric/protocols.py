@@ -17,7 +17,7 @@ from math import log2
 import numpy as np
 
 from . import channels, measurement, opsbasis, statealg
-from .channels import BetaVector, ChannelSpec, channel_labels
+from .channels import ChannelSpec, channel_labels
 from .errors import NormalizationError, ProtocolError
 # weyl_r has no use here; perfbench/test_perfbench.py checks the tracer rebinds protocols.weyl_r
 from .opsbasis import clone_labels, weyl_r, weyl_u  # noqa: F401
@@ -315,75 +315,68 @@ def run_telecloning(
 # ---------------------------------------------------------------------------
 # clone-state decomposition (Appendix-A extraction)
 
-@dataclass
+@dataclass(frozen=True)
 class CloneFamily:
     """Numerically extracted clone decomposition for one (d, N).
 
-    lambdas[(j, n)] are unit vectors on the front register (1..N-1, A_*);
-    bbar[(m, n)] are their Fourier transforms over j and carry the
-    decomposition weights as their norms (mutually orthogonal, not unit).
+    bbar[m, n] (shape (d, d, d^(2N-2))) are vectors on the front register
+    (1..N-1, A_1..A_{N-1}), the Fourier transforms over j of the unit vectors
+    lambda_jn; they are mutually orthogonal, not unit. beta (shape (d,)) are
+    the decomposition weights. Both arrays are read-only: the family is cached.
     """
 
     d: int
     N: int
-    beta: BetaVector
-    front_labels: tuple
-    lambdas: dict
-    bbar: dict
-
-
-def _front_register(d: int, N: int) -> Register:
-    labels = tuple(str(s) for s in range(1, N)) + tuple(f"A_{s}" for s in range(1, N))
-    return Register(d, labels)
+    beta: np.ndarray
+    bbar: np.ndarray
 
 
 @lru_cache(maxsize=32)
 def extract_clone_decomposition(d: int, N: int) -> CloneFamily:
     """Factor the last clone qudit out of every |phi_j> and Fourier-build Bbar.
 
-    Raises ProtocolError if the reconstruction of the clone state from the
-    extracted family misses by more than 1e-9 (implementation bug signal).
+    Raises RuntimeError if beta depends on j or the reconstruction of the
+    clone state from the extracted family misses by more than 1e-9: both
+    check this function's own arithmetic, not its input.
     """
-    front = _front_register(d, N)
     half = d ** (N - 1)
-    lambdas = {}
     beta = np.zeros(d)
+    bbar = np.zeros((d, d, half * half), dtype=np.complex128)
+    omega = opsbasis.omega_table(d)
     for j in range(d):
-        block = opsbasis.phi_vector(d, N, j).reshape(half, d, half)
-        for n in range(d):
-            vec = block[:, (j + n) % d, :].reshape(-1)
-            nrm = float(np.linalg.norm(vec))
-            if j == 0:
-                beta[n] = nrm
-            elif abs(nrm - beta[n]) > 1e-9:
-                raise ProtocolError(f"beta_{n} depends on j: {nrm} vs {beta[n]}")
-            lambdas[(j, n)] = PureState(front, vec / nrm, validate=False)
-    bbar = {}
-    for m in range(d):
-        for n in range(d):
-            acc = np.zeros(half * half, dtype=np.complex128)
-            for j in range(d):
-                acc += opsbasis.omega_power(d, j * m) * lambdas[(j, n)].amps
-            bbar[(m, n)] = PureState(front, acc / np.sqrt(d), validate=False)
-    family = CloneFamily(d, N, BetaVector(tuple(beta)), front.labels, lambdas, bbar)
+        # lambda_jn is the slice where the last clone qudit holds j + n
+        lam = opsbasis.phi_vector(d, N, j).reshape(half, d, half)[:, (j + np.arange(d)) % d, :]
+        lam = lam.transpose(1, 0, 2).reshape(d, -1)
+        nrm = np.array([np.linalg.norm(vec) for vec in lam])
+        if j == 0:
+            beta[:] = nrm
+        bad = np.flatnonzero(np.abs(nrm - beta) > 1e-9)
+        if bad.size:
+            n = bad[0]
+            raise RuntimeError(f"beta_{n} depends on j: {nrm[n]} vs {beta[n]}")
+        bbar += omega[j * np.arange(d) % d][:, None, None] * (lam / nrm[:, None])
+    bbar /= np.sqrt(d)
+    beta.setflags(write=False)
+    bbar.setflags(write=False)
+    family = CloneFamily(d, N, beta, bbar)
     rng = np.random.default_rng(1234)
     for _ in range(3):
         x = rng.normal(size=d) + 1j * rng.normal(size=d)
         x /= np.linalg.norm(x)
         dev = reconstruction_deviation(family, x)
         if dev > 1e-9:
-            raise ProtocolError(f"clone reconstruction off by {dev}")
+            raise RuntimeError(f"clone reconstruction off by {dev}")
     return family
 
 
-def bbar_sum(bbar, beta, tails) -> np.ndarray:
+def bbar_sum(bbar: np.ndarray, beta: np.ndarray, tails: np.ndarray) -> np.ndarray:
     """(1/sqrt d) sum_{m,n} beta_n Bbar_mn (x) tails_mn, accumulated in (m, n) order.
 
-    bbar[m, n] and tails[m, n] are flat amplitude vectors (a dict keyed by
-    (m, n) or a (d, d, dim) array); each term is scaled after its kron.
+    bbar (d, d, dimB) and tails (d, d, dimT) hold flat amplitude vectors;
+    each term is scaled after its kron.
     """
     d = len(beta)
-    acc = np.zeros(len(bbar[0, 0]) * len(tails[0, 0]), dtype=np.complex128)
+    acc = np.zeros(bbar.shape[2] * tails.shape[2], dtype=np.complex128)
     for m in range(d):
         for n in range(d):
             acc += beta[n] * np.kron(bbar[m, n], tails[m, n])
@@ -391,16 +384,16 @@ def bbar_sum(bbar, beta, tails) -> np.ndarray:
     return acc
 
 
-def _clone_tails(d: int, x, L: int) -> dict:
-    """(U^{-m,n} x)^(x L) for every (m, n), the legs of a Bbar expansion of x."""
-    tails = {}
+def _clone_tails(d: int, x, L: int) -> np.ndarray:
+    """(d, d, d^L): (U^{-m,n} x)^(x L) for every (m, n), the legs of a Bbar expansion of x."""
+    tails = np.empty((d, d, d**L), dtype=np.complex128)
     for m in range(d):
         for n in range(d):
             tail = weyl_u(d, -m, n) @ x
             legs = tail
             for _ in range(L - 1):
                 legs = np.kron(legs, tail)
-            tails[(m, n)] = legs
+            tails[m, n] = legs
     return tails
 
 
@@ -409,13 +402,11 @@ def reconstruction_deviation(family: CloneFamily, x) -> float:
     d, N = family.d, family.N
     x = np.asarray(x, dtype=np.complex128)
     direct = clone_state(x, d, N)
-    bbar = {mn: st.amps for mn, st in family.bbar.items()}
-    acc = bbar_sum(bbar, family.beta.values, _clone_tails(d, x, 1))
-    # expansion register order: (1..N-1, A_*, N) -> reorder to clone labels
-    labels = family.front_labels + (str(N),)
-    expanded = PureState(Register(d, labels), acc, validate=False)
-    expanded = statealg.reorder(expanded, clone_labels(N))
-    return float(np.abs(direct.amps - expanded.amps).max())
+    acc = bbar_sum(family.bbar, family.beta, _clone_tails(d, x, 1))
+    # expansion order (1..N-1, A_1..A_{N-1}, N) -> clone labels (1..N, A_1..A_{N-1})
+    half = d ** (N - 1)
+    expanded = acc.reshape(half, half, d).transpose(0, 2, 1).reshape(-1)
+    return float(np.abs(direct.amps - expanded).max())
 
 
 # ---------------------------------------------------------------------------
@@ -639,57 +630,25 @@ def mm_multi_labels(N: int, L: int) -> tuple:
     return front + legs
 
 
-BBAR_SOURCES = ("clone-family", "random-orthonormal")
-
-
-def synth_distributed_state(
-    x,
-    d: int,
-    N: int,
-    L: int,
-    beta: BetaVector | None = None,
-    bbar_source: str = "clone-family",
-    rng: np.random.Generator | None = None,
-) -> PureState:
+def synth_distributed_state(x, d: int, N: int, L: int) -> PureState:
     """(1/sqrt d) sum_{m,n} beta_n Bbar_{mn} (x) (U^{-m,n}|phi>)^(x L).
 
-    The Bbar set must satisfy the clone-family covariance on 2(N-L) qudits;
-    sources: "clone-family" (extraction for N-L+1 clones, with its beta) or
-    "random-orthonormal" (random unit vectors in the covariance eigenspaces).
-    For L = N the Bbar register is empty and the state degenerates to
-    |phi>^(x L).
+    Bbar and beta are the clone family of N-L+1 clones, whose Bbar set
+    satisfies the covariance on 2(N-L) qudits. For L = N the Bbar register
+    is empty and the state degenerates to |phi>^(x L).
     """
     if not 1 <= L <= N:
         raise ProtocolError("need 1 <= L <= N")
-    if bbar_source not in BBAR_SOURCES:
-        raise ProtocolError(f"unknown bbar_source {bbar_source!r}: use one of {BBAR_SOURCES}")
     x = np.asarray(x, dtype=np.complex128).reshape(-1)
     if abs(np.sum(np.abs(x) ** 2) - 1.0) > 1e-8:
         raise NormalizationError("input amplitudes not normalized")
     labels = mm_multi_labels(N, L)
-    reg = Register(d, labels)
-    leg_labels = labels[2 * (N - L):]
     if L == N:
-        if beta is not None and any(
-            abs(b - (1.0 if i == 0 else 0.0)) > 1e-12 for i, b in enumerate(beta.values)
-        ):
-            raise ProtocolError("L = N admits only the trivial beta = e_0")
-        legs = [PureState(Register(d, (l,)), x) for l in leg_labels]
-        return statealg.tensor_many(legs)
-    if bbar_source == "random-orthonormal":
-        if rng is None:
-            rng = np.random.default_rng(0)
-        bbar = random_covariant_bbar(d, N - L, rng)
-        if beta is None:
-            vals = np.ones(d) / np.sqrt(d)
-            beta = BetaVector(tuple(vals))
-    else:
-        family = extract_clone_decomposition(d, N - L + 1)
-        bbar = {mn: st.amps for mn, st in family.bbar.items()}
-        if beta is None:
-            beta = family.beta
-    check_bbar_covariance(bbar, d, N - L)
-    return PureState(reg, bbar_sum(bbar, beta.values, _clone_tails(d, x, L)))
+        return statealg.tensor_many([PureState(Register(d, (l,)), x) for l in labels])
+    family = extract_clone_decomposition(d, N - L + 1)
+    check_bbar_covariance(family.bbar, d, N - L)
+    amps = bbar_sum(family.bbar, family.beta, _clone_tails(d, x, L))
+    return PureState(Register(d, labels), amps)
 
 
 def _covariance(d: int, pairs: int, k, ell):
@@ -697,24 +656,28 @@ def _covariance(d: int, pairs: int, k, ell):
     return opsbasis.weyl_monomial(d, [("R", k, ell)] * pairs + [("R", -k, ell)] * pairs)
 
 
-def check_bbar_covariance(bbar: dict, d: int, pairs: int, tol: float = 1e-9):
-    """Verify R^{k,l}-tensor covariance with eigenvalue w^{lm-nk}, (k,l) in (1,0), (0,1), (1,1)."""
+def check_bbar_covariance(bbar: np.ndarray, d: int, pairs: int, tol: float = 1e-9):
+    """Verify R^{k,l}-tensor covariance with eigenvalue w^{lm-nk}, (k,l) in (1,0), (0,1), (1,1).
+
+    bbar is (d, d, d^(2 pairs)); all (m, n) are checked in one gather. The set
+    is computed, not given, so a violation raises RuntimeError naming the
+    first failing (m, n, (k, l)).
+    """
     if pairs == 0:
         return
     k, ell = np.array([1, 0, 1]), np.array([0, 1, 1])
     col, val = _covariance(d, pairs, k, ell)  # one row per (k, l)
-    for (m, n), vec in bbar.items():
-        want = opsbasis.omega_table(d)[(ell * m - n * k) % d][:, None] * vec
-        bad = np.abs(val * vec[col] - want).max(axis=1) > tol
-        if bad.any():
-            i = int(bad.argmax())
-            raise ProtocolError(
-                f"Bbar_({m},{n}) violates the covariance for (k,l)=({k[i]},{ell[i]})"
-            )
+    idx = np.arange(d)
+    # phase[m, n, i] = w^{l_i m - n k_i}, the eigenvalue of row i for Bbar_mn
+    phase = opsbasis.omega_table(d)[(ell * idx[:, None, None] - idx[:, None] * k) % d]
+    bad = np.abs(val * bbar[:, :, col] - phase[..., None] * bbar[:, :, None]).max(axis=3) > tol
+    if bad.any():
+        m, n, i = np.argwhere(bad)[0]
+        raise RuntimeError(f"Bbar_({m},{n}) violates the covariance for (k,l)=({k[i]},{ell[i]})")
 
 
-def random_covariant_bbar(d: int, pairs: int, rng: np.random.Generator) -> dict:
-    """Orthonormal covariant set: project random vectors onto each eigenspace.
+def random_covariant_bbar(d: int, pairs: int, rng: np.random.Generator) -> np.ndarray:
+    """(d, d, d^(2 pairs)) orthonormal covariant set: project random vectors onto each eigenspace.
 
     The (m, n) eigenspace projector is the sum over (k, l) of
     w^{-(lm-nk)} R^{k,l} (x) R^{-k,l}, up to a factor; all d^2 products form
@@ -724,7 +687,7 @@ def random_covariant_bbar(d: int, pairs: int, rng: np.random.Generator) -> dict:
     statealg.check_size("covariance table bytes", 24 * d * d * dim)
     k, ell = np.divmod(np.arange(d * d), d)
     col, val = _covariance(d, pairs, k, ell)
-    out = {}
+    out = np.empty((d, d, dim), dtype=np.complex128)
     for m in range(d):
         for n in range(d):
             raw = rng.normal(size=dim) + 1j * rng.normal(size=dim)
@@ -732,7 +695,7 @@ def random_covariant_bbar(d: int, pairs: int, rng: np.random.Generator) -> dict:
             nrm = np.linalg.norm(acc)
             if nrm < 1e-8:  # pragma: no cover - eigenspaces are never empty here
                 raise ProtocolError("eigenspace projection vanished; retry with a new seed")
-            out[(m, n)] = acc / nrm
+            out[m, n] = acc / nrm
     return out
 
 

@@ -10,6 +10,8 @@ checked against code that shares none of their index arithmetic:
 - project_pair: <pair| contracted onto two qudits (einsum)
 - gbm_branches / gbm_sample: the single-state GBM with the pair removed,
   every branch or one drawn by cumulative probability
+- bbar_expansion: (1/sqrt d) sum_{m,n} beta_n Bbar_mn (x) (U^{-m,n} x)^(x L)
+  as a kron loop over any (d, d, dim) Bbar array and beta
 """
 
 import numpy as np
@@ -98,3 +100,17 @@ def gbm_sample(state, pair, rng):
     probs = np.array([br.outcome.probability for br in branches])
     r = float(rng.random()) * probs.sum()
     return branches[min(int(np.searchsorted(np.cumsum(probs), r)), len(probs) - 1)]
+
+
+def bbar_expansion(bbar, beta, x, d, L):
+    """The distributed-state sum, one kron per (m, n) in (m, n) order."""
+    out = np.zeros(len(bbar[0, 0]) * d**L, dtype=np.complex128)
+    for m in range(d):
+        for n in range(d):
+            tail = opsbasis.weyl_u(d, -m, n) @ x
+            legs = tail
+            for _ in range(L - 1):
+                legs = np.kron(legs, tail)
+            out += beta[n] * np.kron(bbar[m, n], legs)
+    out /= np.sqrt(d)
+    return out

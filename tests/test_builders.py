@@ -2,18 +2,21 @@
 
 Each oracle is a test-local copy of an earlier builder: Bell products as a
 kron chain of labelled pairs and a reorder, the GHZ-terminated channel as
-its own loop, and the three Bbar expansions as separate kron loops. The
-builders in src/ must give the same amplitudes exactly (np.array_equal),
-because the pinned report digests rest on them.
+its own loop, the clone-family extraction as dicts of per-(j, n) vectors,
+and the three Bbar expansions as separate kron loops (the distributed-state
+one is reference.bbar_expansion). The builders in src/ must give the same
+amplitudes exactly (np.array_equal), because the pinned report digests
+rest on them.
 """
 
 import numpy as np
 import pytest
 
+import reference
 from qric import channels, opsbasis, protocols, statealg
 from qric.channels import ChannelSpec, channel_labels
 from qric.errors import ConstraintError, SizeGuardError
-from qric.opsbasis import bell_state, weyl_u
+from qric.opsbasis import bell_state
 from qric.statealg import PureState, Register
 
 
@@ -110,39 +113,70 @@ def test_mm_ghz_channel_matches_the_composed_channel(d, N, L):
     assert np.array_equal(chan.amps, old_mm_ghz(d, N, L))
 
 
-def old_beta_weighted(d, N):
+def front_labels(N):
+    """The Bbar register: clones 1..N-1, then ancillas A_1..A_{N-1}."""
+    return tuple(str(s) for s in range(1, N)) + tuple(f"A_{s}" for s in range(1, N))
+
+
+def old_extraction(d, N):
+    """(bbar, beta) of the dict extraction: every lambda_jn a per-(j, n) slice
+    over its float norm, every Bbar_mn its own loop over j, keyed by (m, n)."""
+    half = d ** (N - 1)
+    lambdas, beta = {}, [0.0] * d
+    for j in range(d):
+        block = opsbasis.phi_vector(d, N, j).reshape(half, d, half)
+        for n in range(d):
+            vec = block[:, (j + n) % d, :].reshape(-1)
+            nrm = float(np.linalg.norm(vec))
+            if j == 0:
+                beta[n] = nrm
+            lambdas[(j, n)] = vec / nrm
+    bbar = {}
+    for m in range(d):
+        for n in range(d):
+            acc = np.zeros(half * half, dtype=np.complex128)
+            for j in range(d):
+                acc += opsbasis.omega_power(d, j * m) * lambdas[(j, n)]
+            bbar[(m, n)] = acc / np.sqrt(d)
+    return bbar, tuple(beta)
+
+
+EXTRACTIONS = [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3)]
+
+
+@pytest.mark.parametrize("d,N", EXTRACTIONS)
+def test_extraction_matches_the_dict_extraction(d, N):
     family = protocols.extract_clone_decomposition(d, N)
+    bbar, beta = old_extraction(d, N)
+    assert family.bbar.shape == (d, d, d ** (2 * N - 2))
+    for (m, n), vec in bbar.items():
+        assert np.array_equal(family.bbar[m, n], vec)
+    assert np.array_equal(family.beta, beta)
+    # the family is cached and shared, so neither array may be written
+    assert not family.bbar.flags.writeable and not family.beta.flags.writeable
+
+
+def old_beta_weighted(d, N):
+    bbar, beta = old_extraction(d, N)
     mapping = {str(s): f"{s}'" for s in range(1, N)}
     mapping.update({f"A_{s}": f"A'_{s}" for s in range(1, N)})
-    front_labels = channel_labels(N)[: 2 * (N - 1)]
+    channel_front = channel_labels(N)[: 2 * (N - 1)]
     out = None
     for x in range(d):
         for y in range(d):
-            front = statealg.permute(family.bbar[(x, y)], mapping)
-            front = statealg.reorder(front, front_labels)
+            front = PureState(Register(d, front_labels(N)), bbar[(x, y)], validate=False)
+            front = statealg.permute(front, mapping)
+            front = statealg.reorder(front, channel_front)
             last = bell_state(d, (-x) % d, (-y) % d, (f"A'_{N}", f"{N}'"))
-            vec = family.beta.values[y] * np.kron(front.amps, last.amps)
+            vec = beta[y] * np.kron(front.amps, last.amps)
             out = vec if out is None else out + vec
     out /= np.sqrt(d)
     return out
 
 
-@pytest.mark.parametrize("d,N", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3)])
+@pytest.mark.parametrize("d,N", EXTRACTIONS)
 def test_beta_weighted_channel_matches_the_transplant_loop(d, N):
     assert np.array_equal(channels.beta_weighted_channel(d, N).amps, old_beta_weighted(d, N))
-
-
-def old_bbar_expansion(bbar, beta, x, d, L):
-    out = np.zeros(len(bbar[(0, 0)]) * d**L, dtype=np.complex128)
-    for m in range(d):
-        for n in range(d):
-            tail = weyl_u(d, -m, n) @ x
-            legs = tail
-            for _ in range(L - 1):
-                legs = np.kron(legs, tail)
-            out += beta[n] * np.kron(bbar[(m, n)], legs)
-    out /= np.sqrt(d)
-    return out
 
 
 def unit_vector(d, seed):
@@ -154,24 +188,18 @@ def unit_vector(d, seed):
 @pytest.mark.parametrize("d,N,L", [(2, 3, 1), (3, 3, 2), (2, 4, 2), (3, 2, 1)])
 def test_distributed_state_matches_the_kron_loop(d, N, L):
     x = unit_vector(d, seed=d + N + L)
-    family = protocols.extract_clone_decomposition(d, N - L + 1)
-    bbar = {mn: st.amps for mn, st in family.bbar.items()}
+    bbar, beta = old_extraction(d, N - L + 1)
     got = protocols.synth_distributed_state(x, d, N, L)
-    assert np.array_equal(got.amps, old_bbar_expansion(bbar, family.beta.values, x, d, L))
-    bbar = protocols.random_covariant_bbar(d, N - L, np.random.default_rng(5))
-    got = protocols.synth_distributed_state(x, d, N, L, bbar_source="random-orthonormal",
-                                            rng=np.random.default_rng(5))
-    beta = channels.BetaVector(tuple(np.ones(d) / np.sqrt(d))).values
-    assert np.array_equal(got.amps, old_bbar_expansion(bbar, beta, x, d, L))
+    assert np.array_equal(got.amps, reference.bbar_expansion(bbar, beta, x, d, L))
 
 
 @pytest.mark.parametrize("d,N", [(2, 2), (3, 3), (4, 2)])
 def test_reconstruction_deviation_matches_the_kron_loop(d, N):
     family = protocols.extract_clone_decomposition(d, N)
     x = unit_vector(d, seed=3 * d + N)
-    bbar = {mn: st.amps for mn, st in family.bbar.items()}
-    expanded = PureState(Register(d, family.front_labels + (str(N),)),
-                         old_bbar_expansion(bbar, family.beta.values, x, d, 1), validate=False)
+    bbar, beta = old_extraction(d, N)
+    expanded = PureState(Register(d, front_labels(N) + (str(N),)),
+                         reference.bbar_expansion(bbar, beta, x, d, 1), validate=False)
     expanded = statealg.reorder(expanded, opsbasis.clone_labels(N))
     want = float(np.abs(protocols.clone_state(x, d, N).amps - expanded.amps).max())
     assert protocols.reconstruction_deviation(family, x) == want

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from qric import (
-    BetaVector,
     ChannelSpec,
     Cut,
     beta_weighted_channel,
@@ -202,14 +201,6 @@ def test_beta_channel_d3_differs_from_telecloning():
 @pytest.mark.parametrize("d,N", [(2, 3), (3, 2)])
 def test_beta_channel_normalized(d, N):
     assert abs(beta_weighted_channel(d, N).norm() - 1) < 1e-10
-
-
-def test_beta_vector_validation():
-    with pytest.raises(ConstraintError):
-        BetaVector((0.5, 0.5))
-    with pytest.raises(ConstraintError):
-        BetaVector((-1.0, 0.0))
-    BetaVector((1.0, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,14 @@ def test_internal_key_error_is_not_a_configuration_error(monkeypatch):
         main(["verify", "--out", "/dev/null"])
 
 
+def test_internal_reconstruction_fault_is_not_a_configuration_error(monkeypatch):
+    # the extraction's self-check guards our own arithmetic: its failure propagates
+    protocols.extract_clone_decomposition.cache_clear()
+    monkeypatch.setattr(protocols, "reconstruction_deviation", lambda family, x: 1.0)
+    with pytest.raises(RuntimeError, match="clone reconstruction off by 1.0"):
+        main(["verify", "--d", "2", "--N", "2", "--out", "/dev/null"])
+
+
 def test_ric_missing_channel_file_exit_2():
     assert main(["ric", "--channel", "/nonexistent/chan.json", "--out", "/dev/null"]) == 2
 
@@ -254,7 +262,8 @@ SAMPLED_REPORTS = {
 # reused one workspace; the mixed-uniform run reuses it across 9 components.
 # The beta, bell-product, ric-mm-ghz, verify and stabilizers entries were
 # pinned from the per-tuple Bell-pair builds and the separate Bbar kron loops
-# that bell_products and bbar_sum replaced
+# that bell_products and bbar_sum replaced. The last three, an extraction at N >= 3 each,
+# were pinned from the dict-of-states clone family that the array form replaced
 ALL_BRANCHES_REPORTS = {
     "ric --d 3 --N 2 --channel beta":
         "441b6e88b593548649225b396ca587869f921346ff1379a63fd0d065f11c7f40",
@@ -276,6 +285,12 @@ ALL_BRANCHES_REPORTS = {
         "e2eda57ae140dc2915ce462c56cf15dcc66972dd6b8fb0c989ee65908a0226f5",
     "ric-mm-multi --d 3 --N 2 --L 1":
         "10031410f093c16f17f6e9603023380630fb8f60989dd131cea0e9dbb32a66db",
+    "ric --d 2 --N 3 --channel beta":
+        "1e0815337b0fbceb97e9cb6dc3e5199e873b30e39cd811fa070fd795303d52bc",
+    "verify --d 3 --N 3":
+        "4209faeea0bdc442a20c6dff1a5a7f3b0238114a38aef14e1f24c7a030226df1",
+    "ric-mm-multi --d 2 --N 3 --L 1":
+        "b764eb51e7f9f10a8e789731e6b5e17f44bcc3b9ad6b2494c0886fa3cb32be95",
 }
 
 

@@ -105,15 +105,15 @@ def test_clone_state_single_clone_fidelity():
 
 def test_extraction_beta_values_d2():
     fam = extract_clone_decomposition(2, 2)
-    assert abs(fam.beta.values[0] - np.sqrt(5 / 6)) < 1e-10
-    assert abs(fam.beta.values[1] - np.sqrt(1 / 6)) < 1e-10
+    assert abs(fam.beta[0] - np.sqrt(5 / 6)) < 1e-10
+    assert abs(fam.beta[1] - np.sqrt(1 / 6)) < 1e-10
 
 
 def test_extraction_beta_values_d3():
     fam = extract_clone_decomposition(3, 2)
-    assert abs(fam.beta.values[0] - np.sqrt(6 / 8)) < 1e-10
-    assert abs(fam.beta.values[1] - np.sqrt(1 / 8)) < 1e-10
-    assert abs(fam.beta.values[2] - np.sqrt(1 / 8)) < 1e-10
+    assert abs(fam.beta[0] - np.sqrt(6 / 8)) < 1e-10
+    assert abs(fam.beta[1] - np.sqrt(1 / 8)) < 1e-10
+    assert abs(fam.beta[2] - np.sqrt(1 / 8)) < 1e-10
 
 
 @pytest.mark.parametrize("d,N", [(2, 2), (2, 3), (3, 2)])
@@ -126,17 +126,24 @@ def test_reconstruction_20_random_inputs(d, N):
         assert protocols.reconstruction_deviation(fam, x) < 1e-9
 
 
+def front_labels(N):
+    """The Bbar register: clones 1..N-1, then ancillas A_1..A_{N-1}."""
+    return tuple(str(s) for s in range(1, N)) + tuple(f"A_{s}" for s in range(1, N))
+
+
 @pytest.mark.parametrize("d,N", [(2, 2), (3, 2), (2, 3)])
 def test_bbar_orthogonal_and_covariant(d, N):
     fam = extract_clone_decomposition(d, N)
+    assert fam.bbar.shape == (d, d, d ** (2 * N - 2)) and fam.beta.shape == (d,)
     # mutual orthogonality across (m, n)
-    keys = list(fam.bbar)
+    keys = list(itertools.product(range(d), repeat=2))
     for i, k1 in enumerate(keys):
         for k2 in keys[i + 1:]:
-            ov = np.vdot(fam.bbar[k1].amps, fam.bbar[k2].amps)
+            ov = np.vdot(fam.bbar[k1], fam.bbar[k2])
             assert abs(ov) < 1e-10
     # R^{k,l}-tensor covariance with eigenvalue w^{lm-nk}
-    for (m, n), st in fam.bbar.items():
+    for m, n in keys:
+        st = PureState(statealg.Register(d, front_labels(N)), fam.bbar[m, n], validate=False)
         for k, ell in ((1, 0), (0, 1), (1, 1)):
             moved = st
             for s in range(1, N):
@@ -153,14 +160,14 @@ def test_bbar_supported_on_constraint_class(d, N):
     # are exactly (m, n)
     fam = extract_clone_decomposition(d, N)
     pair_labels = [(str(s), f"A_{s}") for s in range(1, N)]
-    for (m, n), st in fam.bbar.items():
+    for (m, n), vec in zip(itertools.product(range(d), repeat=2), fam.bbar.reshape(d * d, -1)):
         for idxs in itertools.product(range(d), repeat=2 * (N - 1)):
             comp = tensor_many(
                 [opsbasis.bell_state(d, idxs[2 * i], idxs[2 * i + 1], pair_labels[i])
                  for i in range(N - 1)]
             )
-            comp = statealg.reorder(comp, fam.front_labels)
-            amp = np.vdot(comp.amps, st.amps)
+            comp = statealg.reorder(comp, front_labels(N))
+            amp = np.vdot(comp.amps, vec)
             in_class = (sum(idxs[0::2]) % d, sum(idxs[1::2]) % d) == (m, n)
             if not in_class:
                 assert abs(amp) < 1e-10
@@ -436,22 +443,25 @@ def test_synth_normalized_random_beta():
 
 
 def test_synth_arbitrary_beta_still_normalized():
-    from qric.channels import BetaVector
-
+    # the clone family's Bbar expansion stays normalized under any unit beta
     rng = np.random.default_rng(73)
     x = rng.normal(size=2) + 1j * rng.normal(size=2)
     x /= np.linalg.norm(x)
     raw = rng.random(2)
-    beta = BetaVector(tuple(np.sqrt(raw / raw.sum())))
-    dist = synth_distributed_state(x, 2, 2, 1, beta=beta)
-    assert abs(dist.norm() - 1) < 1e-10
+    beta = np.sqrt(raw / raw.sum())
+    amps = reference.bbar_expansion(extract_clone_decomposition(2, 2).bbar, beta, x, 2, 1)
+    assert abs(np.linalg.norm(amps) - 1) < 1e-10
 
 
 def test_synth_random_orthonormal_source_covariant_and_concentrable():
+    # any covariant orthonormal Bbar set with uniform beta gives a concentrable state
     d, N, L = 2, 3, 2
     rng = np.random.default_rng(71)
     inp = random_qudit(d, rng)
-    dist = synth_distributed_state(inp.amps, d, N, L, bbar_source="random-orthonormal", rng=rng)
+    bbar = protocols.random_covariant_bbar(d, N - L, rng)
+    protocols.check_bbar_covariance(bbar, d, N - L)
+    amps = reference.bbar_expansion(bbar, np.ones(d) / np.sqrt(d), inp.amps, d, L)
+    dist = PureState(statealg.Register(d, protocols.mm_multi_labels(N, L)), amps)
     assert abs(dist.norm() - 1) < 1e-10
     branches, _ = run_mm_multiqudit(dist, d, N, L, mode="all-branches")
     receiver = [f"{s}'" for s in range(N - L + 1, N + 1)]
@@ -462,32 +472,28 @@ def test_synth_random_orthonormal_source_covariant_and_concentrable():
         assert abs(overlap(state, target)) > 1 - 1e-9
 
 
-def test_synth_rejects_an_unknown_bbar_source():
-    with pytest.raises(ProtocolError, match="clone-family"):
-        synth_distributed_state([1, 0], 2, 3, 2, bbar_source="random_orthonormal")
-
-
 @pytest.mark.parametrize("pairs", [1, 2])
 def test_bbar_covariance_check_d3(pairs):
     # clone-family Bbar over `pairs` clone/ancilla pairs passes; a shifted
     # vector and one with a position-dependent phase each fail
     d = 3
     fam = extract_clone_decomposition(d, pairs + 1)
-    bbar = {mn: st.amps for mn, st in fam.bbar.items()}
-    protocols.check_bbar_covariance(bbar, d, pairs)
-    vec = bbar[(1, 2)]
+    protocols.check_bbar_covariance(fam.bbar, d, pairs)
+    vec = fam.bbar[1, 2]
     for bad_vec in (np.roll(vec, 1), vec * np.exp(0.1j * np.arange(vec.size))):
-        with pytest.raises(ProtocolError, match=r"Bbar_\(1,2\)"):
-            protocols.check_bbar_covariance({**bbar, (1, 2): bad_vec}, d, pairs)
+        bad = fam.bbar.copy()
+        bad[1, 2] = bad_vec
+        bad[2, 0] = np.roll(bad[2, 0], 1)  # a later (m, n) fails too; the first is named
+        with pytest.raises(RuntimeError, match=r"Bbar_\(1,2\)"):
+            protocols.check_bbar_covariance(bad, d, pairs)
 
 
 def test_synth_state_satisfies_covariance_by_construction():
     fam = extract_clone_decomposition(2, 2)
-    bbar = {mn: st.amps for mn, st in fam.bbar.items()}
-    protocols.check_bbar_covariance(bbar, 2, 1)  # must not raise
-    bad = dict(bbar)
-    bad[(0, 1)] = np.roll(bad[(0, 1)], 1)
-    with pytest.raises(ProtocolError):
+    protocols.check_bbar_covariance(fam.bbar, 2, 1)  # must not raise
+    bad = fam.bbar.copy()
+    bad[0, 1] = np.roll(bad[0, 1], 1)
+    with pytest.raises(RuntimeError):
         protocols.check_bbar_covariance(bad, 2, 1)
 
 

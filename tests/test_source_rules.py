@@ -1,5 +1,5 @@
 """Source rules for src/qric, checked on the syntax tree: one size guard, no environment
-knobs, one Bell-product builder."""
+knobs, one Bell-product builder, internal self-checks outside the package's error types."""
 
 import ast
 import pathlib
@@ -55,3 +55,19 @@ def test_channels_compose_bell_pairs_only_through_bell_products():
         and _name(node.func).split(".")[-1] in ("bell_state", "tensor", "tensor_many")
     ]
     assert calls == []
+
+
+def test_clone_family_self_checks_raise_no_package_error():
+    # they check arrays the package computed itself; cli.main maps package errors to exit 2
+    errors = {node.name for node in ast.walk(_trees()["errors.py"])
+              if isinstance(node, ast.ClassDef)}
+    raised = []
+    for func in ast.walk(_trees()["protocols.py"]):
+        if isinstance(func, ast.FunctionDef) and func.name in (
+                "extract_clone_decomposition", "check_bbar_covariance"):
+            for node in ast.walk(func):
+                if isinstance(node, ast.Raise) and node.exc is not None:
+                    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                    raised.append((func.name, _name(exc).split(".")[-1]))
+    assert len({name for name, _ in raised}) == 2
+    assert [r for r in raised if r[1] in errors] == []
