@@ -44,7 +44,6 @@ from .channels import (
     mixed_channel,
     preset_spec,
     product_bell_channel,
-    sample_mixed,
     smolin_like,
     telecloning_channel,
 )
@@ -57,8 +56,7 @@ from .measurement import (
 )
 from .protocols import (
     CloneFamily,
-    PartyRegistry,
-    Transcript,
+    Leaves,
     clone_state,
     deduce_correction,
     default_ric_registry,

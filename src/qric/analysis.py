@@ -115,9 +115,7 @@ def unlock_ubes(d: int, N: int, mode: str = "all-branches",
         statealg.Register(d, channel_labels(N)),
         lambda k, out: np.copyto(out, channels.bell_products(d, N, tuples[k])[0]),
         weights)
-    (outs, prob, pair_reg, vecs), _ = protocols.execute(
-        joint, pairs, lambda *leaf_arrays: leaf_arrays, "all-branches"
-    )
+    outs, prob, pair_reg, vecs = protocols.execute(joint, pairs, "all-branches")
     # codes repeat across components: np.add.at sums them, a fancy += would not
     codes = np.ravel_multi_index(outs.reshape(len(prob), -1).T, digits)
     mats = np.zeros((d ** len(digits), d * d, d * d), dtype=np.complex128)
@@ -169,11 +167,6 @@ def ppt_min_eigenvalue(rho: DensityOperator, cut: Cut) -> float:
     return float(np.linalg.eigvalsh(mat).min())
 
 
-def symmetry_groups(N: int) -> tuple[tuple, tuple]:
-    """Same slot structure as the stabilizer assignment."""
-    return stabilizer_groups(N)
-
-
 @dataclass
 class SymmetryReport:
     within_g1: dict
@@ -199,7 +192,7 @@ def _swap_distance(rho: DensityOperator, a: str, b: str) -> float:
 
 def symmetry_report(rho: DensityOperator, d: int, N: int) -> SymmetryReport:
     """Frobenius swap distances: within each slot group, plus A'_1 <-> 1'."""
-    g1, g2 = symmetry_groups(N)
+    g1, g2 = stabilizer_groups(N)
     within_g1 = {}
     within_g2 = {}
     for group, acc in ((g1, within_g1), (g2, within_g2)):

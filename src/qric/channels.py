@@ -334,13 +334,6 @@ def mixed_channel(spec: ChannelSpec) -> DensityOperator:
     return DensityOperator(reg, (vecs.T * weights) @ vecs.conj(), validate=False)
 
 
-def sample_mixed(spec: ChannelSpec, rng: np.random.Generator):
-    """Draw (tuple, PureState) with probability C - the purification shortcut."""
-    if spec.kind != "mixed":
-        raise ConstraintError("spec kind must be mixed")
-    return spec.sample(rng)
-
-
 def smolin_like(d: int, N: int) -> DensityOperator:
     """Uniform mixture over all u=v=0 constrained Bell-product projectors."""
     return mixed_channel(ChannelSpec(kind="smolin-like", d=d, N=N))

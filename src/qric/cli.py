@@ -22,6 +22,8 @@ from .statealg import Cut
 
 DEFAULT_SEED = 1234
 DEFAULT_TOL = 1e-9
+# a run's report scores every leaf it has: every non-null branch, or every trial
+COVERAGE = 1.0
 
 EXIT_OK = 0
 EXIT_CHECK = 1
@@ -77,43 +79,36 @@ def cmd_teleclone(args):
     inp = statealg.random_qudit(d, rng)
     expected = analysis.clone_fidelity_formula(d, N)
     checks = []
-    transcripts = []
-    runs = protocols.run_telecloning(inp, d, N, mode=args.mode, rng=rng, trials=args.trials)
-    for i, (state, transcript) in enumerate(runs):
+    leaves = protocols.run_telecloning(inp, d, N, mode=args.mode, rng=rng, trials=args.trials)
+    rows = range(len(leaves.probs))
+    for i in rows:
+        state = leaves.state(i)
         for s in range(1, N + 1):
             rho = statealg.partial_trace(state, [str(s)])
             fid = float(np.real(np.vdot(inp.amps, rho.mat @ inp.amps)))
             checks.append(_check(f"branch{i}.clone{s}.fidelity", fid, expected, _tol(args, DEFAULT_TOL)))
-        transcript.fidelity = None
-        transcripts.append(transcript.to_json_dict())
     return {
         "config": _config_echo(args),
         "clone_fidelity_formula": expected,
         "checks": checks,
-        "transcripts": transcripts[: args.max_transcripts],
+        "transcripts": [leaves.transcript(i) for i in rows[: args.max_transcripts]],
     }
 
 
-def _fidelity_runs(args, run, target, rng):
-    """Score each leaf of run(mode=..., rng=rng, trials=...) against target.
+def _fidelity_runs(args, leaves, target):
+    """Score every leaf of a run against target: (fidelities, checks, transcripts).
 
-    --mode all-branches enumerates every branch (of every component of a
-    mixed channel); --mode sample draws --trials runs in one call. Returns
-    (fidelities, transcripts, checks, coverage).
+    --mode all-branches gives every branch (of every component of a mixed
+    channel); --mode sample gives --trials runs. The transcripts list the
+    first --max-transcripts leaves, each with its fidelity.
     """
-    branches = run(mode=args.mode, rng=rng, trials=args.trials)
-    if args.mode == "all-branches":
-        branches, coverage = branches
-    else:
-        coverage = 1.0
-    fids, transcripts = [], []
-    for state, transcript in branches:
-        transcript.fidelity = abs(statealg.overlap(state, target)) ** 2
-        fids.append(transcript.fidelity)
-        transcripts.append(transcript)
+    t = statealg.reorder(target, leaves.register.labels).amps
+    fids = [abs(complex(np.vdot(row, t))) ** 2 for row in leaves.amps]
     checks = [_check(f"run{i}.fidelity", fid, 1.0, _tol(args, DEFAULT_TOL))
               for i, fid in enumerate(fids)]
-    return fids, transcripts, checks, coverage
+    transcripts = [{**leaves.transcript(i), "fidelity": fids[i]}
+                   for i in range(len(fids))[: args.max_transcripts]]
+    return fids, checks, transcripts
 
 
 def cmd_ric(args):
@@ -126,17 +121,16 @@ def cmd_ric(args):
     rng = np.random.default_rng(args.seed)
     inp = statealg.random_qudit(d, rng)
     clone = protocols.clone_state(inp.amps, d, N)
-    fids, transcripts, checks, coverage = _fidelity_runs(
-        args, lambda **kw: protocols.run_ric(clone, spec, **kw), _diana_target(inp, N), rng
-    )
+    leaves = protocols.run_ric(clone, spec, mode=args.mode, rng=rng, trials=args.trials)
+    fids, checks, transcripts = _fidelity_runs(args, leaves, _diana_target(inp, N))
     bits_expected = (2 * N - 1) * 2.0 * log2(d)
-    checks.append(_check("classical_bits", transcripts[0].total_bits(), bits_expected, 1e-12))
+    checks.append(_check("classical_bits", leaves.total_bits(), bits_expected, 1e-12))
     return {
         "config": _config_echo(args),
-        "coverage": coverage,
+        "coverage": COVERAGE,
         "fidelities": fids,
         "checks": checks,
-        "transcripts": [t.to_json_dict() for t in transcripts[: args.max_transcripts]],
+        "transcripts": transcripts,
     }
 
 
@@ -148,14 +142,13 @@ def cmd_ric_mm_ghz(args):
     target = protocols.ghz_correlated_state(
         inp.amps, d, L, labels=[f"{N}'_{i}" for i in range(1, L + 1)]
     )
-    _, transcripts, checks, coverage = _fidelity_runs(
-        args, lambda **kw: protocols.run_mm_ghz(clone, d, N, L, **kw), target, rng
-    )
+    leaves = protocols.run_mm_ghz(clone, d, N, L, mode=args.mode, rng=rng, trials=args.trials)
+    _, checks, transcripts = _fidelity_runs(args, leaves, target)
     return {
         "config": _config_echo(args),
-        "coverage": coverage,
+        "coverage": COVERAGE,
         "checks": checks,
-        "transcripts": [t.to_json_dict() for t in transcripts[: args.max_transcripts]],
+        "transcripts": transcripts,
     }
 
 
@@ -171,16 +164,16 @@ def cmd_ric_mm_multi(args):
     target = statealg.tensor_many(
         [statealg.permute(inp, {inp.register.labels[0]: lab}) for lab in receiver]
     )
-    _, transcripts, checks, coverage = _fidelity_runs(
-        args, lambda **kw: protocols.run_mm_multiqudit(dist, d, N, L, **kw), target, rng
-    )
+    leaves = protocols.run_mm_multiqudit(dist, d, N, L, mode=args.mode, rng=rng,
+                                         trials=args.trials)
+    _, checks, transcripts = _fidelity_runs(args, leaves, target)
     bits_expected = (2 * N - L) * 2.0 * log2(d)
-    checks.append(_check("classical_bits", transcripts[0].total_bits(), bits_expected, 1e-12))
+    checks.append(_check("classical_bits", leaves.total_bits(), bits_expected, 1e-12))
     return {
         "config": _config_echo(args),
-        "coverage": coverage,
+        "coverage": COVERAGE,
         "checks": checks,
-        "transcripts": [t.to_json_dict() for t in transcripts[: args.max_transcripts]],
+        "transcripts": transcripts,
     }
 
 

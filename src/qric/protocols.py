@@ -10,9 +10,10 @@ x = u'' + u' - u, y = v'' + v' - v (mod d).
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import log2
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,85 +25,62 @@ from .opsbasis import clone_labels, weyl_r, weyl_u  # noqa: F401
 from .statealg import PureState, Register
 
 # ---------------------------------------------------------------------------
-# parties and transcripts
+# parties and leaf records
 
-@dataclass(frozen=True)
-class PartyRegistry:
-    """Ownership map: party name -> labels held."""
-
-    roles: dict
-
-
-def default_ric_registry(N: int) -> PartyRegistry:
+def default_ric_registry(N: int) -> dict:
+    """Ownership map of a RIC run: party name -> labels held."""
     roles = {}
     for s in range(1, N):
         roles[f"Bob_{s}"] = (str(s), f"{s}'")
         roles[f"Charlie_{s}"] = (f"A_{s}", f"A'_{s}")
     roles[f"Bob_{N}"] = (str(N), f"A'_{N}")
     roles["Diana"] = (f"{N}'",)
-    return PartyRegistry(roles)
+    return roles
 
 
-@dataclass
-class Message:
-    sender: str
-    recipient: str
-    m: int
-    n: int
-    bits: float
+class Leaves(NamedTuple):
+    """Every leaf of one protocol run as arrays; row i is one branch, or one
+    trial in trial order when sampling.
 
-
-@dataclass
-class Transcript:
-    """Ordered classical-communication log of one protocol run."""
+    parties maps each party to the labels it holds. Message j of a leaf goes
+    along routes[j] = (sender, recipient) and carries outcomes[:, j] = (m, n),
+    2 log2 d bits. outcomes is (B, len(routes), 2), probs (B,) the branch
+    probabilities, corrections (B, 2) the receiver's (x, y), and legs
+    (B, L, 2), many-to-many multiqudit runs only, the per-leg corrections.
+    amps (B, register.dim) are the corrected states on register, read-only.
+    """
 
     parties: dict
-    messages: list = field(default_factory=list)
-    correction: tuple | None = None
-    corrections: list | None = None  # per-leg, many-to-many runs only
-    branch_probability: float = 1.0
-    fidelity: float | None = None
+    routes: tuple
+    register: Register
+    outcomes: np.ndarray
+    probs: np.ndarray
+    corrections: np.ndarray
+    amps: np.ndarray
+    legs: np.ndarray | None = None
 
-    def total_bits(self) -> float:
-        return sum(msg.bits for msg in self.messages)
+    def state(self, i: int) -> PureState:
+        """Leaf i as a PureState on register, sharing row i of amps."""
+        return PureState(self.register, self.amps[i], validate=False, _owned=True)
 
-    def to_json_dict(self) -> dict:
+    def transcript(self, i: int) -> dict:
+        """Leaf i as a JSON-ready classical-communication log."""
+        bits = 2.0 * log2(self.register.d)
+        x, y = self.corrections[i].tolist()
         doc = {
             "parties": {p: list(ls) for p, ls in self.parties.items()},
-            "messages": [
-                {"from": m.sender, "to": m.recipient, "m": m.m, "n": m.n, "bits": m.bits}
-                for m in self.messages
-            ],
-            "branch_probability": self.branch_probability,
+            "messages": [{"from": src, "to": dst, "m": m, "n": n, "bits": bits}
+                         for (src, dst), (m, n) in zip(self.routes, self.outcomes[i].tolist())],
+            "branch_probability": float(self.probs[i]),
+            "correction": {"x": x, "y": y},
         }
-        if self.correction is not None:
-            doc["correction"] = {"x": self.correction[0], "y": self.correction[1]}
-        if self.corrections is not None:
-            doc["corrections"] = [{"x": x, "y": y} for x, y in self.corrections]
-        if self.fidelity is not None:
-            doc["fidelity"] = self.fidelity
+        if self.legs is not None:
+            doc["corrections"] = [{"x": lx, "y": ly} for lx, ly in self.legs[i].tolist()]
         return doc
 
-
-def _transcripts(registry, routes, outcomes, probs, d, corrections, legs=None):
-    """One Transcript per leaf; each route's message carries the matching (m, n).
-
-    outcomes is (B, len(routes), 2), probs (B,), corrections (B, 2) and the
-    optional per-leg corrections (B, L, 2) of many-to-many runs.
-    """
-    bits = 2.0 * log2(d)
-    legs = [None] * len(probs) if legs is None else legs.tolist()
-    return [
-        Transcript(
-            parties=dict(registry.roles),
-            messages=[Message(src, dst, m, n, bits) for (src, dst), (m, n) in zip(routes, outs)],
-            correction=tuple(corr),
-            corrections=None if leg is None else [tuple(c) for c in leg],
-            branch_probability=prob,
-        )
-        for outs, prob, corr, leg in zip(outcomes.tolist(), probs.tolist(),
-                                         corrections.tolist(), legs)
-    ]
+    def total_bits(self) -> float:
+        """Classical bits sent per run, one 2 log2 d message per route added in turn."""
+        return sum([2.0 * log2(self.register.d)] * len(self.routes))
 
 
 def _apply_r(amps: np.ndarray, register: Register, label: str, x, y) -> np.ndarray:
@@ -118,12 +96,6 @@ def _apply_r(amps: np.ndarray, register: Register, label: str, x, y) -> np.ndarr
     out = np.take_along_axis(t, col[:, None, :, None], axis=2)
     out *= val[:, None, :, None]
     return out.reshape(B, -1)
-
-
-def _leaves(register: Register, amps: np.ndarray, transcripts) -> list:
-    amps.setflags(write=False)  # the leaf states share the rows of this fresh array
-    return [(PureState(register, row, validate=False, _owned=True), t)
-            for row, t in zip(amps, transcripts)]
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +165,7 @@ def _descend(joint, k, plan, prior, work, uniforms=None):
     return outcomes[visits], probs[visits], register, amps[visits]
 
 
-def execute(joint, plan, finish, mode: str = "sample", rng=None, *, trials: int | None = None):
+def execute(joint, plan, mode: str = "sample", rng=None, *, trials: int | None = None):
     """Measure the ordered pairs of `plan` in turn (GBM, pairs removed), level by level.
 
     joint (a PureState or a Joint) goes through one row at a time; a row's
@@ -201,18 +173,16 @@ def execute(joint, plan, finish, mode: str = "sample", rng=None, *, trials: int 
     B * dim never above the joint dimension. So one workspace per call (two
     joint-dimension buffers and the kernel scratch) holds every row that
     joint.row(k, out) writes, every non-final level's projection and its
-    kept rows; only the last level allocates, and the workspace is dropped
-    before finish runs. "all-branches" keeps every non-null outcome,
-    probabilities starting at the rows' priors. "sample"
+    kept rows; only the last level allocates. "all-branches" keeps every
+    non-null outcome, probabilities starting at the rows' priors. "sample"
     draws `trials` trials (one if None) up front in the seed order of one run
     per trial, joint.draw(rng) (mixtures only) then rng.random(len(plan)),
     and keeps only the rows and branches some trial visits: the all-branches
     tree pruned to the drawn branches, probabilities from 1.
-    finish(outcomes (B, len(plan), 2), probs (B,), register, amps (B, dim))
-    gets every leaf at once, one per trial in trial order when sampling.
-    Returns (finish's value, coverage 1.0) for "all-branches"; for "sample"
-    a tuple of its items, or its first item if trials is None. A joint
-    register over statealg.MAX_JOINT_DIM raises SizeGuardError.
+    Returns the leaves as (outcomes (B, len(plan), 2), probs (B,), register,
+    amps (B, dim)), fresh arrays, one row per trial in trial order when
+    sampling. A joint register over statealg.MAX_JOINT_DIM, or more trials
+    than that, raises SizeGuardError.
     """
     if mode not in ("sample", "all-branches"):
         raise ProtocolError(f"unknown mode {mode!r}")
@@ -222,13 +192,16 @@ def execute(joint, plan, finish, mode: str = "sample", rng=None, *, trials: int 
         state = joint
         joint = Joint(state.register, lambda k, out: np.copyto(out, state.amps), np.ones(1))
     statealg.check_size("protocol joint dimension", joint.register.dim, statealg.MAX_JOINT_DIM)
+    if mode == "sample":
+        trials = 1 if trials is None else trials
+        statealg.check_size("sampled trials", trials, statealg.MAX_JOINT_DIM)
     work = _workspace(joint.register)
     if mode == "all-branches":
         parts = [_descend(joint, k, plan, prior, work)
                  for k, prior in enumerate(joint.priors.tolist())]
     else:
         rng = np.random.default_rng(0) if rng is None else rng
-        starts, uniforms = [], np.empty((1 if trials is None else trials, len(plan)))
+        starts, uniforms = [], np.empty((trials, len(plan)))
         for u in uniforms:
             starts.append(0 if joint.draw is None else joint.draw(rng))
             u[:] = rng.random(len(plan))
@@ -236,14 +209,13 @@ def execute(joint, plan, finish, mode: str = "sample", rng=None, *, trials: int 
         groups = [np.flatnonzero(start_of == i) for i in range(len(firsts))]
         parts = [_descend(joint, k, plan, 1.0, work, uniforms[group])
                  for k, group in zip(firsts.tolist(), groups)]
-    del work  # the leaves are fresh arrays; finish runs without the workspace
+    del work  # the leaves are fresh arrays; the workspace goes before they are joined
     outcomes, probs, registers, amps = zip(*parts)
     outcomes, probs, amps = (np.concatenate(a) for a in (outcomes, probs, amps))
-    if mode == "all-branches":
-        return finish(outcomes, probs, registers[0], amps), 1.0
-    order = np.argsort(np.concatenate(groups))  # back to trial order
-    leaves = finish(outcomes[order], probs[order], registers[0], amps[order])
-    return leaves[0] if trials is None else tuple(leaves)
+    if mode == "sample":
+        order = np.argsort(np.concatenate(groups))  # back to trial order
+        outcomes, probs, amps = outcomes[order], probs[order], amps[order]
+    return outcomes, probs, registers[0], amps
 
 
 # ---------------------------------------------------------------------------
@@ -263,13 +235,13 @@ def clone_state(x, d: int, N: int) -> PureState:
     return PureState(reg, amps, validate=False)
 
 
-def telecloning_registry(N: int) -> PartyRegistry:
+def telecloning_registry(N: int) -> dict:
     roles = {"Alice": ("t", "t'")}
     for s in range(1, N + 1):
         roles[f"Bob_{s}"] = (str(s),)
     for s in range(1, N):
         roles[f"Charlie_{s}"] = (f"A_{s}",)
-    return PartyRegistry(roles)
+    return roles
 
 
 def run_telecloning(
@@ -281,35 +253,30 @@ def run_telecloning(
     *,
     correct_ancillas: bool = True,
     trials: int | None = None,
-):
-    """Teleclone one unknown qudit to N receivers.
+) -> Leaves:
+    """Teleclone one unknown qudit to N receivers: the clone-register Leaves of
+    Alice's d^2 outcomes ("all-branches") or of `trials` drawn runs ("sample").
 
-    mode="sample" returns (clone-register state, Transcript), or a tuple of
-    `trials` such pairs; "all-branches" returns the list over Alice's d^2
-    outcomes.
+    Alice sends her one outcome to every Bob, and to every Charlie when the
+    ancillas are corrected; it is also the correction.
     """
     if input_state.register.n != 1 or input_state.d != d:
         raise ProtocolError("input must be a single qudit of dimension d")
     inp = statealg.permute(input_state, {input_state.register.labels[0]: "t"})
     joint = Joint.product(inp, channels.telecloning_channel(d, N))
-    registry = telecloning_registry(N)
     routes = [("Alice", f"Bob_{s}") for s in range(1, N + 1)]
     if correct_ancillas:
         routes += [("Alice", f"Charlie_{s}") for s in range(1, N)]
-
-    def finish(outcomes, probs, register, amps):
-        m, n = outcomes[:, 0, 0], outcomes[:, 0, 1]
-        for s in range(1, N + 1):
-            amps = _apply_r(amps, register, str(s), m, n)
-        if correct_ancillas:
-            for s in range(1, N):
-                amps = _apply_r(amps, register, f"A_{s}", -m, n)
-        messages = np.repeat(outcomes, len(routes), axis=1)
-        return _leaves(register, amps,
-                       _transcripts(registry, routes, messages, probs, d, outcomes[:, 0]))
-
-    out = execute(joint, [("t", "t'")], finish, mode, rng, trials=trials)
-    return out if mode == "sample" else out[0]  # one pair: coverage is always 1
+    outcomes, probs, register, amps = execute(joint, [("t", "t'")], mode, rng, trials=trials)
+    m, n = outcomes[:, 0, 0], outcomes[:, 0, 1]
+    for s in range(1, N + 1):
+        amps = _apply_r(amps, register, str(s), m, n)
+    if correct_ancillas:
+        for s in range(1, N):
+            amps = _apply_r(amps, register, f"A_{s}", -m, n)
+    amps.setflags(write=False)
+    return Leaves(telecloning_registry(N), tuple(routes), register,
+                  np.repeat(outcomes, len(routes), axis=1), probs, outcomes[:, 0], amps)
 
 
 # ---------------------------------------------------------------------------
@@ -437,12 +404,12 @@ def ric_measurement_plan(N: int) -> list:
     return plan
 
 
-def _ric_routes(N: int) -> list:
+def _ric_routes(N: int) -> tuple:
     """Senders in plan order, each reporting to Diana."""
     senders = [f"Bob_{s}" for s in range(1, N)]
     senders += [f"Charlie_{s}" for s in range(1, N)]
     senders.append(f"Bob_{N}")
-    return [(party, "Diana") for party in senders]
+    return tuple((party, "Diana") for party in senders)
 
 
 def _ric_joint(clone: PureState, channel, register: Register):
@@ -472,12 +439,11 @@ def run_ric(
     mode: str = "sample",
     rng: np.random.Generator | None = None,
     trials: int | None = None,
-):
+) -> Leaves:
     """Concentrate the clone-state information onto Diana's qudit N'.
 
-    mode="sample" draws one measurement branch and returns
-    (Diana's PureState, Transcript), or a tuple of `trials` such pairs;
-    "all-branches" returns (list of such pairs, coverage). A mixed channel
+    Returns the Leaves on N' of every non-null branch ("all-branches") or of
+    `trials` drawn runs, one if None ("sample"). A mixed channel
     is one initial row per component, exact by the untouched-purification
     argument: a trial draws its component, all-branches weights each by C_k.
     """
@@ -497,7 +463,6 @@ def run_ric(
         raise ProtocolError(
             f"clone state must live on labels {clone_labels(N)}"
         )
-    registry = default_ric_registry(N)
     # the joint register checks its own bytes before any channel state is built
     joint_reg = Register(d, clone.register.labels + channel_labels(N))
     joint, u, v = _ric_joint(clone, channel, joint_reg)
@@ -506,20 +471,16 @@ def run_ric(
                             len(joint.priors) * joint_reg.dim, statealg.MAX_JOINT_DIM)
     elif rng is None and isinstance(channel, ChannelSpec) and channel.is_mixed:
         rng = np.random.default_rng(channel.seed or 0)
-    plan = ric_measurement_plan(N)
-    routes = _ric_routes(N)
-
-    def finish(outcomes, probs, register, amps):
-        x, y = deduce_correction(outcomes[:, :-1], outcomes[:, -1], u, v, d)
-        amps = _apply_r(amps, register, f"{N}'", x, y)
-        nrm = np.sqrt(np.sum(np.abs(amps) ** 2, axis=1))
-        off = np.abs(nrm - 1) > 1e-12
-        amps[off] /= nrm[off, None]
-        corrections = np.stack((x, y), axis=-1)
-        return _leaves(register, amps,
-                       _transcripts(registry, routes, outcomes, probs, d, corrections))
-
-    return execute(joint, plan, finish, mode, rng, trials=trials)
+    outcomes, probs, register, amps = execute(joint, ric_measurement_plan(N), mode, rng,
+                                              trials=trials)
+    x, y = deduce_correction(outcomes[:, :-1], outcomes[:, -1], u, v, d)
+    amps = _apply_r(amps, register, f"{N}'", x, y)
+    nrm = np.sqrt(np.sum(np.abs(amps) ** 2, axis=1))
+    off = np.abs(nrm - 1) > 1e-12
+    amps[off] /= nrm[off, None]
+    amps.setflags(write=False)
+    return Leaves(default_ric_registry(N), _ric_routes(N), register, outcomes, probs,
+                  np.stack((x, y), axis=-1), amps)
 
 
 # ---------------------------------------------------------------------------
@@ -578,31 +539,25 @@ def run_mm_ghz(
     mode: str = "sample",
     rng: np.random.Generator | None = None,
     trials: int | None = None,
-):
+) -> Leaves:
     """Concentrate clone-state information onto L GHZ-correlated receivers; returns as run_ric."""
     if L < 1:
         raise ProtocolError("L must be >= 1")
     if tuple(clone.register.labels) != clone_labels(N):
         raise ProtocolError(f"clone state must live on labels {clone_labels(N)}")
-    chan = mm_ghz_channel(d, N, L)
-    registry_roles = dict(default_ric_registry(N).roles)
-    registry_roles["Diana"] = tuple(f"{N}'_{i}" for i in range(1, L + 1))
-    registry = PartyRegistry(registry_roles)
-    joint = Joint.product(clone, chan)
-    plan = ric_measurement_plan(N)
-    routes = _ric_routes(N)
+    joint = Joint.product(clone, mm_ghz_channel(d, N, L))
     leg_labels = [f"{N}'_{i}" for i in range(1, L + 1)]
-
-    def finish(outcomes, probs, register, amps):
-        x, y = deduce_correction(outcomes[:, :-1], outcomes[:, -1], 0, 0, d)
-        amps = _apply_r(amps, register, leg_labels[0], x, y)
-        for leg in leg_labels[1:]:
-            amps = _apply_r(amps, register, leg, 0, y)
-        corrections = np.stack((x, y), axis=-1)
-        return _leaves(register, amps,
-                       _transcripts(registry, routes, outcomes, probs, d, corrections))
-
-    return execute(joint, plan, finish, mode, rng, trials=trials)
+    parties = default_ric_registry(N)
+    parties["Diana"] = tuple(leg_labels)
+    outcomes, probs, register, amps = execute(joint, ric_measurement_plan(N), mode, rng,
+                                              trials=trials)
+    x, y = deduce_correction(outcomes[:, :-1], outcomes[:, -1], 0, 0, d)
+    amps = _apply_r(amps, register, leg_labels[0], x, y)
+    for leg in leg_labels[1:]:
+        amps = _apply_r(amps, register, leg, 0, y)
+    amps.setflags(write=False)
+    return Leaves(parties, _ric_routes(N), register, outcomes, probs,
+                  np.stack((x, y), axis=-1), amps)
 
 
 def ghz_correlated_state(x, d: int, L: int, labels=None) -> PureState:
@@ -651,52 +606,25 @@ def synth_distributed_state(x, d: int, N: int, L: int) -> PureState:
     return PureState(Register(d, labels), amps)
 
 
-def _covariance(d: int, pairs: int, k, ell):
-    """(col, val) of R^{k,l} on the first-slot qudits and R^{-k,l} on the second-slot ones."""
-    return opsbasis.weyl_monomial(d, [("R", k, ell)] * pairs + [("R", -k, ell)] * pairs)
-
-
-def check_bbar_covariance(bbar: np.ndarray, d: int, pairs: int, tol: float = 1e-9):
+def check_bbar_covariance(bbar: np.ndarray, d: int, pairs: int):
     """Verify R^{k,l}-tensor covariance with eigenvalue w^{lm-nk}, (k,l) in (1,0), (0,1), (1,1).
 
-    bbar is (d, d, d^(2 pairs)); all (m, n) are checked in one gather. The set
-    is computed, not given, so a violation raises RuntimeError naming the
-    first failing (m, n, (k, l)).
+    bbar is (d, d, d^(2 pairs)); all (m, n) are checked in one gather, to
+    1e-9. The set is computed, not given, so a violation raises RuntimeError
+    naming the first failing (m, n, (k, l)).
     """
     if pairs == 0:
         return
     k, ell = np.array([1, 0, 1]), np.array([0, 1, 1])
-    col, val = _covariance(d, pairs, k, ell)  # one row per (k, l)
+    # one row per (k, l): R^{k,l} on the first-slot qudits, R^{-k,l} on the second-slot ones
+    col, val = opsbasis.weyl_monomial(d, [("R", k, ell)] * pairs + [("R", -k, ell)] * pairs)
     idx = np.arange(d)
     # phase[m, n, i] = w^{l_i m - n k_i}, the eigenvalue of row i for Bbar_mn
     phase = opsbasis.omega_table(d)[(ell * idx[:, None, None] - idx[:, None] * k) % d]
-    bad = np.abs(val * bbar[:, :, col] - phase[..., None] * bbar[:, :, None]).max(axis=3) > tol
+    bad = np.abs(val * bbar[:, :, col] - phase[..., None] * bbar[:, :, None]).max(axis=3) > 1e-9
     if bad.any():
         m, n, i = np.argwhere(bad)[0]
         raise RuntimeError(f"Bbar_({m},{n}) violates the covariance for (k,l)=({k[i]},{ell[i]})")
-
-
-def random_covariant_bbar(d: int, pairs: int, rng: np.random.Generator) -> np.ndarray:
-    """(d, d, d^(2 pairs)) orthonormal covariant set: project random vectors onto each eigenspace.
-
-    The (m, n) eigenspace projector is the sum over (k, l) of
-    w^{-(lm-nk)} R^{k,l} (x) R^{-k,l}, up to a factor; all d^2 products form
-    one (d^2, dim) gather table, so a projection is a gather and one product.
-    """
-    dim = d ** (2 * pairs)
-    statealg.check_size("covariance table bytes", 24 * d * d * dim)
-    k, ell = np.divmod(np.arange(d * d), d)
-    col, val = _covariance(d, pairs, k, ell)
-    out = np.empty((d, d, dim), dtype=np.complex128)
-    for m in range(d):
-        for n in range(d):
-            raw = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-            acc = opsbasis.omega_table(d)[-(ell * m - n * k) % d] @ (val * raw[col])
-            nrm = np.linalg.norm(acc)
-            if nrm < 1e-8:  # pragma: no cover - eigenspaces are never empty here
-                raise ProtocolError("eigenspace projection vanished; retry with a new seed")
-            out[m, n] = acc / nrm
-    return out
 
 
 def run_mm_multiqudit(
@@ -707,11 +635,12 @@ def run_mm_multiqudit(
     mode: str = "sample",
     rng: np.random.Generator | None = None,
     trials: int | None = None,
-):
+) -> Leaves:
     """Concentrate L-fold distributed information back onto L receiver qudits.
 
     Channel is |B^{0,0}>^(x N): senders hold every A'_s plus s' for
-    s <= N-L; the receiver holds (N-L+1)'..N'. Returns as run_ric does.
+    s <= N-L; the receiver holds (N-L+1)'..N'. Returns as run_ric does, with
+    the per-leg corrections as legs and leg 1's as corrections.
     """
     if not 1 <= L <= N:
         raise ProtocolError("need 1 <= L <= N")
@@ -724,29 +653,25 @@ def run_mm_multiqudit(
     plan += [(f"A'_{s}", f"A_{s}") for s in range(1, N - L + 1)]
     plan += [(str(s), f"A'_{s}") for s in range(N - L + 1, N + 1)]
     receiver = [f"{s}'" for s in range(N - L + 1, N + 1)]
-    roles = {}
+    parties = {}
     for s in range(1, N - L + 1):
-        roles[f"Bob_{s}"] = (str(s), f"{s}'")
-        roles[f"Charlie_{s}"] = (f"A_{s}", f"A'_{s}")
+        parties[f"Bob_{s}"] = (str(s), f"{s}'")
+        parties[f"Charlie_{s}"] = (f"A_{s}", f"A'_{s}")
     for i, s in enumerate(range(N - L + 1, N + 1), start=1):
-        roles[f"Leg_{i}"] = (str(s), f"A'_{s}")
-    roles["Receiver"] = tuple(receiver)
-    registry = PartyRegistry(roles)
+        parties[f"Leg_{i}"] = (str(s), f"A'_{s}")
+    parties["Receiver"] = tuple(receiver)
     senders = [f"Bob_{s}" for s in range(1, N - L + 1)]
     senders += [f"Charlie_{s}" for s in range(1, N - L + 1)]
     senders += [f"Leg_{i}" for i in range(1, L + 1)]
-    routes = [(party, "Receiver") for party in senders]
     n_front = 2 * (N - L)
-
-    def finish(outcomes, probs, register, amps):
-        legs = []
-        for i, label in enumerate(receiver):
-            x, y = deduce_correction(outcomes[:, :n_front], outcomes[:, n_front + i], 0, 0, d)
-            amps = _apply_r(amps, register, label, x, y)
-            legs.append(np.stack((x, y), axis=-1))
-        legs = np.stack(legs, axis=1)
-        # the residual register is the receiver's labels, in order
-        return _leaves(register, amps,
-                       _transcripts(registry, routes, outcomes, probs, d, legs[:, 0], legs))
-
-    return execute(joint, plan, finish, mode, rng, trials=trials)
+    outcomes, probs, register, amps = execute(joint, plan, mode, rng, trials=trials)
+    legs = []
+    # the residual register is the receiver's labels, in order
+    for i, label in enumerate(receiver):
+        x, y = deduce_correction(outcomes[:, :n_front], outcomes[:, n_front + i], 0, 0, d)
+        amps = _apply_r(amps, register, label, x, y)
+        legs.append(np.stack((x, y), axis=-1))
+    legs = np.stack(legs, axis=1)
+    amps.setflags(write=False)
+    return Leaves(parties, tuple((party, "Receiver") for party in senders), register,
+                  outcomes, probs, legs[:, 0], amps, legs)

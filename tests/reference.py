@@ -12,6 +12,9 @@ checked against code that shares none of their index arithmetic:
   every branch or one drawn by cumulative probability
 - bbar_expansion: (1/sqrt d) sum_{m,n} beta_n Bbar_mn (x) (U^{-m,n} x)^(x L)
   as a kron loop over any (d, d, dim) Bbar array and beta
+
+and one input builder: random_covariant_bbar, a random orthonormal Bbar set
+with the clone family's covariance, projected with opsbasis.weyl_monomial.
 """
 
 import numpy as np
@@ -100,6 +103,25 @@ def gbm_sample(state, pair, rng):
     probs = np.array([br.outcome.probability for br in branches])
     r = float(rng.random()) * probs.sum()
     return branches[min(int(np.searchsorted(np.cumsum(probs), r)), len(probs) - 1)]
+
+
+def random_covariant_bbar(d, pairs, rng):
+    """(d, d, d^(2 pairs)) orthonormal covariant set: project random vectors onto each eigenspace.
+
+    The (m, n) eigenspace projector is the sum over (k, l) of
+    w^{-(lm-nk)} R^{k,l} (x) R^{-k,l}, up to a factor; all d^2 products form
+    one (d^2, dim) gather table, so a projection is a gather and one product.
+    """
+    dim = d ** (2 * pairs)
+    k, ell = np.divmod(np.arange(d * d), d)
+    col, val = opsbasis.weyl_monomial(d, [("R", k, ell)] * pairs + [("R", -k, ell)] * pairs)
+    out = np.empty((d, d, dim), dtype=np.complex128)
+    for m in range(d):
+        for n in range(d):
+            raw = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            acc = opsbasis.omega_table(d)[-(ell * m - n * k) % d] @ (val * raw[col])
+            out[m, n] = acc / np.linalg.norm(acc)
+    return out
 
 
 def bbar_expansion(bbar, beta, x, d, L):

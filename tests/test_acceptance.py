@@ -58,6 +58,11 @@ def diana_target(inp, N):
     return permute(inp, {inp.register.labels[0]: f"{N}'"})
 
 
+def min_fidelity(leaves, target):
+    """Smallest |<leaf|target>|^2 over every leaf of a run."""
+    return min(abs(overlap(leaves.state(i), target)) ** 2 for i in range(len(leaves.probs)))
+
+
 def test_criterion_1_clone_fidelity():
     cases = {(2, 2): 5 / 6, (2, 3): 7 / 9, (3, 2): 3 / 4, (4, 2): 7 / 10, (3, 3): 2 / 3}
     rng = np.random.default_rng(100)
@@ -66,7 +71,9 @@ def test_criterion_1_clone_fidelity():
     for (d, N), want in cases.items():
         assert abs(clone_fidelity_formula(d, N) - want) < 1e-12
         inp = random_qudit(d, rng)
-        for state, _t in run_telecloning(inp, d, N, mode="all-branches"):
+        leaves = run_telecloning(inp, d, N, mode="all-branches")
+        for i in range(len(leaves.probs)):
+            state = leaves.state(i)
             for s in range(1, N + 1):
                 rho = partial_trace(state, [str(s)])
                 fid = float(np.real(np.vdot(inp.amps, rho.mat @ inp.amps)))
@@ -90,18 +97,18 @@ def test_criterion_2_ric_determinism():
         clone = clone_state(inp.amps, d, N)
         target = diana_target(inp, N)
         for preset in ("ghz", "beta", "bell-product"):
-            branches, coverage = run_ric(clone, preset_spec(preset, d, N), mode="all-branches")
-            assert coverage == 1.0
-            total_p = sum(t.branch_probability for _s, t in branches)
+            leaves = run_ric(clone, preset_spec(preset, d, N), mode="all-branches")
+            total_p = sum(leaves.transcript(i)["branch_probability"]
+                          for i in range(len(leaves.probs)))
             assert abs(total_p - 1) < 1e-9  # the enumeration is exhaustive
-            fmin = min(abs(overlap(s, target)) ** 2 for s, _t in branches)
+            fmin = min_fidelity(leaves, target)
             worst = min(worst, fmin)
-            details.append(f"({d},{N}) {preset}: {len(branches)} branches")
+            details.append(f"({d},{N}) {preset}: {len(leaves.probs)} branches")
         for preset in ("smolin", "mixed-uniform"):
             spec = preset_spec(preset, d, N)
             fmin = 1.0
             for _ in range(100):
-                state, _t = run_ric(clone, spec, mode="sample", rng=rng)
+                state = run_ric(clone, spec, mode="sample", rng=rng).state(0)
                 fmin = min(fmin, abs(overlap(state, target)) ** 2)
             worst = min(worst, fmin)
             details.append(f"({d},{N}) {preset}: 100 trials")
@@ -248,20 +255,20 @@ def test_criterion_8_many_to_many():
     inp = random_qudit(d, rng)
     clone = clone_state(inp.amps, d, N)
     target = ghz_correlated_state(inp.amps, d, L, labels=[f"{N}'_1", f"{N}'_2"])
-    branches, coverage = run_mm_ghz(clone, d, N, L, mode="all-branches")
-    fmin_ghz = min(abs(overlap(s, target)) ** 2 for s, _t in branches)
+    branches = run_mm_ghz(clone, d, N, L, mode="all-branches")
+    fmin_ghz = min_fidelity(branches, target)
 
     dist = synth_distributed_state(inp.amps, d, N, L)
     receiver = [f"{s}'" for s in range(N - L + 1, N + 1)]
     target2 = tensor_many([permute(inp, {inp.register.labels[0]: lab}) for lab in receiver])
-    branches2, _ = run_mm_multiqudit(dist, d, N, L, mode="all-branches")
-    fmin_multi = min(abs(overlap(s, target2)) ** 2 for s, _t in branches2)
-    ok = coverage == 1.0 and fmin_ghz > 1 - 1e-9 and fmin_multi > 1 - 1e-9
+    branches2 = run_mm_multiqudit(dist, d, N, L, mode="all-branches")
+    fmin_multi = min_fidelity(branches2, target2)
+    ok = fmin_ghz > 1 - 1e-9 and fmin_multi > 1 - 1e-9
     report(
         8,
         ok,
-        f"mm-ghz (2,2,2): {len(branches)} branches min fid {fmin_ghz:.12f}; "
-        f"mm-multi (2,2,2): {len(branches2)} branches min fid {fmin_multi:.12f}",
+        f"mm-ghz (2,2,2): {len(branches.probs)} branches min fid {fmin_ghz:.12f}; "
+        f"mm-multi (2,2,2): {len(branches2.probs)} branches min fid {fmin_multi:.12f}",
     )
 
 

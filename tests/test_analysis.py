@@ -183,7 +183,7 @@ def test_symmetry_report_matches_permute_reference(d, N, source):
 def test_permute_smolin_within_group_swap_identity():
     # one concrete swap inside the first-slot group leaves the matrix unchanged
     rho = smolin_like(2, 2)
-    g1, _g2 = analysis.symmetry_groups(2)
+    g1, _g2 = analysis.stabilizer_groups(2)
     swapped = statealg.permute(rho, {g1[0]: g1[1], g1[1]: g1[0]})
     np.testing.assert_allclose(swapped.mat, rho.mat, atol=1e-12)
 

@@ -16,7 +16,6 @@ from qric import (
     mixed_channel,
     preset_spec,
     product_bell_channel,
-    sample_mixed,
     smolin_like,
     telecloning_channel,
 )
@@ -291,7 +290,7 @@ def test_sampler_frequencies_within_5_sigma():
     counts = {}
     trials = 10_000
     for _ in range(trials):
-        k, _state = sample_mixed(spec, rng)
+        k, _state = spec.sample(rng)
         counts[k] = counts.get(k, 0) + 1
     p = 1 / len(spec.table)
     sigma = np.sqrt(trials * p * (1 - p))

@@ -187,6 +187,15 @@ def test_bad_flag_values_exit_2():
     assert main(["ric", "--trials", "0", "--out", "/dev/null"]) == 2
 
 
+def test_oversized_trials_hit_the_size_guard_before_any_allocation(monkeypatch, capsys):
+    def no_workspace(register):
+        raise AssertionError("workspace allocated before the trials guard")
+
+    monkeypatch.setattr(protocols, "_workspace", no_workspace)
+    assert main(["ric", "--mode", "sample", "--trials", "1000000000", "--out", "/dev/null"]) == 3
+    assert "size guard" in capsys.readouterr().err
+
+
 def test_negative_max_transcripts_exit_2(capsys):
     assert main(["ric", "--d", "3", "--N", "2", "--max-transcripts", "-2",
                  "--out", "/dev/null"]) == 2

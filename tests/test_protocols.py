@@ -1,4 +1,5 @@
 import itertools
+import json
 from math import log2
 
 import numpy as np
@@ -28,6 +29,7 @@ from qric import (
 )
 from qric import channels, opsbasis, protocols, statealg
 from qric.analysis import clone_fidelity_formula
+from qric.cli import main
 from qric.errors import ProtocolError, SizeGuardError
 from qric.opsbasis import weyl_r
 from qric.statealg import PureState
@@ -42,6 +44,16 @@ def diana_target(inp, N):
     return permute(inp, {inp.register.labels[0]: f"{N}'"})
 
 
+def rows(leaves):
+    """(state, transcript dict) of every leaf of a run, in row order."""
+    return [(leaves.state(i), leaves.transcript(i)) for i in range(len(leaves.probs))]
+
+
+def xy(transcript):
+    """The receiver's correction (x, y) of a transcript dict."""
+    return transcript["correction"]["x"], transcript["correction"]["y"]
+
+
 # ---------------------------------------------------------------------------
 # telecloning
 
@@ -51,14 +63,14 @@ def test_telecloning_every_branch_fidelity_and_state(d, N):
     inp = random_qudit(d, rng)
     ref = clone_state(inp.amps, d, N)
     want = clone_fidelity_formula(d, N)
-    branches = run_telecloning(inp, d, N, mode="all-branches")
+    branches = rows(run_telecloning(inp, d, N, mode="all-branches"))
     assert len(branches) == d * d
     for state, transcript in branches:
         # post-correction collective state equals the clone state exactly
         assert equal_up_to_phase(state, ref, 1e-9)
         for s in range(1, N + 1):
             assert abs(clone_fid(state, inp, str(s)) - want) < 1e-9
-        assert transcript.branch_probability == pytest.approx(1 / d**2, abs=1e-10)
+        assert transcript["branch_probability"] == pytest.approx(1 / d**2, abs=1e-10)
 
 
 def test_telecloning_ancilla_corrections_optional():
@@ -66,7 +78,8 @@ def test_telecloning_ancilla_corrections_optional():
     rng = np.random.default_rng(23)
     inp = random_qudit(3, rng)
     want = clone_fidelity_formula(3, 2)
-    for state, _t in run_telecloning(inp, 3, 2, mode="all-branches", correct_ancillas=False):
+    for state, _t in rows(run_telecloning(inp, 3, 2, mode="all-branches",
+                                          correct_ancillas=False)):
         for s in (1, 2):
             assert abs(clone_fid(state, inp, str(s)) - want) < 1e-9
 
@@ -74,11 +87,11 @@ def test_telecloning_ancilla_corrections_optional():
 def test_telecloning_sample_mode_and_transcript():
     rng = np.random.default_rng(3)
     inp = random_qudit(2, rng)
-    state, transcript = run_telecloning(inp, 2, 2, mode="sample", rng=rng)
+    (state, transcript), = rows(run_telecloning(inp, 2, 2, mode="sample", rng=rng))
     # N Bobs + N-1 ancilla holders receive the outcome
-    assert len(transcript.messages) == 2 + 1
-    assert all(msg.bits == 2.0 for msg in transcript.messages)
-    assert transcript.correction is not None
+    assert len(transcript["messages"]) == 2 + 1
+    assert all(msg["bits"] == 2.0 for msg in transcript["messages"])
+    assert transcript["correction"] is not None
 
 
 def test_telecloning_guard():
@@ -200,14 +213,14 @@ def test_ric_every_branch_pure_channels(d, N, preset):
     inp = random_qudit(d, rng)
     clone = clone_state(inp.amps, d, N)
     spec = preset_spec(preset, d, N)
-    branches, coverage = run_ric(clone, spec, mode="all-branches")
-    assert coverage == 1.0
+    branches = rows(run_ric(clone, spec, mode="all-branches"))
     target = diana_target(inp, N)
     for state, transcript in branches:
         assert abs(overlap(state, target)) > 1 - 1e-9
-        assert transcript.total_bits() == pytest.approx((2 * N - 1) * 2 * log2(d))
+        bits = sum(msg["bits"] for msg in transcript["messages"])
+        assert bits == pytest.approx((2 * N - 1) * 2 * log2(d))
     # probabilities over non-null branches sum to one
-    assert sum(t.branch_probability for _s, t in branches) == pytest.approx(1.0, abs=1e-9)
+    assert sum(t["branch_probability"] for _s, t in branches) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_ric_product_channel_with_nonzero_residues():
@@ -217,7 +230,7 @@ def test_ric_product_channel_with_nonzero_residues():
     clone = clone_state(inp.amps, d, N)
     c = (1, 2, 2, 1)
     spec = ChannelSpec(kind="product-bell", d=d, N=N, u=0, v=0, c=c)
-    branches, _ = run_ric(clone, spec, mode="all-branches")
+    branches = rows(run_ric(clone, spec, mode="all-branches"))
     target = diana_target(inp, N)
     assert len(branches) == 729
     for state, _t in branches:
@@ -233,7 +246,7 @@ def test_ric_mixed_channels_sampled(preset):
     spec = preset_spec(preset, d, N)
     target = diana_target(inp, N)
     for _ in range(50):
-        state, transcript = run_ric(clone, spec, mode="sample", rng=rng)
+        (state, transcript), = rows(run_ric(clone, spec, mode="sample", rng=rng))
         assert abs(overlap(state, target)) > 1 - 1e-9
 
 
@@ -249,17 +262,15 @@ def test_ric_measurement_order_independent():
     for order in itertools.permutations(range(len(base_plan))):
         plan = [base_plan[i] for i in order]
 
-        def finish(outcomes, _probs, register, amps):
-            # columns back in base-plan order, then Diana's correction for every leaf
-            ordered = outcomes[:, [plan.index(p) for p in base_plan]]
-            xs, ys = deduce_correction(ordered[:, :-1], ordered[:, -1], 0, 0, d)
-            return [
-                reference.apply_local(PureState(register, row), weyl_r(d, x, y), f"{N}'")
-                for row, x, y in zip(amps, xs, ys)
-            ]
-
-        leaves, coverage = protocols.execute(joint, plan, finish, "all-branches")
-        assert coverage == 1.0 and leaves
+        outcomes, _probs, register, amps = protocols.execute(joint, plan, "all-branches")
+        # columns back in base-plan order, then Diana's correction for every leaf
+        ordered = outcomes[:, [plan.index(p) for p in base_plan]]
+        xs, ys = deduce_correction(ordered[:, :-1], ordered[:, -1], 0, 0, d)
+        leaves = [
+            reference.apply_local(PureState(register, row), weyl_r(d, x, y), f"{N}'")
+            for row, x, y in zip(amps, xs, ys)
+        ]
+        assert leaves
         for out in leaves:
             assert abs(overlap(out, target)) > 1 - 1e-9
 
@@ -292,17 +303,16 @@ def plan_run(kind, d, N, rng):
 def test_ric_leaf_probability_matches_dense_projection(kind, d, N):
     # oracle: ||(x)_k <B_{o_k}| joint||^2 by one dense contraction over every
     # plan pair at once; no GBM and no kernels involved
-    joint, plan, (branches, coverage) = plan_run(kind, d, N, np.random.default_rng(43))
+    joint, plan, leaves = plan_run(kind, d, N, np.random.default_rng(43))
     axes = [joint.register.position(label) for pair in plan for label in pair]
     t = joint.amps.reshape([d] * joint.register.n)
-    assert coverage == 1.0
-    for _state, transcript in branches:
+    for _state, transcript in rows(leaves):
         bra = np.ones(1, dtype=np.complex128)
-        for msg in transcript.messages:  # one message per plan pair, in plan order
-            bra = np.kron(bra, opsbasis.bell_vector(d, msg.m, msg.n).conj())
+        for msg in transcript["messages"]:  # one message per plan pair, in plan order
+            bra = np.kron(bra, opsbasis.bell_vector(d, msg["m"], msg["n"]).conj())
         rest = np.tensordot(bra.reshape([d] * len(axes)), t, axes=(range(len(axes)), axes))
         want = float(np.sum(np.abs(rest) ** 2))
-        assert transcript.branch_probability == pytest.approx(want, abs=1e-12)
+        assert transcript["branch_probability"] == pytest.approx(want, abs=1e-12)
 
 
 def test_ric_d2_n3_sampled_branches():
@@ -313,8 +323,7 @@ def test_ric_d2_n3_sampled_branches():
     target = diana_target(inp, N)
     spec = preset_spec("ghz", d, N)
     # the full tree has 1024 branches, within budget: exhaustive
-    branches, coverage = run_ric(clone, spec, mode="all-branches")
-    assert coverage == 1.0
+    branches = rows(run_ric(clone, spec, mode="all-branches"))
     assert len(branches) >= 200
     for state, _t in branches:
         assert abs(overlap(state, target)) > 1 - 1e-9
@@ -334,7 +343,7 @@ def test_run_ric_accepts_all_pure_presets_sampled():
     clone = clone_state(inp.amps, d, N)
     target = diana_target(inp, N)
     for preset in ("ghz", "beta", "bell-product"):
-        state, _t = run_ric(clone, preset_spec(preset, d, N), mode="sample", rng=rng)
+        (state, _t), = rows(run_ric(clone, preset_spec(preset, d, N), mode="sample", rng=rng))
         assert abs(overlap(state, target)) > 1 - 1e-9
 
 
@@ -356,16 +365,14 @@ def test_mm_ghz_all_branches_2_2_2():
     inp = random_qudit(d, rng)
     clone = clone_state(inp.amps, d, N)
     target = ghz_correlated_state(inp.amps, d, L, labels=[f"{N}'_1", f"{N}'_2"])
-    branches, coverage = run_mm_ghz(clone, d, N, L, mode="all-branches")
-    assert coverage == 1.0
-    for state, _t in branches:
+    for state, _t in rows(run_mm_ghz(clone, d, N, L, mode="all-branches")):
         assert abs(overlap(state, target)) > 1 - 1e-9
 
 
 def test_mm_ghz_basis_input_gives_all_zeros():
     d, N, L = 2, 2, 2
     clone = clone_state([1, 0], d, N)
-    branches, _ = run_mm_ghz(clone, d, N, L, mode="all-branches")
+    branches = rows(run_mm_ghz(clone, d, N, L, mode="all-branches"))
     zero = ghz_correlated_state([1, 0], d, L, labels=[f"{N}'_1", f"{N}'_2"])
     for state, _t in branches:
         assert abs(overlap(state, zero)) > 1 - 1e-9
@@ -376,7 +383,7 @@ def test_mm_ghz_l1_degenerates_to_ric():
     rng = np.random.default_rng(43)
     inp = random_qudit(d, rng)
     clone = clone_state(inp.amps, d, N)
-    branches, _ = run_mm_ghz(clone, d, N, 1, mode="all-branches")
+    branches = rows(run_mm_ghz(clone, d, N, 1, mode="all-branches"))
     target = ghz_correlated_state(inp.amps, d, 1, labels=[f"{N}'_1"])
     for state, _t in branches:
         assert abs(overlap(state, target)) > 1 - 1e-9
@@ -387,14 +394,15 @@ def test_mm_multi_2_2_2_and_bit_count():
     rng = np.random.default_rng(47)
     inp = random_qudit(d, rng)
     dist = synth_distributed_state(inp.amps, d, N, L)
-    branches, _ = run_mm_multiqudit(dist, d, N, L, mode="all-branches")
+    branches = rows(run_mm_multiqudit(dist, d, N, L, mode="all-branches"))
     receiver = [f"{s}'" for s in range(N - L + 1, N + 1)]
     target = tensor_many(
         [permute(inp, {inp.register.labels[0]: lab}) for lab in receiver]
     )
     for state, transcript in branches:
         assert abs(overlap(state, target)) > 1 - 1e-9
-        assert transcript.total_bits() == pytest.approx((2 * N - L) * 2 * log2(d))
+        bits = sum(msg["bits"] for msg in transcript["messages"])
+        assert bits == pytest.approx((2 * N - L) * 2 * log2(d))
 
 
 def test_mm_multi_l1_reduces_to_ric():
@@ -402,7 +410,7 @@ def test_mm_multi_l1_reduces_to_ric():
     rng = np.random.default_rng(53)
     inp = random_qudit(d, rng)
     dist = synth_distributed_state(inp.amps, d, N, 1)
-    branches, _ = run_mm_multiqudit(dist, d, N, 1, mode="all-branches")
+    branches = rows(run_mm_multiqudit(dist, d, N, 1, mode="all-branches"))
     target = diana_target(inp, N)
     for state, _t in branches:
         assert abs(overlap(state, target)) > 1 - 1e-9
@@ -413,7 +421,7 @@ def test_mm_multi_3_2_with_clone_family_bbar():
     rng = np.random.default_rng(59)
     inp = random_qudit(d, rng)
     dist = synth_distributed_state(inp.amps, d, N, L)
-    branches, _ = run_mm_multiqudit(dist, d, N, L, mode="all-branches")
+    branches = rows(run_mm_multiqudit(dist, d, N, L, mode="all-branches"))
     receiver = [f"{s}'" for s in range(N - L + 1, N + 1)]
     target = tensor_many(
         [permute(inp, {inp.register.labels[0]: lab}) for lab in receiver]
@@ -458,12 +466,12 @@ def test_synth_random_orthonormal_source_covariant_and_concentrable():
     d, N, L = 2, 3, 2
     rng = np.random.default_rng(71)
     inp = random_qudit(d, rng)
-    bbar = protocols.random_covariant_bbar(d, N - L, rng)
+    bbar = reference.random_covariant_bbar(d, N - L, rng)
     protocols.check_bbar_covariance(bbar, d, N - L)
     amps = reference.bbar_expansion(bbar, np.ones(d) / np.sqrt(d), inp.amps, d, L)
     dist = PureState(statealg.Register(d, protocols.mm_multi_labels(N, L)), amps)
     assert abs(dist.norm() - 1) < 1e-10
-    branches, _ = run_mm_multiqudit(dist, d, N, L, mode="all-branches")
+    branches = rows(run_mm_multiqudit(dist, d, N, L, mode="all-branches"))
     receiver = [f"{s}'" for s in range(N - L + 1, N + 1)]
     target = tensor_many(
         [permute(inp, {inp.register.labels[0]: lab}) for lab in receiver]
@@ -505,28 +513,31 @@ def test_ric_3_3_enumerates_every_branch():
     inp = random_qudit(d, rng)
     clone = clone_state(inp.amps, d, N)
     spec = preset_spec("bell-product", d, N)
-    branches, coverage = run_ric(clone, spec, mode="all-branches", rng=rng)
-    assert coverage == 1.0
+    branches = rows(run_ric(clone, spec, mode="all-branches", rng=rng))
     assert len(branches) == 59049
-    assert sum(t.branch_probability for _s, t in branches) == pytest.approx(1.0, abs=1e-9)
+    assert sum(t["branch_probability"] for _s, t in branches) == pytest.approx(1.0, abs=1e-9)
     target = diana_target(inp, N)
     for state, _t in branches:
         assert abs(overlap(state, target)) ** 2 > 1 - 1e-9
 
 
-def test_transcript_json_schema():
+def test_transcript_json_schema(tmp_path):
     d, N = 2, 2
     rng = np.random.default_rng(101)
     inp = random_qudit(d, rng)
     clone = clone_state(inp.amps, d, N)
-    state, transcript = run_ric(clone, preset_spec("ghz", d, N), mode="sample", rng=rng)
-    transcript.fidelity = 1.0
-    doc = transcript.to_json_dict()
-    assert set(doc) == {"parties", "messages", "correction", "branch_probability", "fidelity"}
+    doc = run_ric(clone, preset_spec("ghz", d, N), mode="sample", rng=rng).transcript(0)
+    assert set(doc) == {"parties", "messages", "correction", "branch_probability"}
     assert set(doc["correction"]) == {"x", "y"}
     for msg in doc["messages"]:
         assert set(msg) == {"from", "to", "m", "n", "bits"}
     assert len(doc["messages"]) == 2 * N - 1
+    # the report lists each transcript with its leaf's fidelity
+    out = tmp_path / "report.json"
+    assert main(["ric", "--mode", "sample", "--trials", "3", "--out", str(out)]) == 0
+    listed = json.loads(out.read_text())["transcripts"]
+    assert len(listed) == 3
+    assert all(set(t) == set(doc) | {"fidelity"} for t in listed)
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +560,9 @@ def depth_first_leaves(joint, plan):
     return leaves
 
 
-def engine_leaves(outcomes, probs, register, amps):
+def engine_leaves(arrays):
+    """execute's leaf arrays as (outcomes, probability, state) per leaf."""
+    outcomes, probs, register, amps = arrays
     return [([tuple(o) for o in outs], prob, PureState(register, row, validate=False))
             for outs, prob, row in zip(outcomes.tolist(), probs.tolist(), amps)]
 
@@ -569,12 +582,13 @@ def corrected(state, corrections):
     return state
 
 
-def assert_run_matches(branches, reference, corrections_of):
+def assert_run_matches(leaves, reference, corrections_of):
     """Each (state, transcript) against the reference leaf, corrected per transcript."""
+    branches = rows(leaves)
     assert len(branches) == len(reference)
     for (state, transcript), (outs, prob, residual) in zip(branches, reference):
-        assert [(msg.m, msg.n) for msg in transcript.messages][:len(outs)] == outs
-        assert transcript.branch_probability == pytest.approx(prob, abs=1e-12)
+        assert [(msg["m"], msg["n"]) for msg in transcript["messages"]][:len(outs)] == outs
+        assert transcript["branch_probability"] == pytest.approx(prob, abs=1e-12)
         want = corrected(residual, corrections_of(transcript))
         np.testing.assert_allclose(state.amps, want.amps / want.norm(), atol=1e-12)
 
@@ -582,22 +596,20 @@ def assert_run_matches(branches, reference, corrections_of):
 @pytest.mark.parametrize("d,N", [(2, 2), (3, 2), (2, 3)])
 @pytest.mark.parametrize("preset", ["ghz", "beta", "bell-product"])
 def test_engine_matches_depth_first_gbm_ric(preset, d, N):
-    joint, plan, (branches, _) = plan_run(preset, d, N, np.random.default_rng(89))
+    joint, plan, leaves = plan_run(preset, d, N, np.random.default_rng(89))
     want = depth_first_leaves(joint, plan)
-    got, coverage = protocols.execute(joint, plan, engine_leaves, "all-branches")
-    assert coverage == 1.0
-    assert_same_leaves(got, want)
-    assert_run_matches(branches, want, lambda t: [(f"{N}'", *t.correction)])
+    assert_same_leaves(engine_leaves(protocols.execute(joint, plan, "all-branches")), want)
+    assert_run_matches(leaves, want, lambda t: [(f"{N}'", *xy(t))])
 
 
 def test_engine_matches_depth_first_gbm_mm_ghz():
     d, N, L = 3, 2, 2
-    joint, plan, (branches, _) = plan_run("mm-ghz", d, N, np.random.default_rng(97))
+    joint, plan, leaves = plan_run("mm-ghz", d, N, np.random.default_rng(97))
     want = depth_first_leaves(joint, plan)
-    assert_same_leaves(protocols.execute(joint, plan, engine_leaves, "all-branches")[0], want)
+    assert_same_leaves(engine_leaves(protocols.execute(joint, plan, "all-branches")), want)
     legs = [f"{N}'_{i}" for i in range(1, L + 1)]
-    assert_run_matches(branches, want, lambda t: [(legs[0], *t.correction)]
-                       + [(leg, 0, t.correction[1]) for leg in legs[1:]])
+    assert_run_matches(leaves, want, lambda t: [(legs[0], *xy(t))]
+                       + [(leg, 0, xy(t)[1]) for leg in legs[1:]])
 
 
 def test_engine_matches_depth_first_gbm_telecloning():
@@ -606,11 +618,11 @@ def test_engine_matches_depth_first_gbm_telecloning():
     joint = statealg.tensor(permute(inp, {inp.register.labels[0]: "t"}),
                             channels.telecloning_channel(d, N))
     want = depth_first_leaves(joint, [("t", "t'")])
-    assert_same_leaves(protocols.execute(joint, [("t", "t'")], engine_leaves, "all-branches")[0],
+    assert_same_leaves(engine_leaves(protocols.execute(joint, [("t", "t'")], "all-branches")),
                        want)
-    branches = run_telecloning(inp, d, N, mode="all-branches")
-    assert_run_matches(branches, want, lambda t: [(str(s), *t.correction) for s in range(1, N + 1)]
-                       + [(f"A_{s}", -t.correction[0], t.correction[1]) for s in range(1, N)])
+    leaves = run_telecloning(inp, d, N, mode="all-branches")
+    assert_run_matches(leaves, want, lambda t: [(str(s), *xy(t)) for s in range(1, N + 1)]
+                       + [(f"A_{s}", -xy(t)[0], xy(t)[1]) for s in range(1, N)])
 
 
 def test_engine_matches_depth_first_gbm_unlock():
@@ -623,7 +635,7 @@ def test_engine_matches_depth_first_gbm_unlock():
     for k in tuples:
         comp = channels.product_bell_channel(d, N, k)
         want = depth_first_leaves(comp, pairs)
-        assert_same_leaves(protocols.execute(comp, pairs, engine_leaves, "all-branches")[0], want)
+        assert_same_leaves(engine_leaves(protocols.execute(comp, pairs, "all-branches")), want)
         for outs, prob, state in want:
             slot = acc.setdefault(tuple(outs), [0.0, 0.0])
             rho = np.outer(state.amps, state.amps.conj())
@@ -643,8 +655,8 @@ def test_engine_sample_draws_like_chained_gbm_sample(preset, d, N):
     # one call with T trials against T chained single-state runs from the same seed
     joint, plan, _ = plan_run(preset, d, N, np.random.default_rng(103))
     rng_engine, rng_chain = np.random.default_rng(5), np.random.default_rng(5)
-    got = protocols.execute(joint, plan, engine_leaves, "sample", rng_engine, trials=25)
-    assert isinstance(got, tuple) and len(got) == 25
+    got = engine_leaves(protocols.execute(joint, plan, "sample", rng_engine, trials=25))
+    assert len(got) == 25
     for outs, prob, state in got:
         want_outs, want_prob, st = [], 1.0, joint
         for pair in plan:
@@ -658,12 +670,12 @@ def test_engine_sample_draws_like_chained_gbm_sample(preset, d, N):
     assert rng_engine.random() == rng_chain.random()
     # without trials, one trial and its leaf alone
     rng_engine, rng_chain = np.random.default_rng(6), np.random.default_rng(6)
-    outs, prob, _state = protocols.execute(joint, plan, engine_leaves, "sample", rng_engine)
-    (want_outs, want_prob, _st), = protocols.execute(joint, plan, engine_leaves, "sample",
-                                                     rng_chain, trials=1)
+    (outs, prob, _state), = engine_leaves(protocols.execute(joint, plan, "sample", rng_engine))
+    (want_outs, want_prob, _st), = engine_leaves(protocols.execute(joint, plan, "sample",
+                                                                   rng_chain, trials=1))
     assert (outs, prob) == (want_outs, want_prob)
     with pytest.raises(ProtocolError):
-        protocols.execute(joint, plan, engine_leaves, "sample", rng_engine, trials=0)
+        protocols.execute(joint, plan, "sample", rng_engine, trials=0)
 
 
 @pytest.mark.parametrize("preset,d,N", [("smolin", 2, 2), ("smolin", 3, 2),
@@ -673,22 +685,22 @@ def test_ric_mixed_all_branches_enumerates_every_component(preset, d, N):
     inp = random_qudit(d, rng)
     clone = clone_state(inp.amps, d, N)
     spec = preset_spec(preset, d, N)
-    branches, coverage = run_ric(clone, spec, mode="all-branches")
-    assert coverage == 1.0
+    branches = rows(run_ric(clone, spec, mode="all-branches"))
     target = diana_target(inp, N)
     assert all(abs(overlap(state, target)) ** 2 > 1 - 1e-9 for state, _t in branches)
-    assert sum(t.branch_probability for _s, t in branches) == pytest.approx(1.0, abs=1e-12)
+    assert sum(t["branch_probability"] for _s, t in branches) == pytest.approx(1.0, abs=1e-12)
     tuples, weights, _ = spec.mixture()
     per_component = [
-        run_ric(clone, ChannelSpec(kind="product-bell", d=d, N=N, c=k), mode="all-branches")[0]
+        rows(run_ric(clone, ChannelSpec(kind="product-bell", d=d, N=N, c=k), mode="all-branches"))
         for k in tuples
     ]
     assert len(branches) == sum(len(leaves) for leaves in per_component)
     # component by component, each leaf weighted by its component's C_k
     flat = [(w, t) for w, leaves in zip(weights, per_component) for _s, t in leaves]
     for (_s, t), (w, t_k) in zip(branches, flat):
-        assert [(m.m, m.n) for m in t.messages] == [(m.m, m.n) for m in t_k.messages]
-        assert t.branch_probability == pytest.approx(w * t_k.branch_probability, abs=1e-12)
+        assert ([(m["m"], m["n"]) for m in t["messages"]]
+                == [(m["m"], m["n"]) for m in t_k["messages"]])
+        assert t["branch_probability"] == pytest.approx(w * t_k["branch_probability"], abs=1e-12)
 
 
 def test_ric_mixed_all_branches_over_the_joint_budget_is_refused():
@@ -696,8 +708,8 @@ def test_ric_mixed_all_branches_over_the_joint_budget_is_refused():
     clone = clone_state(np.ones(d) / np.sqrt(d), d, N)
     with pytest.raises(SizeGuardError):
         run_ric(clone, preset_spec("smolin", d, N), mode="all-branches")
-    state, _t = run_ric(clone, preset_spec("smolin", d, N), mode="sample",
-                        rng=np.random.default_rng(1))
+    (state, _t), = rows(run_ric(clone, preset_spec("smolin", d, N), mode="sample",
+                                rng=np.random.default_rng(1)))
     assert state.register.labels == (f"{N}'",)
 
 
@@ -709,8 +721,8 @@ def test_run_ric_trials_draw_like_one_run_per_trial(preset):
     clone = clone_state(random_qudit(d, rng).amps, d, N)
     spec = preset_spec(preset, d, N)
     rng_batch, rng_single = np.random.default_rng(8), np.random.default_rng(8)
-    got = run_ric(clone, spec, mode="sample", rng=rng_batch, trials=30)
-    assert isinstance(got, tuple) and len(got) == 30
+    got = rows(run_ric(clone, spec, mode="sample", rng=rng_batch, trials=30))
+    assert len(got) == 30
     plan = protocols.ric_measurement_plan(N)
     for state, transcript in got:
         if spec.is_mixed:
@@ -723,9 +735,9 @@ def test_run_ric_trials_draw_like_one_run_per_trial(preset):
             want_outs.append((br.outcome.m, br.outcome.n))
             want_prob *= br.outcome.probability
             st = br.post_state
-        assert [(m.m, m.n) for m in transcript.messages] == want_outs
-        assert transcript.branch_probability == pytest.approx(want_prob, abs=1e-12)
-        want = corrected(st, [(f"{N}'", *transcript.correction)])
+        assert [(m["m"], m["n"]) for m in transcript["messages"]] == want_outs
+        assert transcript["branch_probability"] == pytest.approx(want_prob, abs=1e-12)
+        want = corrected(st, [(f"{N}'", *xy(transcript))])
         np.testing.assert_allclose(state.amps, want.amps / want.norm(), atol=1e-12)
     assert rng_batch.random() == rng_single.random()
 
@@ -747,10 +759,7 @@ def test_executor_reuses_one_workspace_across_components(mode, monkeypatch):
     monkeypatch.setattr(kernels, "project_bell_pairs", recording)
     clone = clone_state(random_qudit(d, np.random.default_rng(67)).amps, d, N)
     spec = preset_spec("smolin", d, N)
-    if mode == "sample":
-        leaves = run_ric(clone, spec, mode="sample", rng=np.random.default_rng(3), trials=60)
-    else:
-        leaves, _coverage = run_ric(clone, spec, mode="all-branches")
+    leaves = run_ric(clone, spec, mode=mode, rng=np.random.default_rng(3), trials=60)
     finals = [c for c in calls if c[0] is None]
     levels = [c for c in calls if c[0] is not None]
     assert len(finals) >= 5  # one last-level call per distinct component
@@ -762,4 +771,38 @@ def test_executor_reuses_one_workspace_across_components(mode, monkeypatch):
     for out, scratch, got in levels:
         assert out.base is block and scratch.base is block and np.shares_memory(got, out)
     assert all(scratch is None and not np.shares_memory(got, block) for _o, scratch, got in finals)
-    assert leaves and not any(np.shares_memory(state.amps, block) for state, _t in leaves)
+    assert len(leaves.probs) and not np.shares_memory(leaves.amps, block)
+
+
+# ---------------------------------------------------------------------------
+# the leaf record every runner returns
+
+RUNNERS = {
+    "telecloning": lambda inp, **kw: run_telecloning(inp, 2, 2, **kw),
+    "ric": lambda inp, **kw: run_ric(clone_state(inp.amps, 2, 2), preset_spec("smolin", 2, 2),
+                                     **kw),
+    "mm-ghz": lambda inp, **kw: run_mm_ghz(clone_state(inp.amps, 2, 2), 2, 2, 2, **kw),
+    "mm-multi": lambda inp, **kw: run_mm_multiqudit(
+        synth_distributed_state(inp.amps, 2, 3, 2), 2, 3, 2, **kw),
+}
+
+
+@pytest.mark.parametrize("mode,trials", [("all-branches", None), ("sample", 7), ("sample", None)])
+@pytest.mark.parametrize("runner", sorted(RUNNERS))
+def test_every_runner_returns_one_leaves_record(runner, mode, trials):
+    inp = random_qudit(2, np.random.default_rng(11))
+    leaves = RUNNERS[runner](inp, mode=mode, rng=np.random.default_rng(12), trials=trials)
+    assert isinstance(leaves, protocols.Leaves)
+    B = len(leaves.probs)
+    assert leaves.outcomes.shape == (B, len(leaves.routes), 2)
+    assert leaves.corrections.shape == (B, 2)
+    assert leaves.amps.shape == (B, leaves.register.dim)
+    assert leaves.amps.flags.writeable is False
+    for i in range(B):
+        assert leaves.state(i).register == leaves.register
+        assert len(leaves.transcript(i)["messages"]) == len(leaves.routes)
+    if mode == "sample":
+        assert B == (1 if trials is None else trials)
+    else:
+        assert leaves.probs.sum() == pytest.approx(1.0, abs=1e-12)
+
