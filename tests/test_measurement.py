@@ -15,6 +15,7 @@ from qric import (
     tensor,
 )
 from qric import statealg
+from qric.measurement import select_outcomes
 from qric.errors import LabelError
 
 
@@ -232,3 +233,21 @@ def test_gbm_branches_matches_the_einsum_reference(d, pair):
         assert br.outcome.probability == pytest.approx(ref.outcome.probability, abs=1e-12)
         assert br.post_state.register == ref.post_state.register
         np.testing.assert_allclose(br.post_state.amps, ref.post_state.amps, atol=1e-12)
+
+
+def test_select_outcomes_draws_in_each_trials_order():
+    # trial t's cumulative sum runs over order[t]: the same draw as the default
+    # order on the outcomes permuted into order[t]
+    rng = np.random.default_rng(17)
+    projected = rng.normal(size=(2, 9, 3)) + 1j * rng.normal(size=(2, 9, 3))
+    uniforms, at = rng.random(30), rng.integers(0, 2, 30)
+    order = np.array([rng.permutation(9) for _ in range(30)])
+    rows, outs, _, _, visits = select_outcomes(projected.copy(), uniforms, at, order=order)
+    for t in range(30):
+        permuted = projected[at[t], order[t]][None]
+        _, (pos,), _, _, _ = select_outcomes(permuted, uniforms[t:t + 1])
+        assert (rows[visits[t]], outs[visits[t]]) == (at[t], order[t, pos])
+    same = select_outcomes(projected.copy(), uniforms, at, order=np.tile(np.arange(9), (30, 1)))
+    plain = select_outcomes(projected.copy(), uniforms, at)
+    for got, want in zip(same, plain):
+        np.testing.assert_array_equal(got, want)

@@ -4,6 +4,8 @@ from math import log2
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference
 from qric import (
@@ -726,7 +728,7 @@ def test_run_ric_trials_draw_like_one_run_per_trial(preset):
     plan = protocols.ric_measurement_plan(N)
     for state, transcript in got:
         if spec.is_mixed:
-            _k, chan = spec.sample(rng_single)
+            _k, chan = reference.sample(spec, rng_single)
         else:
             chan = spec.build()
         want_outs, want_prob, st = [], 1.0, statealg.tensor(clone, chan)
@@ -742,9 +744,95 @@ def test_run_ric_trials_draw_like_one_run_per_trial(preset):
     assert rng_batch.random() == rng_single.random()
 
 
+# (d, N) whose dense 4N - 1 qudit joint stays small
+FRAME_SIZES = [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3)]
+
+
+def random_front(d, N, rng):
+    """A random unit vector on the clone labels: no null branch, no symmetry."""
+    reg = statealg.Register(d, protocols.clone_labels(N))
+    amps = rng.normal(size=reg.dim) + 1j * rng.normal(size=reg.dim)
+    return PureState(reg, amps / np.linalg.norm(amps))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_weyl_frame_oracle_matches_the_dense_component_path(data):
+    # the index tracker against one dense joint per component, any (u, v)
+    d, N = data.draw(st.sampled_from(FRAME_SIZES))
+    k = tuple(data.draw(st.lists(st.integers(0, d - 1), min_size=2 * N, max_size=2 * N)))
+    pairs = st.tuples(st.integers(0, d - 1), st.integers(0, d - 1))
+    outs = data.draw(st.lists(pairs, min_size=2 * N - 1, max_size=2 * N - 1))
+    u, v = sum(k[0::2]) % d, sum(k[1::2]) % d
+    front = random_front(d, N, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+    plan = protocols.ric_measurement_plan(N)
+    base, phase, (x, y) = reference.ric_weyl_frame(d, N, k, outs)
+    leaf = reference.project_plan(statealg.tensor(front, channels.product_bell_channel(d, N, k)),
+                                  plan, outs)
+    want = reference.project_plan(
+        statealg.tensor(front, channels.product_bell_channel(d, N, (0,) * (2 * N))), plan, base)
+    assert leaf.register == want.register
+    assert np.linalg.norm(want.amps) > 1e-6
+    np.testing.assert_allclose(leaf.amps, opsbasis.omega_power(d, phase) * want.amps,
+                               rtol=0, atol=1e-13)
+    assert deduce_correction(outs[:-1], outs[-1], u, v, d) == (x, y)
+    assert deduce_correction(base[:-1], base[-1], 0, 0, d) == (x, y)
+
+
+@pytest.mark.parametrize("plan_of", ["ric", "unlock"])
+@pytest.mark.parametrize("d,N", [(2, 2), (3, 2), (2, 3)])
+def test_mixture_leaves_are_the_dense_components_leaves(plan_of, d, N):
+    # tuples with nonzero residues; the unlock plan leaves A'_1's frame factor on the residual
+    rng = np.random.default_rng(71 + d * N)
+    u, v = 1, d - 1
+    tuples = [k for k in channels.enumerate_constrained_tuples(d, N, u, v)
+              if rng.random() < 0.5][:6]
+    weights = rng.random(len(tuples))
+    weights /= weights.sum()
+    if plan_of == "ric":
+        front = random_front(d, N, rng)
+        plan = protocols.ric_measurement_plan(N)
+    else:
+        front, plan = None, [(f"A'_{s}", f"{s}'") for s in range(2, N + 1)]
+    joint = protocols.Joint.bell_mixture(front, d, N, tuples, weights)
+    outcomes, probs, register, amps = protocols.execute(joint, plan, "all-branches")
+    want = []
+    for k, w in zip(tuples, weights):
+        comp = channels.product_bell_channel(d, N, k)
+        comp = comp if front is None else statealg.tensor(front, comp)
+        for outs, prob, state in depth_first_leaves(comp, plan):
+            want.append((outs, w * prob, state))
+    assert [[tuple(o) for o in row] for row in outcomes.tolist()] == [o for o, _p, _s in want]
+    np.testing.assert_allclose(probs, [p for _o, p, _s in want], rtol=0, atol=1e-15)
+    for row, (_o, _p, state) in zip(amps, want):
+        assert register == state.register
+        np.testing.assert_allclose(row, state.amps, rtol=0, atol=1e-12)
+    # one run per trial: the component draw, then one uniform per level
+    def draw(r):
+        return int(r.choice(len(weights), p=weights))
+
+    joint = protocols.Joint.bell_mixture(front, d, N, tuples, weights, draw)
+    rng_batch, rng_single = np.random.default_rng(4), np.random.default_rng(4)
+    got = engine_leaves(protocols.execute(joint, plan, "sample", rng_batch, trials=40))
+    for outs, prob, state in got:
+        chain = channels.product_bell_channel(d, N, tuples[draw(rng_single)])
+        chain = chain if front is None else statealg.tensor(front, chain)
+        want_outs, want_prob = [], 1.0
+        for pair in plan:
+            br = reference.gbm_sample(chain, pair, rng_single)
+            want_outs.append((br.outcome.m, br.outcome.n))
+            want_prob *= br.outcome.probability
+            chain = br.post_state
+        assert outs == want_outs
+        assert prob == pytest.approx(want_prob, abs=1e-12)
+        np.testing.assert_allclose(state.amps, chain.amps, rtol=0, atol=1e-12)
+    assert rng_batch.random() == rng_single.random()
+
+
 @pytest.mark.parametrize("mode", ["sample", "all-branches"])
 def test_executor_reuses_one_workspace_across_components(mode, monkeypatch):
-    # smolin (3,2): 9 components, a 3-level plan, so 2 non-final levels per component
+    # smolin (3,2): 9 components on one base row, a 3-level plan, so one
+    # descent with 2 non-final levels and one final level per run
     from qric import kernels
 
     d, N = 3, 2
@@ -762,8 +850,8 @@ def test_executor_reuses_one_workspace_across_components(mode, monkeypatch):
     leaves = run_ric(clone, spec, mode=mode, rng=np.random.default_rng(3), trials=60)
     finals = [c for c in calls if c[0] is None]
     levels = [c for c in calls if c[0] is not None]
-    assert len(finals) >= 5  # one last-level call per distinct component
-    assert len(levels) == 2 * len(finals)
+    assert len(finals) == 1  # the components share the base row's one descent
+    assert len(levels) == 2
     block, dim = levels[0][0].base, d ** (4 * N - 1)  # clone (x) channel: 4N - 1 qudits
     ptrs = {out.ctypes.data for out, _s, _g in levels}
     assert ptrs <= {block.ctypes.data, block.ctypes.data + 16 * dim}
