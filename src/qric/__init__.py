@@ -34,6 +34,7 @@ from .opsbasis import (
     weyl_u,
 )
 from .channels import (
+    BellMixture,
     ChannelSpec,
     beta_weighted_channel,
     channel_labels,
@@ -41,10 +42,8 @@ from .channels import (
     general_pure_channel,
     ghz_channel,
     load_channel,
-    mixed_channel,
     preset_spec,
     product_bell_channel,
-    smolin_like,
     telecloning_channel,
 )
 from .measurement import (

@@ -5,13 +5,15 @@ equivalences, UBES unlocking, partial-transpose evidence, permutation
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import channels, opsbasis, protocols, statealg
-from .channels import channel_labels
-from .errors import DimensionError
+from .channels import BellMixture, channel_labels
+from .errors import DimensionError, LabelError
 from .statealg import Cut, DensityOperator, PureState
 
 
@@ -33,7 +35,7 @@ def stabilizer_groups(N: int) -> tuple[tuple, tuple]:
     return minus, plus
 
 
-def stabilizer_suite(state: PureState | DensityOperator, d: int, N: int) -> dict:
+def stabilizer_suite(state: PureState | BellMixture, d: int, N: int) -> dict:
     """All d^2 expectations tr(S^{mn} rho) under the canonical assignment."""
     minus, plus = stabilizer_groups(N)
     return {
@@ -144,24 +146,17 @@ def unlock_ubes(d: int, N: int, mode: str = "all-branches",
     return reports
 
 
-def partial_transpose(rho: DensityOperator, transpose_labels) -> np.ndarray:
-    """Matrix of rho partially transposed over the given labels."""
-    reg = rho.register
-    pos = sorted(reg.positions(transpose_labels))
-    n = reg.n
-    d = reg.d
-    t = rho.mat.reshape([d] * (2 * n))
-    perm = list(range(2 * n))
-    for p in pos:
-        perm[p], perm[n + p] = perm[n + p], perm[p]
-    return np.transpose(t, perm).reshape(reg.dim, reg.dim)
-
-
-def ppt_min_eigenvalue(rho: DensityOperator, cut: Cut) -> float:
-    """Minimum eigenvalue of the partial transpose over cut.groupB."""
+def ppt_min_eigenvalue(rho: BellMixture, cut: Cut) -> float:
+    """Minimum eigenvalue of rho partially transposed over cut.groupB, for a cut
+    that keeps every channel pair (A'_s, s') whole; one that splits a pair raises
+    LabelError. Transposing a whole pair maps each Bell state to its conjugate,
+    another Bell state, so the partial transpose of any Bell-product mixture has
+    the Bell-basis diagonal W as its spectrum: the minimum is W.min()."""
     cut.validate(rho.register)
-    mat = partial_transpose(rho, cut.groupB)
-    return float(np.linalg.eigvalsh(mat).min())
+    side = [l in cut.groupB for l in rho.register.labels]
+    if side[0::2] != side[1::2]:
+        raise LabelError("the cut splits a channel pair")
+    return float(rho.diagonal().min())
 
 
 @dataclass
@@ -178,33 +173,44 @@ class SymmetryReport:
         return max(self.cross.values())
 
 
-def _swap_distance(rho: DensityOperator, a: str, b: str) -> float:
-    """||rho - SWAP_ab rho SWAP_ab||_F, with the swap taken as axis views of rho."""
-    reg = rho.register
-    pa, pb = reg.position(a), reg.position(b)
-    t = rho.mat.reshape([reg.d] * (2 * reg.n))
-    swapped = t.swapaxes(pa, pb).swapaxes(reg.n + pa, reg.n + pb)
-    return float(np.linalg.norm(t - swapped))
+def _bell_swap(d: int, N: int, pairs: list, x: int, y: int) -> np.ndarray:
+    """M = E* (S E)^T: the swap S of labels x and y of the given pairs, in their Bell
+    basis E (rows; the last channel pair turned as bell_products builds it)."""
+    vecs = opsbasis.bell_bras(d).conj()
+    E = functools.reduce(np.kron, [(vecs.transpose(0, 2, 1) if s == N - 1 else vecs)
+                                   .reshape(d * d, -1) for s in pairs])
+    SE = E.reshape((-1,) + (d,) * (2 * len(pairs))).swapaxes(1 + x, 1 + y).reshape(E.shape)
+    return np.conjugate(E, out=E) @ SE.T
 
 
-def symmetry_report(rho: DensityOperator, d: int, N: int) -> SymmetryReport:
+def _swap_distance(rho: BellMixture, a: str, b: str) -> float:
+    """||rho - S rho S||_F for the swap S of labels a and b. With M the swap in the
+    Bell basis of the p pairs it touches (_bell_swap) and W reshaped to (R, d^2p),
+    those pairs last, the squared distance is sum_r ||diag(W_r) - M diag(W_r) M^dag||^2:
+    a sum of squares in which no large terms cancel."""
+    pos = rho.register.positions((a, b))
+    pairs = sorted({p // 2 for p in pos})
+    M = _bell_swap(rho.d, rho.N, pairs, *(2 * pairs.index(p // 2) + p % 2 for p in pos))
+    axes = [2 * s + i for s in pairs for i in (0, 1)]
+    W = np.moveaxis(rho.diagonal(), axes, range(-len(axes), 0)).reshape(-1, len(M))
+    # M diag(W_r) is formed before M's buffer is reused for M^dag
+    diff = (M * W[:, None, :]) @ np.conjugate(M, out=M).T
+    diff.reshape(len(W), -1)[:, ::len(M) + 1] -= W  # the diagonal of every block
+    return float(np.linalg.norm(diff))
+
+
+def symmetry_report(rho: BellMixture, d: int, N: int) -> SymmetryReport:
     """Frobenius swap distances: within each slot group, plus A'_1 <-> 1'."""
-    g1, g2 = stabilizer_groups(N)
-    within_g1 = {}
-    within_g2 = {}
-    for group, acc in ((g1, within_g1), (g2, within_g2)):
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                acc[(group[i], group[j])] = _swap_distance(rho, group[i], group[j])
-    cross = {("A'_1", "1'"): _swap_distance(rho, "A'_1", "1'")}
-    return SymmetryReport(within_g1, within_g2, cross)
+    within = [{(a, b): _swap_distance(rho, a, b) for a, b in itertools.combinations(group, 2)}
+              for group in stabilizer_groups(N)]
+    return SymmetryReport(*within, {("A'_1", "1'"): _swap_distance(rho, "A'_1", "1'")})
 
 
-def smolin_spectrum_check(rho: DensityOperator) -> tuple[int, float]:
+def smolin_spectrum_check(rho: BellMixture) -> tuple[int, float]:
     """(rank, max deviation of nonzero eigenvalues from 1/d^{2(N-1)}) of the
-    2N-qudit Smolin-like density rho."""
-    d, N = rho.d, rho.register.n // 2
-    vals = np.linalg.eigvalsh(rho.mat)
+    2N-qudit Smolin-like mixture rho, whose spectrum is its Bell-basis diagonal."""
+    d, N = rho.d, rho.N
+    vals = rho.diagonal().ravel()
     target = 1.0 / d ** (2 * (N - 1))
     nonzero = vals[vals > target / 2]
     rank = int(nonzero.size)

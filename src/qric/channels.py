@@ -20,7 +20,7 @@ import numpy as np
 
 from . import opsbasis, statealg
 from .errors import ConstraintError, DimensionError
-from .statealg import DensityOperator, PureState, Register
+from .statealg import PureState, Register
 
 WEIGHT_TOL = 1e-9
 
@@ -195,7 +195,7 @@ class ChannelSpec:
     # -- materialization ----------------------------------------------------
 
     def build(self):
-        """PureState for pure kinds, DensityOperator for mixed kinds."""
+        """PureState for pure kinds, BellMixture for mixed kinds."""
         if self.kind == "telecloning":
             return telecloning_channel(self.d, self.N)
         if self.kind == "ghz":
@@ -208,9 +208,8 @@ class ChannelSpec:
             return product_bell_channel(self.d, self.N, self.c)
         if self.kind == "general-pure":
             return general_pure_channel(self)
-        if self.kind == "mixed":
-            return mixed_channel(self)
-        return smolin_like(self.d, self.N)
+        tuples, weights, _ = self.mixture()
+        return BellMixture(self.d, self.N, tuples, weights)
 
     def mixture(self):
         """(tuples, weights, draw) of a mixed kind's Bell-product components;
@@ -224,6 +223,40 @@ class ChannelSpec:
         weights = np.array([wgt for _, wgt in self.table])
         p = weights / weights.sum()
         return [k for k, _ in self.table], weights, lambda rng: int(rng.choice(len(p), p=p))
+
+
+@dataclass(frozen=True)
+class BellMixture:
+    """The mixed channel sum_k C_k |B_k><B_k|: tuples (K, 2N) ints, weights (K,);
+    a tuple may repeat. The Bell products are orthonormal, so the state is
+    diagonal in the Bell basis and its analysis needs no density matrix."""
+
+    d: int
+    N: int
+    tuples: np.ndarray
+    weights: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "tuples", np.array(self.tuples, dtype=np.intp))
+        object.__setattr__(self, "weights", np.array(self.weights, dtype=np.float64))
+        k = self.tuples
+        if k.shape != (len(self.weights), 2 * self.N) or ((k < 0) | (k >= self.d)).any():
+            raise ConstraintError(f"need one weight per {2 * self.N}-tuple in 0..{self.d - 1}")
+
+    @property
+    def register(self) -> Register:
+        return Register(self.d, channel_labels(self.N))
+
+    def diagonal(self) -> np.ndarray:
+        """W, the (d,)*2N Bell-basis diagonal and so the spectrum: the weights
+        summed per distinct tuple, 0 elsewhere."""
+        out = np.zeros((self.d,) * (2 * self.N))
+        np.add.at(out, tuple(self.tuples.T), self.weights)
+        return out
+
+    def rows(self) -> np.ndarray:
+        """(K, d^(2N)) amplitudes of the Bell products, one row per tuple."""
+        return bell_products(self.d, self.N, self.tuples)
 
 
 # ---------------------------------------------------------------------------
@@ -323,29 +356,6 @@ def beta_weighted_channel(d: int, N: int) -> PureState:
     neg = -np.arange(d) % d
     tails = opsbasis.bell_bras(d).conj().reshape(d, d, d * d)[np.ix_(neg, neg)]
     return PureState(Register(d, channel_labels(N)), bbar_sum(bbar, family.beta, tails))
-
-
-def mixed_channel(spec: ChannelSpec) -> DensityOperator:
-    """C-weighted mixture of Bell-product projectors (density form)."""
-    if spec.kind not in ("mixed", "smolin-like"):
-        raise ConstraintError("spec kind must be mixed or smolin-like")
-    reg = Register(spec.d, channel_labels(spec.N))
-    statealg.check_size("density matrix bytes", 16 * reg.dim**2)
-    table = spec.table
-    if spec.kind == "smolin-like" and not table:
-        tuples = enumerate_constrained_tuples(spec.d, spec.N, 0, 0)
-        table = [(k, 1.0 / len(tuples)) for k in tuples]
-    if not table:
-        raise ConstraintError("mixed channel needs a non-empty table")
-    vecs = bell_products(spec.d, spec.N, [k for k, _ in table])
-    weights = np.array([cw for _, cw in table])
-    # sum_k C_k |v_k><v_k| as one (dim, K) @ (K, dim) product
-    return DensityOperator(reg, (vecs.T * weights) @ vecs.conj(), validate=False)
-
-
-def smolin_like(d: int, N: int) -> DensityOperator:
-    """Uniform mixture over all u=v=0 constrained Bell-product projectors."""
-    return mixed_channel(ChannelSpec(kind="smolin-like", d=d, N=N))
 
 
 # ---------------------------------------------------------------------------

@@ -178,9 +178,11 @@ def cmd_ric_mm_multi(args):
 
 
 def cmd_verify(args):
+    # the suite's largest arrays, refused before any check runs: the Smolin mixture's
+    # d^(2N-2) x d^(2N) Bell-product rows and a two-pair swap's d^(2N-4) x d^4 x d^4 blocks
+    statealg.check_size("verify suite bytes", 16 * args.d ** max(4 * args.N - 2, 2 * args.N + 4))
     d, N = args.d, args.N
-    # the largest object of the suite, built once and first (no rng) as its up-front size guard
-    rho = channels.smolin_like(d, N)
+    rho = channels.preset_spec("smolin", d, N).build()
     rng = np.random.default_rng(args.seed)
     checks = []
 
@@ -229,7 +231,6 @@ def cmd_verify(args):
     )
 
     for preset in ("ghz", "beta", "bell-product", "smolin", "mixed-uniform"):
-        # passed as a temporary, so each preset's density is freed before the next build
         table = analysis.stabilizer_suite(
             rho if preset == "smolin" else channels.preset_spec(preset, d, N).build(), d, N
         )

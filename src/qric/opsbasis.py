@@ -19,7 +19,7 @@ from math import factorial
 import numpy as np
 
 from .errors import DimensionError, LabelError
-from .statealg import DensityOperator, PureState, Register
+from .statealg import PureState, Register
 
 
 def omega_power(d: int, k: int) -> complex:
@@ -235,18 +235,14 @@ def phi_state(d: int, N: int, j: int) -> PureState:
 # ---------------------------------------------------------------------------
 # stabilizer expectations
 
-def stabilizer_expectation(
-    state: PureState | DensityOperator,
-    m: int,
-    n: int,
-    minus_labels,
-    plus_labels,
-) -> complex:
+def stabilizer_expectation(state, m: int, n: int, minus_labels, plus_labels) -> complex:
     """tr(S^{mn} rho) with U^{-m,n} on minus_labels and U^{m,n} on plus_labels.
 
+    state is a PureState or a channels.BellMixture sum_k C_k |v_k><v_k|.
     Every register label must sit in exactly one group. With S^{mn} as
-    (col, val) from `weyl_monomial`, <psi|S|psi> = sum_r conj(psi_r) val_r psi[col_r]
-    and tr(S rho) = sum_r val_r rho[col_r, r].
+    (col, val) from `weyl_monomial`, <psi|S|psi> = sum_r conj(psi_r) val_r psi[col_r],
+    and a mixture gives tr(S rho) = sum_k C_k <v_k|S|v_k> over the rows v_k
+    of its Bell products.
     """
     minus_labels = tuple(minus_labels)
     plus_labels = tuple(plus_labels)
@@ -259,4 +255,6 @@ def stabilizer_expectation(
     col, val = weyl_monomial(reg.d, [("U", s * m, n) for s in signs])
     if isinstance(state, PureState):
         return complex(np.vdot(state.amps, val * state.amps[col]))
-    return complex(np.dot(val, state.mat[col, np.arange(reg.dim)]))
+    rows = state.rows()
+    k, r = np.nonzero(rows)  # only nonzero conj(v_kr) contribute
+    return complex(np.dot(state.weights[k] * rows[k, r].conj() * val[r], rows[k, col[r]]))

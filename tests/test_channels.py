@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import reference
+from reference import mixed_channel, smolin_like
 from qric import (
     ChannelSpec,
     Cut,
@@ -14,10 +15,8 @@ from qric import (
     enumerate_constrained_tuples,
     general_pure_channel,
     ghz_channel,
-    mixed_channel,
     preset_spec,
     product_bell_channel,
-    smolin_like,
     telecloning_channel,
 )
 from qric import channels, opsbasis, statealg
@@ -276,6 +275,29 @@ def test_smolin_basic_properties():
     assert abs(np.trace(rho.mat) - 1) < 1e-12
     assert np.abs(rho.mat - rho.mat.conj().T).max() < 1e-12
     assert np.linalg.eigvalsh(rho.mat).min() > -1e-12
+
+
+def test_mixed_specs_build_their_tuples_and_weights():
+    spec = ChannelSpec(kind="mixed", d=3, N=2, u=1, v=2,
+                       table=[((0, 0, 1, 2), 0.75), ((1, 2, 0, 0), 0.25)])
+    mix = spec.build()
+    assert isinstance(mix, channels.BellMixture)
+    assert mix.tuples.tolist() == [[0, 0, 1, 2], [1, 2, 0, 0]]
+    assert mix.weights.tolist() == [0.75, 0.25]
+    assert mix.register.labels == channel_labels(2)
+    smolin = preset_spec("smolin", 2, 3).build()
+    assert smolin.tuples.shape == (16, 6) and np.all(smolin.weights == 1 / 16)
+
+
+@pytest.mark.parametrize("tuples,weights", [
+    ([(0, 0, 1, 3)], [1.0]),  # entry out of range
+    ([(0, 0, -1, 0)], [1.0]),  # negative entry
+    ([(0, 0, 1)], [1.0]),  # too short
+    ([(0, 0, 0, 0), (1, 1, 1, 1)], [1.0]),  # one weight for two tuples
+])
+def test_bell_mixture_refuses_malformed_tuples(tuples, weights):
+    with pytest.raises(ConstraintError):
+        channels.BellMixture(3, 2, tuples, weights)
 
 
 def test_smolin_d3_tuple_constraints():

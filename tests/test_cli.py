@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from qric import cli, protocols
+from qric import cli, measurement, protocols
 from qric.cli import main
 
 
@@ -218,15 +218,27 @@ def test_negative_max_transcripts_exit_2(capsys):
         "ric-beta-40-2", "ric-beta-12-3", "ric-smolin-all-branches", "ric-mm-multi-12-4-2"])
 def test_large_d_hits_the_size_guard_before_building_states(argv, monkeypatch):
     # each would otherwise allocate gigabytes: the joint state, the Smolin
-    # density, the unlock outcome table, or the d^(2(N-1)) mixture table;
-    # the beta channels fit the budget, but their O(d^(2N+2)) build would
-    # run for seconds to minutes before the joint register is refused, and
-    # so would the clone family and Bbar sum of the (12, 4, 2) distributed state
+    # mixture's Bell-product rows, the unlock outcome table, or the d^(2(N-1))
+    # mixture table; the beta channels fit the budget, but their O(d^(2N+2))
+    # build would run for seconds to minutes before the joint register is
+    # refused, and so would the clone family and Bbar sum of the (12, 4, 2)
+    # distributed state; verify and report refuse before their first check
     def not_before_the_guard(*args, **kwargs):
-        raise AssertionError("distributed state built before the joint size guard")
+        raise AssertionError("work started before the size guard")
 
     monkeypatch.setattr(protocols, "synth_distributed_state", not_before_the_guard)
+    monkeypatch.setattr(measurement, "swap_identity_check", not_before_the_guard)
     assert main(argv + ["--out", "/dev/null"]) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--d", "4", "--N", "3"],
+    ["stabilizers", "--d", "4", "--N", "3", "--channel", "mixed-uniform"],
+], ids=["verify", "stabilizers-mixed-uniform"])
+def test_mixture_checks_run_where_their_density_would_not_fit(argv, capsys):
+    # a 4096-row density is over the byte budget; the Bell-tuple weights are not
+    assert main(argv + ["--out", "/dev/null"]) == 0
+    assert "checks passed" in capsys.readouterr().err
 
 
 BENCH_SPEC = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spec.json")
@@ -277,7 +289,10 @@ SAMPLED_REPORTS = {
 # that bell_products and bbar_sum replaced. The last three, an extraction at N >= 3 each,
 # were pinned from the dict-of-states clone family that the array form replaced.
 # mixed-uniform, unlock and both verify entries (verify reports unlock's minimum
-# purity) were re-pinned for the Weyl-frame mixture run, floats within 1e-12
+# purity) were re-pinned for the Weyl-frame mixture run, floats within 1e-12.
+# Both verify entries and the mixed-uniform stabilizers were re-pinned when the
+# mixture analysis moved from a dense density to the Bell-tuple weights: the
+# same keys, strings, integers and rows, the mixture floats within 1e-12
 ALL_BRANCHES_REPORTS = {
     "ric --d 3 --N 2 --channel beta":
         "441b6e88b593548649225b396ca587869f921346ff1379a63fd0d065f11c7f40",
@@ -286,9 +301,9 @@ ALL_BRANCHES_REPORTS = {
     "ric-mm-ghz --d 3 --N 2 --L 2":
         "3bb10f37a5b1b69a76ecf1de064f634cfa09cfb99f45f3274ca4b059b53f5c43",
     "verify --d 3 --N 2":
-        "d792e0be6744307a891df65a6e17a29b7bc68c9b79613f4f1fce11c4f43b365d",
+        "209893173eaa828fd0a8ba54e9b02658168c43ca1d3fc2e12467137fd3226f28",
     "stabilizers --d 3 --N 2 --channel mixed-uniform":
-        "78334b9a166c7a5bc24ddaf040c99ef5e91d654a2439d39ddc83b63d19733d04",
+        "73e1d3e2a804b8220fb65040bdc1c2e3c04338758b184fee44084e03fdf47997",
     "ric --d 3 --N 2 --channel ghz":
         "9eab8d3ac4d135f58121bbb6372ddce9f17bf38da0fda5bda2f7103c424eb0f3",
     "ric --d 3 --N 2 --channel mixed-uniform":
@@ -302,7 +317,7 @@ ALL_BRANCHES_REPORTS = {
     "ric --d 2 --N 3 --channel beta":
         "1e0815337b0fbceb97e9cb6dc3e5199e873b30e39cd811fa070fd795303d52bc",
     "verify --d 3 --N 3":
-        "9041604625984abedd04d4842a4c613159cc466c156bf8512b877fe4f2bd4319",
+        "40809c68d1eb88256dbbdf0d2f9c0ff86e951ad543ca64b0ed0bfa65d6a5709a",
     "ric-mm-multi --d 2 --N 3 --L 1":
         "b764eb51e7f9f10a8e789731e6b5e17f44bcc3b9ad6b2494c0886fa3cb32be95",
 }

@@ -250,7 +250,7 @@ def test_stabilizer_expectation_smolin_d3():
     from qric.analysis import stabilizer_groups
 
     minus, plus = stabilizer_groups(2)
-    rho = channels.smolin_like(3, 2)
+    rho = channels.preset_spec("smolin", 3, 2).build()
     for m in range(3):
         for n in range(3):
             val = stabilizer_expectation(rho, m, n, minus, plus)
@@ -261,8 +261,9 @@ def test_stabilizer_expectation_maximally_mixed():
     from qric.analysis import stabilizer_groups
 
     minus, plus = stabilizer_groups(2)
-    reg = Register(2, channels.channel_labels(2))
-    rho = DensityOperator(reg, np.eye(16) / 16, validate=False)
+    # I/16 is the uniform mixture of all 16 Bell products
+    tuples = list(itertools.product(range(2), repeat=4))
+    rho = channels.BellMixture(2, 2, tuples, np.full(16, 1 / 16))
     for m in range(2):
         for n in range(2):
             val = stabilizer_expectation(rho, m, n, minus, plus)
@@ -277,7 +278,7 @@ def test_stabilizer_expectation_overlapping_groups_raise(kind):
     _, plus = stabilizer_groups(2)
     state = channels.product_bell_channel(2, 2, (0, 0, 0, 0))
     if kind == "density":
-        state = state.to_density()
+        state = channels.BellMixture(2, 2, [(0, 0, 0, 0)], [1.0])
     with pytest.raises(LabelError):
         stabilizer_expectation(state, 1, 1, channels.channel_labels(2), plus)
 
@@ -289,8 +290,8 @@ def _dense_stabilizer_halves(d, m, n, signs):
     return [functools.reduce(np.kron, part) for part in (A, B)]
 
 
-# every d in {2, 3, 4} and N in {2, 3}; no density at (4, 3), whose 4096 rows
-# are over the byte budget
+# every d in {2, 3, 4} and N in {2, 3}; a density goes through the dense oracle,
+# and there is none at (4, 3), whose 4096 rows are over the byte budget
 @pytest.mark.parametrize("d,N,kind", [
     (d, N, kind) for d in (2, 3, 4) for N in (2, 3) for kind in ("pure", "density")
     if (d, N, kind) != (4, 3, "density")
@@ -321,7 +322,10 @@ def test_stabilizer_expectation_matches_dense_reference(d, N, kind):
             want = np.vdot(psi, s_psi)
         else:
             want = np.einsum("ij,ji->", np.kron(A, B), rho)  # trace(S @ rho)
-        got = stabilizer_expectation(state, m, n, minus, plus)
+        if kind == "pure":
+            got = stabilizer_expectation(state, m, n, minus, plus)
+        else:
+            got = reference.stabilizer_expectation(state, m, n, minus, plus)
         assert abs(got - want) < 1e-12, (m, n)
 
 

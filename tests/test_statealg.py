@@ -17,7 +17,6 @@ from qric import (
     overlap,
     partial_trace,
     permute,
-    smolin_like,
     tensor,
 )
 from qric import statealg
@@ -83,7 +82,7 @@ def test_oversized_register_raises_before_allocating(monkeypatch):
 
 def test_density_byte_budget_refuses_2401_rows():
     with pytest.raises(SizeGuardError):
-        smolin_like(7, 2)
+        reference.smolin_like(7, 2)
 
 
 # ---------------------------------------------------------------------------
