@@ -5,7 +5,6 @@ equivalences, UBES unlocking, partial-transpose evidence, permutation
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -36,13 +35,22 @@ def stabilizer_groups(N: int) -> tuple[tuple, tuple]:
 
 
 def stabilizer_suite(state: PureState | BellMixture, d: int, N: int) -> dict:
-    """All d^2 expectations tr(S^{mn} rho) under the canonical assignment."""
+    """All d^2 expectations tr(S^{mn} rho) under the canonical assignment.
+
+    Every Bell product |B_k> is an eigenstate of every S^{mn}, with eigenvalue
+    w^{m v_k - n u_k} (u_k, v_k the sums of its phase and of its shift indices),
+    so a BellMixture's table is sum_k C_k w^{m v_k - n u_k}.
+    """
     minus, plus = stabilizer_groups(N)
-    return {
-        (m, n): opsbasis.stabilizer_expectation(state, m, n, minus, plus)
-        for m in range(d)
-        for n in range(d)
-    }
+    if isinstance(state, PureState):
+        return {(m, n): opsbasis.stabilizer_expectation(state, m, n, minus, plus)
+                for m in range(d) for n in range(d)}
+    if state.N != N:
+        raise LabelError("group assignment must cover the register")
+    u, v = (state.tuples[:, i::2].sum(axis=1) for i in (0, 1))
+    omega = opsbasis.omega_table(state.d)
+    return {(m, n): complex(np.dot(state.weights, omega[(m * v - n * u) % state.d]))
+            for m in range(d) for n in range(d)}
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +131,7 @@ def unlock_ubes(d: int, N: int, mode: str = "all-branches",
     np.add.at(masses, codes, prob)
     seen = np.zeros(d ** len(digits), dtype=bool)
     seen[codes] = True
+    bras = opsbasis.bell_bras(d).reshape(d * d, -1)  # row m*d + n: <B^{m,n}|
     reports = []
     for code in np.flatnonzero(seen):
         flat = [int(i) for i in np.unravel_index(code, digits)]
@@ -130,11 +139,7 @@ def unlock_ubes(d: int, N: int, mode: str = "all-branches",
         prob = float(masses[code])
         rho = DensityOperator(pair_reg, mats[code] / prob, validate=False)
         ent = statealg.von_neumann_entropy(statealg.partial_trace(rho, ["1'"]))
-        best = 0.0
-        for m in range(d):
-            for n in range(d):
-                b = opsbasis.bell_vector(d, m, n)
-                best = max(best, float(np.real(np.vdot(b, rho.mat @ b))))
+        best = max(0.0, float(np.einsum("kx,xy,ky->k", bras, rho.mat, bras.conj()).real.max()))
         reports.append(UnlockOutcome(outs, prob, rho.purity(), ent, best))
     if mode != "all-branches":
         if rng is None:
@@ -173,30 +178,30 @@ class SymmetryReport:
         return max(self.cross.values())
 
 
-def _bell_swap(d: int, N: int, pairs: list, x: int, y: int) -> np.ndarray:
-    """M = E* (S E)^T: the swap S of labels x and y of the given pairs, in their Bell
-    basis E (rows; the last channel pair turned as bell_products builds it)."""
-    vecs = opsbasis.bell_bras(d).conj()
-    E = functools.reduce(np.kron, [(vecs.transpose(0, 2, 1) if s == N - 1 else vecs)
-                                   .reshape(d * d, -1) for s in pairs])
-    SE = E.reshape((-1,) + (d,) * (2 * len(pairs))).swapaxes(1 + x, 1 + y).reshape(E.shape)
-    return np.conjugate(E, out=E) @ SE.T
-
-
 def _swap_distance(rho: BellMixture, a: str, b: str) -> float:
-    """||rho - S rho S||_F for the swap S of labels a and b. With M the swap in the
-    Bell basis of the p pairs it touches (_bell_swap) and W reshaped to (R, d^2p),
-    those pairs last, the squared distance is sum_r ||diag(W_r) - M diag(W_r) M^dag||^2:
-    a sum of squares in which no large terms cancel."""
-    pos = rho.register.positions((a, b))
-    pairs = sorted({p // 2 for p in pos})
-    M = _bell_swap(rho.d, rho.N, pairs, *(2 * pairs.index(p // 2) + p % 2 for p in pos))
-    axes = [2 * s + i for s in pairs for i in (0, 1)]
-    W = np.moveaxis(rho.diagonal(), axes, range(-len(axes), 0)).reshape(-1, len(M))
-    # M diag(W_r) is formed before M's buffer is reused for M^dag
-    diff = (M * W[:, None, :]) @ np.conjugate(M, out=M).T
-    diff.reshape(len(W), -1)[:, ::len(M) + 1] -= W  # the diagonal of every block
-    return float(np.linalg.norm(diff))
+    """||rho - S rho S||_F for the swap S of labels a and b, from W alone.
+
+    The two qudits of one pair: S|B^{m,n}> = w^{-mn}|B^{m,-n}>, a permutation
+    of the Bell basis, so the distance is ||W - W[n -> -n]||. The same built
+    slot of pairs a and b: by the Bell rearrangement identity S spreads each
+    Bell product evenly over the d^2 with the same m_a + m_b and n_a + n_b, so
+    ||rho - S rho S||^2 = sum_{i,l} |<B_i|S|B_l>|^2 (W_i - W_l)^2
+                        = (1/d^2) sum_{f,g} ||W - W shifted by (f, g, -f, -g)||^2
+    on the axes (m_a, n_a, m_b, n_b): a sum of squares, so nothing cancels.
+    Any other pair of labels raises LabelError.
+    """
+    d, N, W = rho.d, rho.N, rho.diagonal()
+    (pa, sa), (pb, sb) = (divmod(p, 2) for p in rho.register.positions((a, b)))
+    # the last pair is built on (N', A'_N), its slots in reverse label order
+    sa, sb = sa ^ (pa == N - 1), sb ^ (pb == N - 1)
+    if pa == pb and sa != sb:
+        return float(np.linalg.norm(W - np.take(W, -np.arange(d) % d, axis=2 * pa + 1)))
+    if pa == pb or sa != sb:
+        raise LabelError(f"no Bell-diagonal swap distance for labels {a} and {b}")
+    axes = (2 * pa, 2 * pa + 1, 2 * pb, 2 * pb + 1)
+    total = sum(np.sum((W - np.roll(W, (f, g, -f, -g), axes)) ** 2)
+                for f in range(d) for g in range(d))
+    return float(np.sqrt(total)) / d
 
 
 def symmetry_report(rho: BellMixture, d: int, N: int) -> SymmetryReport:

@@ -229,7 +229,8 @@ class ChannelSpec:
 class BellMixture:
     """The mixed channel sum_k C_k |B_k><B_k|: tuples (K, 2N) ints, weights (K,);
     a tuple may repeat. The Bell products are orthonormal, so the state is
-    diagonal in the Bell basis and its analysis needs no density matrix."""
+    diagonal in the Bell basis: its analysis is index arithmetic over Z_d on
+    the tuples, the weights and W, with no amplitudes and no density matrix."""
 
     d: int
     N: int
@@ -253,10 +254,6 @@ class BellMixture:
         out = np.zeros((self.d,) * (2 * self.N))
         np.add.at(out, tuple(self.tuples.T), self.weights)
         return out
-
-    def rows(self) -> np.ndarray:
-        """(K, d^(2N)) amplitudes of the Bell products, one row per tuple."""
-        return bell_products(self.d, self.N, self.tuples)
 
 
 # ---------------------------------------------------------------------------

@@ -235,14 +235,12 @@ def phi_state(d: int, N: int, j: int) -> PureState:
 # ---------------------------------------------------------------------------
 # stabilizer expectations
 
-def stabilizer_expectation(state, m: int, n: int, minus_labels, plus_labels) -> complex:
-    """tr(S^{mn} rho) with U^{-m,n} on minus_labels and U^{m,n} on plus_labels.
+def stabilizer_expectation(state: PureState, m: int, n: int, minus_labels, plus_labels) -> complex:
+    """<psi|S^{mn}|psi> with U^{-m,n} on minus_labels and U^{m,n} on plus_labels.
 
-    state is a PureState or a channels.BellMixture sum_k C_k |v_k><v_k|.
     Every register label must sit in exactly one group. With S^{mn} as
-    (col, val) from `weyl_monomial`, <psi|S|psi> = sum_r conj(psi_r) val_r psi[col_r],
-    and a mixture gives tr(S rho) = sum_k C_k <v_k|S|v_k> over the rows v_k
-    of its Bell products.
+    (col, val) from `weyl_monomial`, <psi|S|psi> = sum_r conj(psi_r) val_r psi[col_r].
+    (A Bell-product mixture's table is `analysis.stabilizer_suite`, in closed form.)
     """
     minus_labels = tuple(minus_labels)
     plus_labels = tuple(plus_labels)
@@ -253,8 +251,4 @@ def stabilizer_expectation(state, m: int, n: int, minus_labels, plus_labels) -> 
         raise LabelError("group assignment must cover the register")
     signs = [-1 if l in minus_labels else 1 for l in reg.labels]
     col, val = weyl_monomial(reg.d, [("U", s * m, n) for s in signs])
-    if isinstance(state, PureState):
-        return complex(np.vdot(state.amps, val * state.amps[col]))
-    rows = state.rows()
-    k, r = np.nonzero(rows)  # only nonzero conj(v_kr) contribute
-    return complex(np.dot(state.weights[k] * rows[k, r].conj() * val[r], rows[k, col[r]]))
+    return complex(np.vdot(state.amps, val * state.amps[col]))

@@ -522,9 +522,10 @@ def run_ric(
     """Concentrate the clone-state information onto Diana's qudit N'.
 
     Returns the Leaves on N' of every non-null branch ("all-branches") or of
-    `trials` drawn runs, one if None ("sample"). A mixed channel
-    is one initial row per component, exact by the untouched-purification
-    argument: a trial draws its component, all-branches weights each by C_k.
+    `trials` drawn runs, one if None ("sample"). A mixed channel is one base
+    row, the all-zero Bell product, and a Weyl frame per component (exact by
+    the untouched-purification argument): a trial draws its component,
+    all-branches weights each by C_k.
     """
     d = clone.d
     if isinstance(channel, ChannelSpec):

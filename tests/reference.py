@@ -36,8 +36,17 @@ tuples and weights alone):
 - stabilizer_expectation / stabilizer_suite: tr(S rho) read off the
   density's entries at weyl_monomial's columns
 - permute: a density's subsystems moved by a relabeling
+
+Where that density does not fit, two oracles work from a BellMixture's
+amplitudes instead, still sharing none of the package's Z_d arithmetic:
+
+- stabilizer_suite_from_rows: sum_k C_k <v_k|S|v_k> over the Bell-product
+  rows, S as weyl_monomial's gathers
+- bell_swap_distance: the swap as a dense matrix M in the Bell basis of the
+  pairs it touches, sum_r ||diag(W_r) - M diag(W_r) M^dag||_F^2
 """
 
+import functools
 import itertools
 
 import numpy as np
@@ -290,3 +299,42 @@ def permute(rho, relabeling):
     t = np.transpose(rho.mat.reshape([reg.d] * (2 * reg.n)), perm + [reg.n + p for p in perm])
     return DensityOperator(Register(reg.d, reg.labels), t.reshape(reg.dim, reg.dim),
                            validate=False)
+
+
+def stabilizer_suite_from_rows(mix, d, N):
+    """All d^2 tr(S^{mn} rho) of a channels.BellMixture under the canonical
+    assignment: sum_k C_k <v_k|S|v_k> over the nonzero amplitudes of its
+    Bell-product rows v_k, S as weyl_monomial's (col, val)."""
+    minus, _ = analysis.stabilizer_groups(N)
+    signs = [-1 if l in minus else 1 for l in mix.register.labels]
+    rows = channels.bell_products(mix.d, mix.N, mix.tuples)
+    k, r = np.nonzero(rows)  # only nonzero conj(v_kr) contribute
+    out = {}
+    for m in range(d):
+        for n in range(d):
+            col, val = opsbasis.weyl_monomial(d, [("U", s * m, n) for s in signs])
+            out[(m, n)] = complex(np.dot(mix.weights[k] * rows[k, r].conj() * val[r],
+                                         rows[k, col[r]]))
+    return out
+
+
+def bell_swap_distance(mix, a, b):
+    """||rho - S rho S||_F of a channels.BellMixture for the swap S of labels a
+    and b. M = E* (S E)^T is the swap in the Bell basis E (rows) of the p pairs
+    it touches, the last channel pair turned as bell_products builds it; with W
+    reshaped to (R, d^2p), those pairs last, the squared distance is
+    sum_r ||diag(W_r) - M diag(W_r) M^dag||_F^2."""
+    d, N = mix.d, mix.N
+    pos = mix.register.positions((a, b))
+    pairs = sorted({p // 2 for p in pos})
+    x, y = (2 * pairs.index(p // 2) + p % 2 for p in pos)
+    vecs = opsbasis.bell_bras(d).conj()
+    E = functools.reduce(np.kron, [(vecs.transpose(0, 2, 1) if s == N - 1 else vecs)
+                                   .reshape(d * d, -1) for s in pairs])
+    SE = E.reshape((-1,) + (d,) * (2 * len(pairs))).swapaxes(1 + x, 1 + y).reshape(E.shape)
+    M = E.conj() @ SE.T
+    axes = [2 * s + i for s in pairs for i in (0, 1)]
+    W = np.moveaxis(mix.diagonal(), axes, range(-len(axes), 0)).reshape(-1, len(M))
+    diff = (M * W[:, None, :]) @ M.conj().T
+    diff.reshape(len(W), -1)[:, ::len(M) + 1] -= W  # the diagonal of every block
+    return float(np.linalg.norm(diff))

@@ -266,6 +266,51 @@ def test_preset_mixture_analysis_matches_the_dense_oracle(preset, d, N):
     assert abs(dev - want_dev) < 1e-12
 
 
+# where the dense density does not fit: the closed forms against the amplitude-row
+# stabilizer sum and the swap as a dense matrix in the Bell basis
+@pytest.mark.parametrize("d,N", [(4, 3), (6, 2)])
+@pytest.mark.parametrize("preset", ["smolin", "mixed-uniform", "random"])
+def test_mixture_closed_forms_match_the_amplitude_oracles(preset, d, N):
+    if preset == "random":  # 12 tuples of any residues, so within-group swaps move W
+        rng = np.random.default_rng(10 * d + N)
+        weights = rng.random(12)
+        mix = channels.BellMixture(d, N, rng.integers(0, d, (12, 2 * N)), weights / weights.sum())
+    else:
+        mix = channels.preset_spec(preset, d, N).build()
+    got, want = stabilizer_suite(mix, d, N), reference.stabilizer_suite_from_rows(mix, d, N)
+    assert list(got) == list(want)
+    assert max(abs(got[k] - want[k]) for k in got) < 1e-12
+    rep = symmetry_report(mix, d, N)
+    for dists in (rep.within_g1, rep.within_g2, rep.cross):
+        assert dists
+        for (a, b), dist in dists.items():
+            assert abs(dist - reference.bell_swap_distance(mix, a, b)) < 1e-12, (a, b)
+    if preset == "random":
+        assert rep.within_max() > 1e-3
+
+
+@pytest.mark.parametrize("a,b", [("A'_1", "A'_2"), ("1'", "2'"), ("A'_1", "A'_1")])
+def test_swap_distance_refuses_swaps_outside_the_closed_forms(a, b):
+    # A'_2 is the second built slot of the last pair (N', A'_N), 2' the first
+    with pytest.raises(LabelError):
+        analysis._swap_distance(smolin(3, 2), a, b)
+
+
+def test_stabilizer_suite_refuses_a_mixture_of_another_N():
+    with pytest.raises(LabelError):
+        stabilizer_suite(smolin(2, 2), 2, 3)
+
+
+def test_mixture_analysis_builds_no_bell_products(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the mixture analysis built Bell-product amplitudes")
+
+    mix = channels.preset_spec("mixed-uniform", 4, 3).build()
+    monkeypatch.setattr(channels, "bell_products", refuse)
+    stabilizer_suite(mix, 4, 3)
+    symmetry_report(mix, 4, 3)
+
+
 def test_ppt_min_eigenvalue_is_the_least_weight_and_refuses_split_pairs():
     mix = smolin(3, 2)
     assert ppt_min_eigenvalue(mix, Cut(("A'_1", "1'"), ("A'_2", "2'"))) == 0.0

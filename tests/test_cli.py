@@ -217,9 +217,8 @@ def test_negative_max_transcripts_exit_2(capsys):
 ], ids=["ric", "ric-mm-ghz", "ric-mm-multi", "verify", "report", "unlock", "ric-mixed-uniform",
         "ric-beta-40-2", "ric-beta-12-3", "ric-smolin-all-branches", "ric-mm-multi-12-4-2"])
 def test_large_d_hits_the_size_guard_before_building_states(argv, monkeypatch):
-    # each would otherwise allocate gigabytes: the joint state, the Smolin
-    # mixture's Bell-product rows, the unlock outcome table, or the d^(2(N-1))
-    # mixture table; the beta channels fit the budget, but their O(d^(2N+2))
+    # each would otherwise allocate gigabytes: the joint state, the unlock
+    # outcome table, or the d^(2(N-1)) mixture table; the beta channels fit the budget, but their O(d^(2N+2))
     # build would run for seconds to minutes before the joint register is
     # refused, and so would the clone family and Bbar sum of the (12, 4, 2)
     # distributed state; verify and report refuse before their first check
@@ -291,7 +290,8 @@ SAMPLED_REPORTS = {
 # mixed-uniform, unlock and both verify entries (verify reports unlock's minimum
 # purity) were re-pinned for the Weyl-frame mixture run, floats within 1e-12.
 # Both verify entries and the mixed-uniform stabilizers were re-pinned when the
-# mixture analysis moved from a dense density to the Bell-tuple weights: the
+# mixture analysis moved from a dense density to the Bell-tuple weights, and again,
+# with unlock, when it moved to closed forms over Z_d on the Bell indices: the
 # same keys, strings, integers and rows, the mixture floats within 1e-12
 ALL_BRANCHES_REPORTS = {
     "ric --d 3 --N 2 --channel beta":
@@ -301,15 +301,15 @@ ALL_BRANCHES_REPORTS = {
     "ric-mm-ghz --d 3 --N 2 --L 2":
         "3bb10f37a5b1b69a76ecf1de064f634cfa09cfb99f45f3274ca4b059b53f5c43",
     "verify --d 3 --N 2":
-        "209893173eaa828fd0a8ba54e9b02658168c43ca1d3fc2e12467137fd3226f28",
+        "037147561bf10bdd376055ac0b0bca8268ab59372c60ae02923570ed27369280",
     "stabilizers --d 3 --N 2 --channel mixed-uniform":
-        "73e1d3e2a804b8220fb65040bdc1c2e3c04338758b184fee44084e03fdf47997",
+        "2eac922e8312ac107f57023e444a96340e9417c036d160dba1ce0d1638e9e2e1",
     "ric --d 3 --N 2 --channel ghz":
         "9eab8d3ac4d135f58121bbb6372ddce9f17bf38da0fda5bda2f7103c424eb0f3",
     "ric --d 3 --N 2 --channel mixed-uniform":
         "dd5ef7c11af7a7a2782fb43075ebcb5cdd25ef367fe4cb8ef49362d0926448c0",
     "unlock --d 3 --N 3":
-        "6e7b79d254e08f3b7d56e640c7729080696e3d6daa66f2d705ebad60e5723be9",
+        "c3f39e563127f9f65598fe57e59640cc81b6b0c907a7c517d44c53e641e344f6",
     "teleclone --d 3 --N 2":
         "e2eda57ae140dc2915ce462c56cf15dcc66972dd6b8fb0c989ee65908a0226f5",
     "ric-mm-multi --d 3 --N 2 --L 1":
@@ -317,7 +317,7 @@ ALL_BRANCHES_REPORTS = {
     "ric --d 2 --N 3 --channel beta":
         "1e0815337b0fbceb97e9cb6dc3e5199e873b30e39cd811fa070fd795303d52bc",
     "verify --d 3 --N 3":
-        "40809c68d1eb88256dbbdf0d2f9c0ff86e951ad543ca64b0ed0bfa65d6a5709a",
+        "7e73b7f80a3717b1bd80bb831a7232b38ac5b1433c68b042a3f258d38604fc4a",
     "ric-mm-multi --d 2 --N 3 --L 1":
         "b764eb51e7f9f10a8e789731e6b5e17f44bcc3b9ad6b2494c0886fa3cb32be95",
 }

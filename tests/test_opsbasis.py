@@ -247,38 +247,29 @@ def test_stabilizer_expectation_u0v0_channel():
 
 
 def test_stabilizer_expectation_smolin_d3():
-    from qric.analysis import stabilizer_groups
+    from qric.analysis import stabilizer_suite
 
-    minus, plus = stabilizer_groups(2)
     rho = channels.preset_spec("smolin", 3, 2).build()
-    for m in range(3):
-        for n in range(3):
-            val = stabilizer_expectation(rho, m, n, minus, plus)
-            assert abs(val - 1) < 1e-12
+    for val in stabilizer_suite(rho, 3, 2).values():
+        assert abs(val - 1) < 1e-12
 
 
 def test_stabilizer_expectation_maximally_mixed():
-    from qric.analysis import stabilizer_groups
+    from qric.analysis import stabilizer_suite
 
-    minus, plus = stabilizer_groups(2)
     # I/16 is the uniform mixture of all 16 Bell products
     tuples = list(itertools.product(range(2), repeat=4))
     rho = channels.BellMixture(2, 2, tuples, np.full(16, 1 / 16))
-    for m in range(2):
-        for n in range(2):
-            val = stabilizer_expectation(rho, m, n, minus, plus)
-            want = 1.0 if (m, n) == (0, 0) else 0.0
-            assert abs(val - want) < 1e-12
+    for (m, n), val in stabilizer_suite(rho, 2, 2).items():
+        want = 1.0 if (m, n) == (0, 0) else 0.0
+        assert abs(val - want) < 1e-12
 
 
-@pytest.mark.parametrize("kind", ["pure", "density"])
-def test_stabilizer_expectation_overlapping_groups_raise(kind):
+def test_stabilizer_expectation_overlapping_groups_raise():
     from qric.analysis import stabilizer_groups
 
     _, plus = stabilizer_groups(2)
     state = channels.product_bell_channel(2, 2, (0, 0, 0, 0))
-    if kind == "density":
-        state = channels.BellMixture(2, 2, [(0, 0, 0, 0)], [1.0])
     with pytest.raises(LabelError):
         stabilizer_expectation(state, 1, 1, channels.channel_labels(2), plus)
 
