@@ -76,20 +76,16 @@ def appendix_c_relabeling(N: int) -> dict:
     return mapping
 
 
-def verify_appendix_c(d: int, N: int) -> tuple[float, bool]:
+def verify_appendix_c(d: int, N: int) -> float:
     """|overlap| of the relabeled telecloning state with the beta channel.
 
-    Passes when the overlap modulus is 1 for d = 2 and strictly below
-    1 - 1e-6 for d > 2.
+    Appendix C: it is 1 for d = 2 and below 1 for d > 2.
     """
     tele = channels.telecloning_channel(d, N)
     relabeled = statealg.permute(tele, appendix_c_relabeling(N))
     relabeled = statealg.reorder(relabeled, channel_labels(N))
     beta = channels.beta_weighted_channel(d, N)
-    ov = abs(statealg.overlap(relabeled, beta))
-    if d == 2:
-        return ov, ov >= 1 - 1e-9
-    return ov, ov < 1 - 1e-6
+    return abs(statealg.overlap(relabeled, beta))
 
 
 # ---------------------------------------------------------------------------

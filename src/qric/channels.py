@@ -378,7 +378,8 @@ def preset_spec(name: str, d: int, N: int, seed: int | None = None) -> ChannelSp
 
 
 def load_channel(source: str, d: int, N: int, seed: int | None = None) -> ChannelSpec:
-    """Resolve a preset name or a JSON file path into a ChannelSpec."""
+    """Resolve a preset name or a JSON file path into a ChannelSpec for (d, N);
+    a file for another (d, N) is refused."""
     if source in PRESETS:
         return preset_spec(source, d, N, seed)
     try:
@@ -386,4 +387,9 @@ def load_channel(source: str, d: int, N: int, seed: int | None = None) -> Channe
             text = fh.read()
     except OSError as exc:
         raise ConstraintError(f"cannot read channel file {source!r}: {exc}") from exc
-    return ChannelSpec.from_json(text)
+    spec = ChannelSpec.from_json(text)
+    if (spec.d, spec.N) != (d, N):
+        raise ConstraintError(
+            f"channel file is for (d,N)=({spec.d},{spec.N}), requested ({d},{N})"
+        )
+    return spec

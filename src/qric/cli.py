@@ -36,34 +36,27 @@ def _tol(args, default):
     return args.tol if args.tol is not None else default
 
 
-def _check(name, measured, expected, tol):
-    measured = float(measured)
-    expected = float(expected)
+def _check(name, measured, expected, tol, ok=None):
+    """One check row. Without ok it passes when |measured - expected| <= tol; a
+    one-sided or boolean check gives ok and its rows keep measured and expected as is."""
+    if ok is None:
+        measured = float(measured)
+        expected = float(expected)
+        ok = abs(measured - expected) <= tol
     return {
         "name": name,
         "measured": measured,
         "expected": expected,
         "tolerance": tol,
-        "status": "pass" if abs(measured - expected) <= tol else "fail",
+        "status": "pass" if ok else "fail",
     }
 
 
-def _config_echo(args, extra=None):
-    doc = {
-        "subcommand": args.command,
-        "d": getattr(args, "d", None),
-        "N": getattr(args, "N", None),
-        "L": getattr(args, "L", None),
-        "channel": getattr(args, "channel", None),
-        "mode": getattr(args, "mode", None),
-        "trials": getattr(args, "trials", None),
-        "seed": args.seed,
-        "tol": args.tol,
-        "version": __version__,
-    }
-    if extra:
-        doc.update(extra)
-    return {k: v for k, v in doc.items() if v is not None}
+def _config_echo(args):
+    """The flags the subcommand declares, with the values it ran on."""
+    doc = {k: v for k, v in vars(args).items()
+           if v is not None and k not in ("command", "out", "max_transcripts")}
+    return {**doc, "subcommand": args.command, "version": __version__}
 
 
 def _diana_target(inp, N):
@@ -113,10 +106,6 @@ def _fidelity_runs(args, leaves, target):
 
 def cmd_ric(args):
     spec = channels.load_channel(args.channel, args.d, args.N, args.seed)
-    if spec.d != args.d or spec.N != args.N:
-        raise ConstraintError(
-            f"channel file is for (d,N)=({spec.d},{spec.N}), requested ({args.d},{args.N})"
-        )
     d, N = args.d, args.N
     rng = np.random.default_rng(args.seed)
     inp = statealg.random_qudit(d, rng)
@@ -218,18 +207,12 @@ def cmd_verify(args):
         _check("ghz_reduction.max_dev", analysis.verify_appendix_b(d, N), 0.0, _tol(args, 1e-12))
     )
 
-    ov, ok = analysis.verify_appendix_c(d, N)
+    ov = analysis.verify_appendix_c(d, N)
     if d == 2:
-        ok = abs(ov - 1.0) <= _tol(args, DEFAULT_TOL)
-    checks.append(
-        {
-            "name": "telecloning_channel_overlap",
-            "measured": ov,
-            "expected": 1.0 if d == 2 else "< 1 - 1e-6",
-            "tolerance": _tol(args, DEFAULT_TOL) if d == 2 else 1e-6,
-            "status": "pass" if ok else "fail",
-        }
-    )
+        checks.append(_check("telecloning_channel_overlap", ov, 1.0, _tol(args, DEFAULT_TOL)))
+    else:
+        checks.append(_check("telecloning_channel_overlap", ov, "< 1 - 1e-6", 1e-6,
+                             ok=ov < 1 - 1e-6))
 
     for preset in ("ghz", "beta", "bell-product", "smolin", "mixed-uniform"):
         table = analysis.stabilizer_suite(
@@ -245,15 +228,10 @@ def cmd_verify(args):
     rep = analysis.symmetry_report(rho, d, N)
     checks.append(_check("symmetry.within_group.max", rep.within_max(), 0.0, _tol(args, 1e-10)))
     cross = rep.cross_max()
-    checks.append(
-        {
-            "name": "symmetry.cross_group",
-            "measured": cross,
-            "expected": 0.0 if d == 2 else "> 1e-3",
-            "tolerance": _tol(args, 1e-10) if d == 2 else 1e-3,
-            "status": "pass" if (cross <= _tol(args, 1e-10) if d == 2 else cross > 1e-3) else "fail",
-        }
-    )
+    if d == 2:
+        checks.append(_check("symmetry.cross_group", cross, 0.0, _tol(args, 1e-10)))
+    else:
+        checks.append(_check("symmetry.cross_group", cross, "> 1e-3", 1e-3, ok=cross > 1e-3))
 
     unlocks = analysis.unlock_ubes(d, N)
     checks.append(
@@ -273,15 +251,8 @@ def cmd_verify(args):
         analysis.ppt_min_eigenvalue(rho, Cut(labels[: 2 * s], labels[2 * s:]))
         for s in range(1, N)
     )
-    checks.append(
-        {
-            "name": "smolin.ppt_min_eigenvalue",
-            "measured": ppt_min,
-            "expected": ">= -1e-10",
-            "tolerance": 1e-10,
-            "status": "pass" if ppt_min >= -1e-10 else "fail",
-        }
-    )
+    checks.append(_check("smolin.ppt_min_eigenvalue", ppt_min, ">= -1e-10", 1e-10,
+                         ok=ppt_min >= -1e-10))
 
     ent_tol = _tol(args, 1e-8)
     for preset in ("ghz", "beta", "bell-product"):
@@ -292,16 +263,9 @@ def cmd_verify(args):
 
     fp_ghz = analysis.fingerprint(channels.ghz_channel(d, N))
     fp_beta = analysis.fingerprint(channels.beta_weighted_channel(d, N))
-    distinguishable = analysis.compare_fingerprints(fp_ghz, fp_beta)
-    checks.append(
-        {
-            "name": "fingerprint.ghz_vs_beta_distinguishable",
-            "measured": bool(distinguishable),
-            "expected": True,
-            "tolerance": 0,
-            "status": "pass" if distinguishable else "fail",
-        }
-    )
+    distinguishable = bool(analysis.compare_fingerprints(fp_ghz, fp_beta))
+    checks.append(_check("fingerprint.ghz_vs_beta_distinguishable", distinguishable, True, 0,
+                         ok=distinguishable))
     return {"config": _config_echo(args), "checks": checks}
 
 
@@ -346,31 +310,20 @@ def cmd_unlock(args):
 
 
 def cmd_report(args):
-    sections = {}
-    all_checks = []
-    ns = argparse.Namespace(**vars(args))
-    ns.command = "verify"
-    sections["verify"] = cmd_verify(ns)
-    ns = argparse.Namespace(**vars(args))
-    ns.command = "teleclone"
-    ns.mode = "all-branches"
-    ns.trials = 1
-    ns.max_transcripts = 1
-    sections["teleclone"] = cmd_teleclone(ns)
-    ns = argparse.Namespace(**vars(args))
-    ns.command = "ric"
-    ns.channel = "ghz"
-    ns.mode = "all-branches"
-    ns.trials = 1
-    ns.max_transcripts = 1
-    sections["ric_ghz"] = cmd_ric(ns)
-    for name, sec in sections.items():
-        for chk in sec["checks"]:
-            all_checks.append({**chk, "name": f"{name}.{chk['name']}"})
+    def section(handler, **flags):
+        return handler(argparse.Namespace(**{**vars(args), **flags}))
+
+    one_branch = {"mode": "all-branches", "trials": 1, "max_transcripts": 1}
+    sections = {
+        "verify": section(cmd_verify, command="verify"),
+        "teleclone": section(cmd_teleclone, command="teleclone", **one_branch),
+        "ric_ghz": section(cmd_ric, command="ric", channel="ghz", **one_branch),
+    }
     return {
         "config": _config_echo(args),
         "sections": sections,
-        "checks": all_checks,
+        "checks": [{**chk, "name": f"{name}.{chk['name']}"}
+                   for name, sec in sections.items() for chk in sec["checks"]],
     }
 
 
@@ -384,37 +337,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, channel=False, mm=False, out_default="-"):
+    def add(name, help, channel=False, L=False, mode=False, transcripts=False, out="-"):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--d", type=int, default=2, help="qudit dimension (>= 2)")
         p.add_argument("--N", type=int, default=2, help="number of clones / channel pairs")
-        if mm:
+        if L:
             p.add_argument("--L", type=int, default=2, help="receiver qudit count")
         if channel:
             p.add_argument("--channel", default="ghz",
                            help=f"preset {channels.PRESETS} or JSON file path")
-        p.add_argument("--mode", choices=("all-branches", "sample"), default="all-branches")
-        p.add_argument("--trials", type=int, default=100)
+        if mode:
+            p.add_argument("--mode", choices=("all-branches", "sample"), default="all-branches")
+            p.add_argument("--trials", type=int, default=100)
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--tol", type=float, default=None,
                        help="override every check tolerance (default: per-check)")
-        p.add_argument("--out", default=out_default, help="JSON output path ('-' = stdout)")
-        p.add_argument("--max-transcripts", type=int, default=4)
+        p.add_argument("--out", default=out, help="JSON output path ('-' = stdout)")
+        if transcripts:
+            p.add_argument("--max-transcripts", type=int, default=4)
 
-    common(sub.add_parser("teleclone", help="run 1->N telecloning"))
-    common(sub.add_parser("ric", help="run (2N-1)->1 RIC"), channel=True)
-    common(sub.add_parser("ric-mm-ghz", help="many-to-many RIC, GHZ-terminated channel"),
-           channel=False, mm=True)
-    common(sub.add_parser("ric-mm-multi", help="many-to-many RIC over |B00>^N"),
-           channel=False, mm=True)
-    common(sub.add_parser("verify", help="identity and appendix verification suite"))
-    p = sub.add_parser("stabilizers", help="stabilizer expectation table")
-    common(p, channel=True)
-    p = sub.add_parser("unlock", help="UBES unlocking report")
-    common(p)
-    common(sub.add_parser("report", help="aggregate machine-readable report"),
-           out_default="qric_report.json")
+    run = {"mode": True, "transcripts": True}
+    add("teleclone", "run 1->N telecloning", **run)
+    add("ric", "run (2N-1)->1 RIC", channel=True, **run)
+    add("ric-mm-ghz", "many-to-many RIC, GHZ-terminated channel", L=True, **run)
+    add("ric-mm-multi", "many-to-many RIC over |B00>^N", L=True, **run)
+    add("verify", "identity and appendix verification suite")
+    add("stabilizers", "stabilizer expectation table", channel=True)
+    add("unlock", "UBES unlocking report", mode=True)
+    add("report", "aggregate machine-readable report", out="qric_report.json")
     return parser
 
+
+PARSER = build_parser()
 
 HANDLERS = {
     "teleclone": cmd_teleclone,
@@ -471,8 +425,7 @@ def _summary(doc, elapsed):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     t0 = time.perf_counter()
     try:
         _validate(args)

@@ -160,14 +160,10 @@ def test_criterion_3_identity_suite():
 
 
 def test_criterion_4_appendix_c():
-    ov22, ok22 = verify_appendix_c(2, 2)
-    ov23, ok23 = verify_appendix_c(2, 3)
-    ov32, ok32 = verify_appendix_c(3, 2)
-    ok = (
-        ok22 and abs(ov22 - 1) < 1e-9
-        and ok23 and abs(ov23 - 1) < 1e-9
-        and ok32 and ov32 < 1 - 1e-6
-    )
+    ov22 = verify_appendix_c(2, 2)
+    ov23 = verify_appendix_c(2, 3)
+    ov32 = verify_appendix_c(3, 2)
+    ok = abs(ov22 - 1) < 1e-9 and abs(ov23 - 1) < 1e-9 and ov32 < 1 - 1e-6
     report(
         4,
         ok,

@@ -86,13 +86,11 @@ def test_appendix_b(d, N):
 
 def test_appendix_c_d2():
     for N in (2, 3):
-        ov, ok = verify_appendix_c(2, N)
-        assert ok and abs(ov - 1) < 1e-9
+        assert abs(verify_appendix_c(2, N) - 1) < 1e-9
 
 
 def test_appendix_c_d3():
-    ov, ok = verify_appendix_c(3, 2)
-    assert ok and ov < 1 - 1e-6
+    assert verify_appendix_c(3, 2) < 1 - 1e-6
 
 
 # ---------------------------------------------------------------------------

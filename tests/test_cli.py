@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -7,7 +8,7 @@ import sys
 
 import pytest
 
-from qric import cli, measurement, protocols
+from qric import channels, cli, measurement, protocols
 from qric.cli import main
 
 
@@ -16,6 +17,12 @@ def run_cli(args):
         [sys.executable, "-m", "qric.cli", *args], capture_output=True, text=True
     )
     return proc
+
+
+def declared_flags(subcommand):
+    """The option strings that subcommand's parser declares."""
+    sub = next(a for a in cli.PARSER._actions if isinstance(a, argparse._SubParsersAction))
+    return {opt for action in sub.choices[subcommand]._actions for opt in action.option_strings}
 
 
 def test_teleclone_all_branches_passes(capsys):
@@ -104,6 +111,33 @@ def test_internal_reconstruction_fault_is_not_a_configuration_error(monkeypatch)
     monkeypatch.setattr(protocols, "reconstruction_deviation", lambda family, x: 1.0)
     with pytest.raises(RuntimeError, match="clone reconstruction off by 1.0"):
         main(["verify", "--d", "2", "--N", "2", "--out", "/dev/null"])
+
+
+@pytest.mark.parametrize("subcommand", ["ric", "stabilizers"])
+def test_channel_file_for_another_size_exit_2(subcommand, tmp_path, capsys):
+    path = tmp_path / "chan.json"
+    path.write_text(channels.preset_spec("mixed-uniform", 2, 2, seed=5).to_json())
+    argv = [subcommand, "--d", "3", "--N", "2", "--channel", str(path), "--out", os.devnull]
+    assert main(argv) == 2
+    assert "channel file is for (d,N)=(2,2), requested (3,2)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand", sorted(cli.HANDLERS))
+def test_config_echoes_exactly_the_declared_flags(subcommand, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main([subcommand, "--d", "2", "--N", "2", "--tol", "1e-6", "--out", str(out)]) == 0
+    config = json.loads(out.read_text())["config"]
+    assert config["subcommand"] == subcommand
+    echoed = {"--" + key.replace("_", "-") for key in config} - {"--subcommand", "--version"}
+    assert echoed == declared_flags(subcommand) - {"-h", "--help", "--out", "--max-transcripts"}
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [["verify", "--mode", "sample"], ["stabilizers", "--trials", "3"]])
+def test_flags_a_subcommand_does_not_read_exit_2(argv):
+    proc = run_cli(argv + ["--out", os.devnull])
+    assert proc.returncode == 2
+    assert "unrecognized arguments" in proc.stderr
 
 
 def test_ric_missing_channel_file_exit_2():
@@ -292,7 +326,10 @@ SAMPLED_REPORTS = {
 # Both verify entries and the mixed-uniform stabilizers were re-pinned when the
 # mixture analysis moved from a dense density to the Bell-tuple weights, and again,
 # with unlock, when it moved to closed forms over Z_d on the Bell indices: the
-# same keys, strings, integers and rows, the mixture floats within 1e-12
+# same keys, strings, integers and rows, the mixture floats within 1e-12.
+# The same three were re-pinned when verify and stabilizers stopped declaring
+# --mode and --trials: each parent report with config.mode and config.trials
+# dropped, re-dumped with indent=2 and sorted keys, gives the new bytes
 ALL_BRANCHES_REPORTS = {
     "ric --d 3 --N 2 --channel beta":
         "441b6e88b593548649225b396ca587869f921346ff1379a63fd0d065f11c7f40",
@@ -301,9 +338,9 @@ ALL_BRANCHES_REPORTS = {
     "ric-mm-ghz --d 3 --N 2 --L 2":
         "3bb10f37a5b1b69a76ecf1de064f634cfa09cfb99f45f3274ca4b059b53f5c43",
     "verify --d 3 --N 2":
-        "037147561bf10bdd376055ac0b0bca8268ab59372c60ae02923570ed27369280",
+        "b4a5a4de7e49ecc668e99aea517fe67847e5da13b6493c6d38d33777deb0fdec",
     "stabilizers --d 3 --N 2 --channel mixed-uniform":
-        "2eac922e8312ac107f57023e444a96340e9417c036d160dba1ce0d1638e9e2e1",
+        "6b493e3a1f67dd15091727567b3c582b014af3bc9e0c5e11c4a9fc51aca0cb91",
     "ric --d 3 --N 2 --channel ghz":
         "9eab8d3ac4d135f58121bbb6372ddce9f17bf38da0fda5bda2f7103c424eb0f3",
     "ric --d 3 --N 2 --channel mixed-uniform":
@@ -317,7 +354,7 @@ ALL_BRANCHES_REPORTS = {
     "ric --d 2 --N 3 --channel beta":
         "1e0815337b0fbceb97e9cb6dc3e5199e873b30e39cd811fa070fd795303d52bc",
     "verify --d 3 --N 3":
-        "7e73b7f80a3717b1bd80bb831a7232b38ac5b1433c68b042a3f258d38604fc4a",
+        "fab1eafab5d17303f1fd170cd53ebb3a18c730e59b04f13c69f4fbc76c120456",
     "ric-mm-multi --d 2 --N 3 --L 1":
         "b764eb51e7f9f10a8e789731e6b5e17f44bcc3b9ad6b2494c0886fa3cb32be95",
 }
@@ -326,7 +363,10 @@ ALL_BRANCHES_REPORTS = {
 @pytest.mark.parametrize("argv", sorted(ALL_BRANCHES_REPORTS))
 def test_all_branches_reports_are_byte_identical(argv, tmp_path, capsys):
     out = tmp_path / "report.json"
-    assert main(argv.split() + ["--mode", "all-branches", "--seed", "1", "--out", str(out)]) == 0
+    args = argv.split()
+    if "--mode" in declared_flags(args[0]):
+        args += ["--mode", "all-branches"]
+    assert main(args + ["--seed", "1", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == ALL_BRANCHES_REPORTS[argv]
     capsys.readouterr()
 
