@@ -23,13 +23,10 @@ from .statealg import (
     von_neumann_entropy,
 )
 from .opsbasis import (
-    OccupationVector,
     alpha_coeff,
     bell_state,
     ghz_state,
-    phi_state,
     stabilizer_expectation,
-    symmetric_state,
     weyl_r,
     weyl_u,
 )
@@ -51,7 +48,6 @@ from .measurement import (
     GbmOutcome,
     gbm_batch,
     gbm_branches,
-    swap_identity_check,
 )
 from .protocols import (
     CloneFamily,
@@ -66,7 +62,6 @@ from .protocols import (
     run_ric,
     run_telecloning,
     synth_distributed_state,
-    teleport_identity_check,
 )
 from .analysis import (
     FingerprintReport,
@@ -76,7 +71,9 @@ from .analysis import (
     fingerprint,
     ppt_min_eigenvalue,
     stabilizer_suite,
+    swap_identity_check,
     symmetry_report,
+    teleport_identity_check,
     unlock_ubes,
     verify_appendix_b,
     verify_appendix_c,

@@ -1,6 +1,7 @@
 """Verification of the entanglement claims: stabilizer suite, appendix
-equivalences, UBES unlocking, partial-transpose evidence, permutation
-(a)symmetry, and LU-invariant fingerprints.
+equivalences, dense Weyl/Bell identity oracles, UBES unlocking,
+partial-transpose evidence, permutation (a)symmetry, and LU-invariant
+fingerprints.
 """
 
 from __future__ import annotations
@@ -86,6 +87,78 @@ def verify_appendix_c(d: int, N: int) -> float:
     relabeled = statealg.reorder(relabeled, channel_labels(N))
     beta = channels.beta_weighted_channel(d, N)
     return abs(statealg.overlap(relabeled, beta))
+
+
+# ---------------------------------------------------------------------------
+# dense identity oracles: both sides as full amplitude arrays, one row per index tuple
+
+def _rows(d: int, indices, batch=()):
+    """Shape b of the indices broadcast with each other and with batch, and each
+    index flattened to b's rows, mod d."""
+    shape = np.broadcast_shapes(batch, *(np.shape(i) for i in indices))
+    return shape, [np.broadcast_to(i, shape).reshape(-1) % d for i in indices]
+
+
+def _max_per_row(shape, dev: np.ndarray):
+    """The largest deviation of each row: an array of shape b, or a float when b = ()."""
+    dev = dev.reshape(len(dev), -1).max(axis=1).reshape(shape)
+    return float(dev) if shape == () else dev
+
+
+def swap_identity_check(d: int, m, n, m2, n2):
+    """Max amplitude deviation of the two-pair Bell rearrangement identity.
+
+    |B^{m,n}>_{XY} |B^{m2,n2}>_{X'Y'} against
+    (1/d) sum_{f,g} w^{fg} |B^{m+f,n2+g}>_{XY'} |B^{m2-f,n-g}>_{X'Y},
+    both over (X, Y, X', Y'). The indices (ints or int arrays, taken mod d)
+    broadcast together as in opsbasis.weyl_monomial; one deviation per row.
+    Each amplitude is its left Bell factor times its right one, and the terms
+    are added in (f, g) order, as a chain of krons would form them.
+    """
+    shape, (m, n, m2, n2) = _rows(d, (m, n, m2, n2))
+    kets = opsbasis.bell_bras(d).conj()  # row i*d + j: |B^{i,j}> over (first, second)
+    omega = opsbasis.omega_table(d)
+    lhs = kets[m * d + n][:, :, :, None, None] * kets[m2 * d + n2][:, None, None]
+    rhs = np.zeros_like(lhs)
+    for f in range(d):
+        for g in range(d):
+            xy2 = kets[(m + f) % d * d + (n2 + g) % d][:, :, None, None, :]
+            x2y = kets[(m2 - f) % d * d + (n - g) % d].transpose(0, 2, 1)[:, None, :, :, None]
+            rhs += omega[f * g % d] * (xy2 * x2y)
+    rhs /= d
+    return _max_per_row(shape, np.abs(lhs - rhs))
+
+
+def teleport_identity_check(d: int, m, n, k, kp, phi=None):
+    """Max amplitude deviation of the single-pair teleportation expansion.
+
+    LHS: U^{-m,n}|phi>_N (x) |B^{k,k'}> built on (N', A'_N).
+    RHS: (1/d) sum_{x,y} w^{n(m-k)+ky-nx} |B^{x+k-m, y+k'-n}>_{(N, A'_N)}
+         (x) U^{-x,y}|phi>_{N'},
+    both over (N, A'_N, N'). phi (..., d) holds unit vectors, by default one
+    drawn from default_rng(7); its leading axes broadcast with the indices as
+    in swap_identity_check. Each U|phi> is a dense matrix-vector product.
+    """
+    if phi is None:
+        rng = np.random.default_rng(7)
+        phi = rng.normal(size=d) + 1j * rng.normal(size=d)
+        phi /= np.linalg.norm(phi)
+    phi = np.asarray(phi, dtype=np.complex128)
+    shape, (m, n, k, kp) = _rows(d, (m, n, k, kp), phi.shape[:-1])
+    phi = np.broadcast_to(phi, shape + (d,)).reshape(-1, d, 1)
+    kets = opsbasis.bell_bras(d).conj()
+    omega = opsbasis.omega_table(d)
+    weyl = np.stack([opsbasis.weyl_u(d, -x, y) for x in range(d) for y in range(d)])
+    lhs = (weyl[m * d + n] @ phi)[:, :, :, None] * kets[k * d + kp].transpose(0, 2, 1)[:, None]
+    tails = (weyl @ phi[:, None])[:, :, None, None, :, 0]  # row x*d + y: U^{-x,y} phi
+    rhs = np.zeros_like(lhs)
+    for x in range(d):
+        for y in range(d):
+            bell = kets[(x + k - m) % d * d + (y + kp - n) % d][:, :, :, None]
+            phase = omega[(n * (m - k) + k * y - n * x) % d][:, None, None, None]
+            rhs += phase * (bell * tails[:, x * d + y])
+    rhs /= d
+    return _max_per_row(shape, np.abs(lhs - rhs))
 
 
 # ---------------------------------------------------------------------------

@@ -264,11 +264,7 @@ def telecloning_channel(d: int, N: int) -> PureState:
     if d < 2 or N < 2:
         raise DimensionError("telecloning channel needs d >= 2 and N >= 2")
     reg = Register(d, telecloning_labels(N))
-    sub = d ** (2 * N - 1)
-    amps = np.zeros(d**(2 * N), dtype=np.complex128)
-    for j in range(d):
-        amps[j * sub:(j + 1) * sub] = opsbasis.phi_vector(d, N, j)
-    return PureState(reg, amps / np.sqrt(d), validate=False)
+    return PureState(reg, opsbasis.phi_basis(d, N).reshape(-1) / np.sqrt(d), validate=False)
 
 
 def bell_products(d: int, N: int, tuples) -> np.ndarray:

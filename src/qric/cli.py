@@ -15,7 +15,7 @@ from math import log2
 
 import numpy as np
 
-from . import __version__, analysis, channels, measurement, protocols, statealg
+from . import __version__, analysis, channels, protocols, statealg
 from .channels import channel_labels
 from .errors import ConstraintError, ProtocolError, QricError, SizeGuardError
 from .statealg import Cut
@@ -176,23 +176,21 @@ def cmd_verify(args):
     rng = np.random.default_rng(args.seed)
     checks = []
 
-    # Bell rearrangement identity
+    # Bell rearrangement identity, then the teleportation step, each over all its rows in
+    # one call; the draw order (per teleport row: tuple, then input qudit) fixes the reports
     if d <= 3:
-        dev = max(
-            measurement.swap_identity_check(d, m, n, m2, n2)
-            for m in range(d) for n in range(d) for m2 in range(d) for n2 in range(d)
-        )
+        rows = np.indices((d,) * 4).reshape(4, -1)
     else:
-        dev = max(
-            measurement.swap_identity_check(d, *(int(v) for v in rng.integers(0, d, 4)))
-            for _ in range(50)
-        )
+        rows = np.array([rng.integers(0, d, 4) for _ in range(50)]).T
+    dev = float(analysis.swap_identity_check(d, *rows).max())
     checks.append(_check("swap_identity.max_dev", dev, 0.0, _tol(args, 1e-12)))
 
-    dev = max(
-        protocols.teleport_identity_check(d, *(int(v) for v in rng.integers(0, d, 4)), rng)
-        for _ in range(20)
-    )
+    rows, phis = [], []
+    for _ in range(20):
+        rows.append(rng.integers(0, d, 4))
+        phi = rng.normal(size=d) + 1j * rng.normal(size=d)
+        phis.append(phi / np.linalg.norm(phi))
+    dev = float(analysis.teleport_identity_check(d, *np.array(rows).T, np.array(phis)).max())
     checks.append(_check("teleport_identity.max_dev", dev, 0.0, _tol(args, 1e-12)))
 
     family = protocols.extract_clone_decomposition(d, N)

@@ -140,27 +140,3 @@ def gbm_batch(batch: np.ndarray, register: Register, pair,
     uniforms = None if rng is None else rng.random(len(batch))
     return select_outcomes(bell_projections(batch, register, pair), uniforms)[:4]
 
-
-def swap_identity_check(d: int, m: int, n: int, m2: int, n2: int) -> float:
-    """Max amplitude deviation of the two-pair Bell rearrangement identity.
-
-    |B^{m,n}>_{XY} |B^{m2,n2}>_{X'Y'} against
-    (1/d) sum_{f,g} w^{fg} |B^{m+f,n2+g}>_{XY'} |B^{m2-f,n-g}>_{X'Y}.
-    """
-    lhs = statealg.tensor(
-        opsbasis.bell_state(d, m, n, ("X", "Y")),
-        opsbasis.bell_state(d, m2, n2, ("X'", "Y'")),
-    )
-    order = ("X", "Y", "X'", "Y'")
-    lhs = statealg.reorder(lhs, order)
-    rhs = np.zeros(d**4, dtype=np.complex128)
-    for f in range(d):
-        for g in range(d):
-            term = statealg.tensor(
-                opsbasis.bell_state(d, (m + f) % d, (n2 + g) % d, ("X", "Y'")),
-                opsbasis.bell_state(d, (m2 - f) % d, (n - g) % d, ("X'", "Y")),
-            )
-            term = statealg.reorder(term, order)
-            rhs += opsbasis.omega_power(d, f * g) * term.amps
-    rhs /= d
-    return float(np.abs(lhs.amps - rhs).max())

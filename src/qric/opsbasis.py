@@ -12,14 +12,13 @@ second listed qudit of the pair.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
 import numpy as np
 
 from .errors import DimensionError, LabelError
-from .statealg import PureState, Register
+from .statealg import PureState, Register, check_size
 
 
 def omega_power(d: int, k: int) -> complex:
@@ -132,22 +131,6 @@ def ghz_state(d: int, labels, m: int = 0, n: int = 0) -> PureState:
     return PureState(Register(d, labels), ghz_vector(d, len(labels), m, n), validate=False)
 
 
-@dataclass(frozen=True)
-class OccupationVector:
-    """Particle counts per basis state; sum is the particle number N."""
-
-    counts: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
-        if any(c < 0 for c in self.counts):
-            raise DimensionError("occupation counts must be non-negative")
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-
 def _orderings(d: int, counts) -> np.ndarray:
     """Big-endian basis indices of every distinct ordering of the occupation multiset.
 
@@ -183,14 +166,6 @@ def symmetric_vector(d: int, counts) -> np.ndarray:
     return v / np.sqrt(idx.size)
 
 
-def symmetric_state(d: int, occupation: OccupationVector | tuple, labels) -> PureState:
-    counts = occupation.counts if isinstance(occupation, OccupationVector) else tuple(occupation)
-    labels = tuple(labels)
-    if sum(counts) != len(labels):
-        raise DimensionError("occupation total must match the number of labels")
-    return PureState(Register(d, labels), symmetric_vector(d, counts), validate=False)
-
-
 def alpha_coeff(d: int, N: int, n_j: int) -> float:
     """sqrt(n_j d! (N-1)! / (N+d-1)!) - weight of the n_j-occupied clone branch."""
     if not 1 <= n_j <= N:
@@ -223,13 +198,19 @@ def phi_vector(d: int, N: int, j: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=32)
+def phi_basis(d: int, N: int) -> np.ndarray:
+    """Read-only (d, d^(2N-1)) stack of the clone-basis states, row j = phi_vector(d, N, j);
+    cached per (d, N)."""
+    check_size("clone basis bytes", 16 * d ** (2 * N))
+    basis = np.stack([phi_vector(d, N, j) for j in range(d)])
+    basis.setflags(write=False)
+    return basis
+
+
 def clone_labels(N: int) -> tuple[str, ...]:
     """Labels of the (2N-1)-qudit clone register: 1..N then A_1..A_{N-1}."""
     return tuple(str(s) for s in range(1, N + 1)) + tuple(f"A_{s}" for s in range(1, N))
-
-
-def phi_state(d: int, N: int, j: int) -> PureState:
-    return PureState(Register(d, clone_labels(N)), phi_vector(d, N, j), validate=False)
 
 
 # ---------------------------------------------------------------------------

@@ -314,8 +314,8 @@ def clone_state(x, d: int, N: int) -> PureState:
         raise NormalizationError("input amplitudes not normalized")
     reg = Register(d, clone_labels(N))
     amps = np.zeros(reg.dim, dtype=np.complex128)
-    for j in range(d):
-        amps += x[j] * opsbasis.phi_vector(d, N, j)
+    for j, row in enumerate(opsbasis.phi_basis(d, N)):
+        amps += x[j] * row
     return PureState(reg, amps, validate=False)
 
 
@@ -394,9 +394,9 @@ def extract_clone_decomposition(d: int, N: int) -> CloneFamily:
     beta = np.zeros(d)
     bbar = np.zeros((d, d, half * half), dtype=np.complex128)
     omega = opsbasis.omega_table(d)
-    for j in range(d):
+    for j, phi in enumerate(opsbasis.phi_basis(d, N)):
         # lambda_jn is the slice where the last clone qudit holds j + n
-        lam = opsbasis.phi_vector(d, N, j).reshape(half, d, half)[:, (j + np.arange(d)) % d, :]
+        lam = phi.reshape(half, d, half)[:, (j + np.arange(d)) % d, :]
         lam = lam.transpose(1, 0, 2).reshape(d, -1)
         nrm = np.array([np.linalg.norm(vec) for vec in lam])
         if j == 0:
@@ -437,15 +437,11 @@ def bbar_sum(bbar: np.ndarray, beta: np.ndarray, tails: np.ndarray) -> np.ndarra
 
 def _clone_tails(d: int, x, L: int) -> np.ndarray:
     """(d, d, d^L): (U^{-m,n} x)^(x L) for every (m, n), the legs of a Bbar expansion of x."""
-    tails = np.empty((d, d, d**L), dtype=np.complex128)
-    for m in range(d):
-        for n in range(d):
-            tail = weyl_u(d, -m, n) @ x
-            legs = tail
-            for _ in range(L - 1):
-                legs = np.kron(legs, tail)
-            tails[m, n] = legs
-    return tails
+    tail = np.stack([weyl_u(d, -m, n) for m in range(d) for n in range(d)]) @ x
+    legs = tail
+    for _ in range(L - 1):
+        legs = (legs[:, :, None] * tail[:, None, :]).reshape(d * d, -1)  # row-wise kron
+    return legs.reshape(d, d, -1)
 
 
 def reconstruction_deviation(family: CloneFamily, x) -> float:
@@ -561,35 +557,6 @@ def run_ric(
     amps.setflags(write=False)
     return Leaves(default_ric_registry(N), _ric_routes(N), register, outcomes, probs,
                   np.stack((x, y), axis=-1), amps)
-
-
-# ---------------------------------------------------------------------------
-# teleportation-step identity
-
-def teleport_identity_check(d: int, m: int, n: int, k: int, kp: int, rng=None) -> float:
-    """Max amplitude deviation of the single-pair teleportation expansion.
-
-    LHS: U^{-m,n}|phi>_N (x) |B^{k,k'}> built on (N', A'_N).
-    RHS: (1/d) sum_{x,y} w^{n(m-k)+ky-nx} |B^{x+k-m, y+k'-n}>_{(N, A'_N)}
-         (x) U^{-x,y}|phi>_{N'}.
-    """
-    if rng is None:
-        rng = np.random.default_rng(7)
-    phi = rng.normal(size=d) + 1j * rng.normal(size=d)
-    phi /= np.linalg.norm(phi)
-    order = ("N", "A'", "N'")
-    left = PureState(Register(d, ("N",)), weyl_u(d, -m, n) @ phi, validate=False)
-    pair = opsbasis.bell_state(d, k, kp, ("N'", "A'"))
-    lhs = statealg.reorder(statealg.tensor(left, pair), order)
-    rhs = np.zeros(d**3, dtype=np.complex128)
-    for x in range(d):
-        for y in range(d):
-            bell_part = opsbasis.bell_state(d, (x + k - m) % d, (y + kp - n) % d, ("N", "A'"))
-            tail = PureState(Register(d, ("N'",)), weyl_u(d, -x, y) @ phi, validate=False)
-            term = statealg.reorder(statealg.tensor(bell_part, tail), order)
-            rhs += opsbasis.omega_power(d, n * (m - k) + k * y - n * x) * term.amps
-    rhs /= d
-    return float(np.abs(lhs.amps - rhs).max())
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,15 @@ checked against code that shares none of their index arithmetic:
 - ric_weyl_frame: the same run's component-to-base relabelling, leaf phase
   and Diana's correction from Z_d arithmetic alone, no state vectors
 
+- swap_identity_check / teleport_identity_check: the two Weyl/Bell
+  identities for one index tuple, each side a sum of PureState krons moved
+  into one label order (the per-term loops the package's batched
+  analysis checks replace)
+
+three test-only states: OccupationVector and symmetric_state (the
+equal-weight superposition of every ordering of an occupation multiset)
+and phi_state (one clone-basis state as a PureState),
+
 and two input builders: random_covariant_bbar, a random orthonormal Bbar set
 with the clone family's covariance, projected with opsbasis.weyl_monomial,
 and sample, one drawn component of a channel spec as a dense state.
@@ -48,6 +57,7 @@ amplitudes instead, still sharing none of the package's Z_d arithmetic:
 
 import functools
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -338,3 +348,69 @@ def bell_swap_distance(mix, a, b):
     diff = (M * W[:, None, :]) @ M.conj().T
     diff.reshape(len(W), -1)[:, ::len(M) + 1] -= W  # the diagonal of every block
     return float(np.linalg.norm(diff))
+
+
+def swap_identity_check(d, m, n, m2, n2):
+    """|B^{m,n}>_{XY}|B^{m2,n2}>_{X'Y'} against
+    (1/d) sum_{f,g} w^{fg} |B^{m+f,n2+g}>_{XY'}|B^{m2-f,n-g}>_{X'Y}: max amplitude deviation."""
+    order = ("X", "Y", "X'", "Y'")
+    lhs = statealg.tensor(opsbasis.bell_state(d, m, n, ("X", "Y")),
+                          opsbasis.bell_state(d, m2, n2, ("X'", "Y'")))
+    lhs = statealg.reorder(lhs, order)
+    rhs = np.zeros(d**4, dtype=np.complex128)
+    for f in range(d):
+        for g in range(d):
+            term = statealg.tensor(
+                opsbasis.bell_state(d, (m + f) % d, (n2 + g) % d, ("X", "Y'")),
+                opsbasis.bell_state(d, (m2 - f) % d, (n - g) % d, ("X'", "Y")),
+            )
+            rhs += opsbasis.omega_power(d, f * g) * statealg.reorder(term, order).amps
+    rhs /= d
+    return float(np.abs(lhs.amps - rhs).max())
+
+
+def teleport_identity_check(d, m, n, k, kp, phi):
+    """U^{-m,n}|phi>_N |B^{k,k'}>_{(N', A')} against (1/d) sum_{x,y}
+    w^{n(m-k)+ky-nx} |B^{x+k-m, y+k'-n}>_{(N, A')} U^{-x,y}|phi>_{N'}: max amplitude deviation."""
+    order = ("N", "A'", "N'")
+    left = PureState(Register(d, ("N",)), opsbasis.weyl_u(d, -m, n) @ phi, validate=False)
+    pair = opsbasis.bell_state(d, k, kp, ("N'", "A'"))
+    lhs = statealg.reorder(statealg.tensor(left, pair), order)
+    rhs = np.zeros(d**3, dtype=np.complex128)
+    for x in range(d):
+        for y in range(d):
+            bell_part = opsbasis.bell_state(d, (x + k - m) % d, (y + kp - n) % d, ("N", "A'"))
+            tail = PureState(Register(d, ("N'",)), opsbasis.weyl_u(d, -x, y) @ phi, validate=False)
+            term = statealg.reorder(statealg.tensor(bell_part, tail), order)
+            rhs += opsbasis.omega_power(d, n * (m - k) + k * y - n * x) * term.amps
+    rhs /= d
+    return float(np.abs(lhs.amps - rhs).max())
+
+
+@dataclass(frozen=True)
+class OccupationVector:
+    """Particle counts per basis state; sum is the particle number N."""
+
+    counts: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
+        if any(c < 0 for c in self.counts):
+            raise DimensionError("occupation counts must be non-negative")
+
+    @property
+    def total(self):
+        return sum(self.counts)
+
+
+def symmetric_state(d, occupation, labels):
+    counts = occupation.counts if isinstance(occupation, OccupationVector) else tuple(occupation)
+    labels = tuple(labels)
+    if sum(counts) != len(labels):
+        raise DimensionError("occupation total must match the number of labels")
+    return PureState(Register(d, labels), opsbasis.symmetric_vector(d, counts), validate=False)
+
+
+def phi_state(d, N, j):
+    return PureState(Register(d, opsbasis.clone_labels(N)), opsbasis.phi_vector(d, N, j),
+                     validate=False)

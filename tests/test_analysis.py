@@ -20,7 +20,7 @@ from qric import (
     verify_appendix_b,
     verify_appendix_c,
 )
-from qric import analysis, channels, statealg
+from qric import analysis, channels, opsbasis, statealg
 from qric.errors import DimensionError, LabelError
 from qric.statealg import DensityOperator, Register
 
@@ -91,6 +91,51 @@ def test_appendix_c_d2():
 
 def test_appendix_c_d3():
     assert verify_appendix_c(3, 2) < 1 - 1e-6
+
+
+# ---------------------------------------------------------------------------
+# dense identity oracles
+
+def _identity_rows(d):
+    """Every (m, n, m2, n2) for d <= 3, else 50 seeded tuples; one unit phi per row."""
+    rng = np.random.default_rng(40 + d)
+    rows = (np.array(list(itertools.product(range(d), repeat=4))) if d <= 3
+            else rng.integers(0, d, (50, 4)))
+    phis = rng.normal(size=(len(rows), d)) + 1j * rng.normal(size=(len(rows), d))
+    return rows, phis / np.linalg.norm(phis, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_batched_identity_checks_match_the_per_term_reference(d):
+    rows, phis = _identity_rows(d)
+    swap = analysis.swap_identity_check(d, *rows.T)
+    tele = analysis.teleport_identity_check(d, *rows.T, phis)
+    assert swap.shape == tele.shape == (len(rows),)
+    for t, phi, s, tp in zip(rows.tolist(), phis, swap, tele):
+        assert abs(s - reference.swap_identity_check(d, *t)) <= 1e-15
+        assert abs(tp - reference.teleport_identity_check(d, *t, phi)) <= 1e-15
+    assert max(swap.max(), tele.max()) < 1e-12
+
+
+def test_identity_checks_give_a_float_for_ints_and_broadcast_arrays():
+    swap = analysis.swap_identity_check(3, 1, 2, 0, 1)
+    tele = analysis.teleport_identity_check(3, 1, 2, 0, 1)
+    assert type(swap) is float and type(tele) is float and max(swap, tele) < 1e-12
+    m = np.arange(3)[:, None]
+    grid = analysis.swap_identity_check(3, m, np.arange(3), 0, 1)
+    assert grid.shape == (3, 3)
+    assert grid[2, 1] == analysis.swap_identity_check(3, 2, 1, 0, 1)
+    phis = _identity_rows(3)[1][:2]
+    tele = analysis.teleport_identity_check(3, m, 1, 0, 2, phis)
+    assert tele.shape == (3, 2)
+    assert tele[1, 0] == analysis.teleport_identity_check(3, 1, 1, 0, 2, phis[0])
+
+
+def test_swap_check_fails_when_the_rearrangement_phase_is_conjugated(monkeypatch):
+    # the batched check must be able to fail: w^{-fg} in place of w^{fg}
+    conjugated = opsbasis.omega_table(3).conj()
+    monkeypatch.setattr(opsbasis, "omega_table", lambda d: conjugated)
+    assert analysis.swap_identity_check(3, *np.indices((3,) * 4).reshape(4, -1)).max() > 0.1
 
 
 # ---------------------------------------------------------------------------

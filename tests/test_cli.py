@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from qric import channels, cli, measurement, protocols
+from qric import analysis, channels, cli, protocols
 from qric.cli import main
 
 
@@ -260,7 +260,8 @@ def test_large_d_hits_the_size_guard_before_building_states(argv, monkeypatch):
         raise AssertionError("work started before the size guard")
 
     monkeypatch.setattr(protocols, "synth_distributed_state", not_before_the_guard)
-    monkeypatch.setattr(measurement, "swap_identity_check", not_before_the_guard)
+    monkeypatch.setattr(analysis, "swap_identity_check", not_before_the_guard)
+    monkeypatch.setattr(analysis, "teleport_identity_check", not_before_the_guard)
     assert main(argv + ["--out", "/dev/null"]) == 3
 
 
@@ -355,6 +356,9 @@ ALL_BRANCHES_REPORTS = {
         "1e0815337b0fbceb97e9cb6dc3e5199e873b30e39cd811fa070fd795303d52bc",
     "verify --d 3 --N 3":
         "fab1eafab5d17303f1fd170cd53ebb3a18c730e59b04f13c69f4fbc76c120456",
+    # d > 3: 50 drawn swap tuples, then the teleport draws, from one stream
+    "verify --d 4 --N 2":
+        "4dab546c33a029e7814090d4a415ef6a6fceca285918ab26451866d8023223ba",
     "ric-mm-multi --d 2 --N 3 --L 1":
         "b764eb51e7f9f10a8e789731e6b5e17f44bcc3b9ad6b2494c0886fa3cb32be95",
 }

@@ -7,16 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from reference import apply_local
+from reference import OccupationVector, apply_local, phi_state, symmetric_state
 from qric import (
-    OccupationVector,
     alpha_coeff,
     bell_state,
         ghz_state,
     overlap,
-    phi_state,
     stabilizer_expectation,
-    symmetric_state,
     weyl_r,
     weyl_u,
 )
@@ -230,6 +227,15 @@ def test_clone_builders_match_the_exhaustive_enumeration_bit_for_bit(d, N):
 def test_phi_vector_large_d_is_fast_and_normalized():
     # the exhaustive enumeration would visit 3^20 occupation tuples here
     assert abs(np.linalg.norm(opsbasis.phi_vector(20, 2, 0)) - 1) < 1e-12
+
+
+@pytest.mark.parametrize("d,N", [(2, 3), (3, 2), (4, 2)])
+def test_phi_basis_is_the_cached_read_only_stack_of_phi_vectors(d, N):
+    basis = opsbasis.phi_basis(d, N)
+    assert basis is opsbasis.phi_basis(d, N) and not basis.flags.writeable
+    assert basis.shape == (d, d ** (2 * N - 1))
+    for j in range(d):
+        assert np.array_equal(basis[j], opsbasis.phi_vector(d, N, j))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Source rules for src/qric, checked on the syntax tree: one size guard, no environment
-knobs, one Bell-product builder, internal self-checks outside the package's error types."""
+knobs, one Bell-product builder, one clone-basis builder, identity oracles without per-term
+states, internal self-checks outside the package's error types."""
 
 import ast
 import pathlib
@@ -71,3 +72,40 @@ def test_clone_family_self_checks_raise_no_package_error():
                     raised.append((func.name, _name(exc).split(".")[-1]))
     assert len({name for name, _ in raised}) == 2
     assert [r for r in raised if r[1] in errors] == []
+
+
+def _calls(tree):
+    """(innermost enclosing function or '<module>', last part of the called name) of every
+    call in tree."""
+    out = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                out.append((owner, _name(child.func).split(".")[-1]))
+            is_func = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_func else owner)
+
+    visit(tree, "<module>")
+    return out
+
+
+def test_identity_checks_build_no_per_term_states():
+    # the two checks and every analysis.py function they reach
+    calls = _calls(_trees()["analysis.py"])
+    callers = {owner for owner, _ in calls}
+    reached, todo = set(), ["swap_identity_check", "teleport_identity_check"]
+    while todo:
+        func = todo.pop()
+        reached.add(func)
+        todo += [name for owner, name in calls
+                 if owner == func and name in callers and name not in reached]
+    assert {"_rows", "_max_per_row"} < reached
+    assert [(owner, name) for owner, name in calls if owner in reached
+            and name in ("bell_state", "tensor", "reorder", "PureState")] == []
+
+
+def test_phi_vector_is_called_only_by_phi_basis():
+    callers = {f"{fname}:{owner}" for fname, tree in _trees().items()
+               for owner, name in _calls(tree) if name == "phi_vector"}
+    assert callers == {"opsbasis.py:phi_basis"}
