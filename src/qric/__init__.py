@@ -8,11 +8,7 @@ from .statealg import (
     DensityOperator,
     PureState,
     Register,
-    basis_state,
     entropy_across_cut,
-    equal_up_to_phase,
-    fidelity,
-    from_amplitudes,
     overlap,
     partial_trace,
     permute,
@@ -46,7 +42,6 @@ from .channels import (
 from .measurement import (
     Branch,
     GbmOutcome,
-    gbm_batch,
     gbm_branches,
 )
 from .protocols import (

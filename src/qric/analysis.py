@@ -105,6 +105,11 @@ def _max_per_row(shape, dev: np.ndarray):
     return float(dev) if shape == () else dev
 
 
+def swap_identity_bytes(d: int, rows: int) -> int:
+    """Bytes of each (rows, d, d, d, d) amplitude array of swap_identity_check."""
+    return 16 * rows * d**4
+
+
 def swap_identity_check(d: int, m, n, m2, n2):
     """Max amplitude deviation of the two-pair Bell rearrangement identity.
 
@@ -116,6 +121,7 @@ def swap_identity_check(d: int, m, n, m2, n2):
     are added in (f, g) order, as a chain of krons would form them.
     """
     shape, (m, n, m2, n2) = _rows(d, (m, n, m2, n2))
+    statealg.check_size("swap identity bytes", swap_identity_bytes(d, len(m)))
     kets = opsbasis.bell_bras(d).conj()  # row i*d + j: |B^{i,j}> over (first, second)
     omega = opsbasis.omega_table(d)
     lhs = kets[m * d + n][:, :, :, None, None] * kets[m2 * d + n2][:, None, None]
@@ -172,9 +178,10 @@ class UnlockOutcome:
     pair_entropy: float
     bell_overlap: float  # largest |<B^{mn}|rho|B^{mn}>| style fidelity
 
-    @property
-    def is_bell(self) -> bool:
-        return self.purity > 1 - 1e-9 and self.bell_overlap > 1 - 1e-9
+
+def unlock_table_bytes(d: int, N: int) -> int:
+    """Bytes of unlock_ubes' outcome table: a d^2 x d^2 block per outcome code."""
+    return 16 * d ** (2 * (N - 1)) * d**4
 
 
 def unlock_ubes(d: int, N: int, mode: str = "all-branches",
@@ -188,7 +195,7 @@ def unlock_ubes(d: int, N: int, mode: str = "all-branches",
     """
     pairs = [(f"A'_{s}", f"{s}'") for s in range(2, N + 1)]
     digits = (d,) * (2 * len(pairs))  # outcome code: the (m, n) digits in plan order
-    statealg.check_size("unlock table bytes", 16 * d ** len(digits) * d**4)
+    statealg.check_size("unlock table bytes", unlock_table_bytes(d, N))
     tuples, weights, _ = channels.preset_spec("smolin", d, N).mixture()
     joint = protocols.Joint.bell_mixture(None, d, N, tuples, weights)
     outs, prob, pair_reg, vecs = protocols.execute(joint, pairs, "all-branches")

@@ -267,6 +267,11 @@ def telecloning_channel(d: int, N: int) -> PureState:
     return PureState(reg, opsbasis.phi_basis(d, N).reshape(-1) / np.sqrt(d), validate=False)
 
 
+def bell_products_bytes(d: int, N: int, K: int) -> int:
+    """Bytes of bell_products' (K, d^(2N)) amplitude array, checked before it is built."""
+    return 16 * K * d ** (2 * N)
+
+
 def bell_products(d: int, N: int, tuples) -> np.ndarray:
     """(K, d^(2N)) amplitudes of the Bell products of K index tuples (or of one
     tuple, K = 1), in channel label order.
@@ -281,7 +286,7 @@ def bell_products(d: int, N: int, tuples) -> np.ndarray:
     bad = ((k < 0) | (k >= d)).any(axis=1)
     if bad.any():
         raise ConstraintError(f"tuple {tuple(k[bad.argmax()].tolist())} out of range for d={d}")
-    statealg.check_size("Bell product bytes", 16 * len(k) * d ** (2 * N))
+    statealg.check_size("Bell product bytes", bell_products_bytes(d, N, len(k)))
     vecs = opsbasis.bell_bras(d).conj()
     tables = [vecs.reshape(d * d, -1)] * (N - 1) + [vecs.transpose(0, 2, 1).reshape(d * d, -1)]
     rows = k[:, 0::2] * d + k[:, 1::2]  # Bell table row of every pair

@@ -167,11 +167,13 @@ def cmd_ric_mm_multi(args):
 
 
 def cmd_verify(args):
-    # one fixed bound, checked before any check runs: the size of the Bell-product rows and
-    # dense swap blocks an earlier mixture analysis built. No array of the suite comes near
-    # it now; it is kept so that the admitted (d, N) stay the same
-    statealg.check_size("verify suite bytes", 16 * args.d ** max(4 * args.N - 2, 2 * args.N + 4))
     d, N = args.d, args.N
+    # before any check runs, the suite's largest array, each term as its builder checks it:
+    # the unlock outcome table, appendix B's d^(N-1) Bell products, the swap identity rows
+    swap_rows = d**4 if d <= 3 else 50
+    statealg.check_size("verify suite bytes", max(
+        analysis.unlock_table_bytes(d, N), channels.bell_products_bytes(d, N, d ** (N - 1)),
+        analysis.swap_identity_bytes(d, swap_rows)))
     rho = channels.preset_spec("smolin", d, N).build()
     rng = np.random.default_rng(args.seed)
     checks = []
@@ -181,7 +183,7 @@ def cmd_verify(args):
     if d <= 3:
         rows = np.indices((d,) * 4).reshape(4, -1)
     else:
-        rows = np.array([rng.integers(0, d, 4) for _ in range(50)]).T
+        rows = np.array([rng.integers(0, d, 4) for _ in range(swap_rows)]).T
     dev = float(analysis.swap_identity_check(d, *rows).max())
     checks.append(_check("swap_identity.max_dev", dev, 0.0, _tol(args, 1e-12)))
 

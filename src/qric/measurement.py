@@ -129,14 +129,3 @@ def bell_projections(batch: np.ndarray, register: Register, pair, out: np.ndarra
         out=out, scratch=scratch,
     )
 
-
-def gbm_batch(batch: np.ndarray, register: Register, pair,
-              rng: np.random.Generator | None = None):
-    """GBM on the ordered pair of every row of batch (B, register.dim), pair removed.
-
-    Returns select_outcomes' first four arrays: every non-null branch of
-    every row, or one branch per row drawn with one rng.random() per row.
-    """
-    uniforms = None if rng is None else rng.random(len(batch))
-    return select_outcomes(bell_projections(batch, register, pair), uniforms)[:4]
-

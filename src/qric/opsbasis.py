@@ -152,20 +152,6 @@ def _orderings(d: int, counts) -> np.ndarray:
     return np.array([idx for idx, _ in partial], dtype=np.int64)
 
 
-def symmetric_vector(d: int, counts) -> np.ndarray:
-    """Equal-weight superposition over all orderings of the occupation multiset."""
-    counts = tuple(int(c) for c in counts)
-    if len(counts) != d:
-        raise DimensionError(f"need {d} occupation counts, got {len(counts)}")
-    N = sum(counts)
-    if N < 1:
-        raise DimensionError("occupation must place at least one particle")
-    v = np.zeros(d**N, dtype=np.complex128)
-    idx = _orderings(d, counts)
-    v[idx] = 1.0
-    return v / np.sqrt(idx.size)
-
-
 def alpha_coeff(d: int, N: int, n_j: int) -> float:
     """sqrt(n_j d! (N-1)! / (N+d-1)!) - weight of the n_j-occupied clone branch."""
     if not 1 <= n_j <= N:

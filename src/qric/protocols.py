@@ -492,25 +492,9 @@ def _ric_routes(N: int) -> tuple:
     return tuple((party, "Diana") for party in senders)
 
 
-def _ric_joint(clone: PureState, channel, register: Register):
-    """(Joint, u, v) of clone (x) channel: one row for a pure channel; for a
-    mixed ChannelSpec the all-zero Bell product with its components as a frame."""
-    if isinstance(channel, PureState):
-        state, u, v = channel, 0, 0
-    elif not isinstance(channel, ChannelSpec):
-        raise ProtocolError("channel must be a ChannelSpec or PureState")
-    elif channel.is_mixed:
-        return (Joint.bell_mixture(clone, channel.d, channel.N, *channel.mixture()),
-                channel.u, channel.v)
-    else:
-        state, u, v = channel.build(), channel.u, channel.v
-    back = statealg.reorder(state, register.labels[clone.register.n:])
-    return Joint.product(clone, back), u, v
-
-
 def run_ric(
     clone: PureState,
-    channel,
+    channel: ChannelSpec,
     mode: str = "sample",
     rng: np.random.Generator | None = None,
     trials: int | None = None,
@@ -524,32 +508,33 @@ def run_ric(
     all-branches weights each by C_k.
     """
     d = clone.d
-    if isinstance(channel, ChannelSpec):
-        if channel.d != d:
-            raise ProtocolError("channel dimension does not match the clone state")
-        if channel.kind == "telecloning":
-            raise ProtocolError(
-                "the telecloning resource is not a 2N-label RIC channel; "
-                "use ghz, beta, bell-product, smolin, or mixed-uniform"
-            )
-        N = channel.N
-    else:
-        N = len(channel.register.labels) // 2
-    if tuple(clone.register.labels) != clone_labels(N):
+    if not isinstance(channel, ChannelSpec):
+        raise ProtocolError("channel must be a ChannelSpec")
+    if channel.d != d:
+        raise ProtocolError("channel dimension does not match the clone state")
+    if channel.kind == "telecloning":
         raise ProtocolError(
-            f"clone state must live on labels {clone_labels(N)}"
+            "the telecloning resource is not a 2N-label RIC channel; "
+            "use ghz, beta, bell-product, smolin, or mixed-uniform"
         )
+    N = channel.N
+    if tuple(clone.register.labels) != clone_labels(N):
+        raise ProtocolError(f"clone state must live on labels {clone_labels(N)}")
     # the joint register checks its own bytes before any channel state is built
     joint_reg = Register(d, clone.register.labels + channel_labels(N))
-    joint, u, v = _ric_joint(clone, channel, joint_reg)
-    if mode == "all-branches":  # the leaves of every component are kept
-        statealg.check_size("mixture components x joint dimension",
-                            len(joint.priors) * joint_reg.dim, statealg.MAX_JOINT_DIM)
-    elif rng is None and isinstance(channel, ChannelSpec) and channel.is_mixed:
-        rng = np.random.default_rng(channel.seed or 0)
+    if not channel.is_mixed:  # one row; build() is already on channel_labels(N)
+        joint = Joint.product(clone, channel.build())
+    else:  # the all-zero Bell product, its components as a frame
+        tuples, weights, draw = channel.mixture()
+        if mode == "all-branches":  # the leaves of every component are kept
+            statealg.check_size("mixture components x joint dimension",
+                                len(weights) * joint_reg.dim, statealg.MAX_JOINT_DIM)
+        elif rng is None:
+            rng = np.random.default_rng(channel.seed or 0)
+        joint = Joint.bell_mixture(clone, d, N, tuples, weights, draw)
     outcomes, probs, register, amps = execute(joint, ric_measurement_plan(N), mode, rng,
                                               trials=trials)
-    x, y = deduce_correction(outcomes[:, :-1], outcomes[:, -1], u, v, d)
+    x, y = deduce_correction(outcomes[:, :-1], outcomes[:, -1], channel.u, channel.v, d)
     amps = _apply_r(amps, register, f"{N}'", x, y)
     nrm = np.sqrt(np.sum(np.abs(amps) ** 2, axis=1))
     off = np.abs(nrm - 1) > 1e-12

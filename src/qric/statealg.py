@@ -108,20 +108,12 @@ class PureState:
     def dim(self) -> int:
         return self.register.dim
 
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.amps) ** 2)))
-
     def amplitude(self, dits) -> complex:
         """Amplitude of the basis string (one dit per register label, in order)."""
         idx = 0
         for j in dits:
             idx = idx * self.d + int(j)
         return complex(self.amps[idx])
-
-    def to_density(self) -> "DensityOperator":
-        reg = self.register
-        check_size("density matrix bytes", 16 * reg.dim**2)
-        return DensityOperator(reg, np.outer(self.amps, self.amps.conj()), validate=False)
 
     def __repr__(self):
         return f"PureState(d={self.d}, labels={self.register.labels})"
@@ -183,25 +175,6 @@ class Cut:
 
 # ---------------------------------------------------------------------------
 # constructors
-
-def basis_state(d: int, dits, labels) -> PureState:
-    """Computational-basis state |dits> on the given labels."""
-    reg = Register(d, tuple(labels))
-    if len(dits) != reg.n:
-        raise DimensionError("one dit per label required")
-    amps = np.zeros(reg.dim, dtype=np.complex128)
-    idx = 0
-    for j in dits:
-        if not 0 <= int(j) < d:
-            raise DimensionError(f"dit {j} out of range for d={d}")
-        idx = idx * d + int(j)
-    amps[idx] = 1.0
-    return PureState(reg, amps, validate=False)
-
-
-def from_amplitudes(d: int, amps, labels, *, validate: bool = True) -> PureState:
-    return PureState(Register(d, tuple(labels)), np.asarray(amps), validate=validate)
-
 
 def random_qudit(d: int, rng: np.random.Generator, label: str = "t") -> PureState:
     v = rng.normal(size=d) + 1j * rng.normal(size=d)
@@ -300,15 +273,6 @@ def overlap(a: PureState, b: PureState) -> complex:
     if a.register.labels != b.register.labels:
         b = reorder(b, a.register.labels)
     return complex(np.vdot(a.amps, b.amps))
-
-
-def equal_up_to_phase(a: PureState, b: PureState, tol: float = TOL) -> bool:
-    return abs(overlap(a, b)) >= 1.0 - tol
-
-
-def fidelity(a: PureState, b: PureState) -> float:
-    """|<a|b>|^2."""
-    return abs(overlap(a, b)) ** 2
 
 
 def von_neumann_entropy(rho: DensityOperator) -> float:

@@ -23,9 +23,10 @@ checked against code that shares none of their index arithmetic:
   into one label order (the per-term loops the package's batched
   analysis checks replace)
 
-three test-only states: OccupationVector and symmetric_state (the
-equal-weight superposition of every ordering of an occupation multiset)
-and phi_state (one clone-basis state as a PureState),
+test-only states: OccupationVector, symmetric_vector and symmetric_state
+(the equal-weight superposition of every ordering of an occupation
+multiset), basis_state (one computational-basis state) and phi_state (one
+clone-basis state as a PureState),
 
 and two input builders: random_covariant_bbar, a random orthonormal Bbar set
 with the clone family's covariance, projected with opsbasis.weyl_monomial,
@@ -403,12 +404,42 @@ class OccupationVector:
         return sum(self.counts)
 
 
+def symmetric_vector(d, counts):
+    """Equal-weight superposition over all orderings of the occupation multiset,
+    placed at the indices opsbasis._orderings gives (which phi_vector reads)."""
+    counts = tuple(int(c) for c in counts)
+    if len(counts) != d:
+        raise DimensionError(f"need {d} occupation counts, got {len(counts)}")
+    N = sum(counts)
+    if N < 1:
+        raise DimensionError("occupation must place at least one particle")
+    v = np.zeros(d**N, dtype=np.complex128)
+    idx = opsbasis._orderings(d, counts)
+    v[idx] = 1.0
+    return v / np.sqrt(idx.size)
+
+
 def symmetric_state(d, occupation, labels):
     counts = occupation.counts if isinstance(occupation, OccupationVector) else tuple(occupation)
     labels = tuple(labels)
     if sum(counts) != len(labels):
         raise DimensionError("occupation total must match the number of labels")
-    return PureState(Register(d, labels), opsbasis.symmetric_vector(d, counts), validate=False)
+    return PureState(Register(d, labels), symmetric_vector(d, counts), validate=False)
+
+
+def basis_state(d, dits, labels):
+    """Computational-basis state |dits> on the given labels."""
+    reg = Register(d, tuple(labels))
+    if len(dits) != reg.n:
+        raise DimensionError("one dit per label required")
+    amps = np.zeros(reg.dim, dtype=np.complex128)
+    idx = 0
+    for j in dits:
+        if not 0 <= int(j) < d:
+            raise DimensionError(f"dit {j} out of range for d={d}")
+        idx = idx * d + int(j)
+    amps[idx] = 1.0
+    return PureState(reg, amps, validate=False)
 
 
 def phi_state(d, N, j):

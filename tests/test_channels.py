@@ -77,7 +77,7 @@ def test_telecloning_channel_d2_n2_matches_term_expansion():
 
 @pytest.mark.parametrize("d,N", [(2, 2), (3, 2), (2, 3), (4, 2)])
 def test_telecloning_channel_normalized(d, N):
-    assert abs(telecloning_channel(d, N).norm() - 1) < 1e-10
+    assert abs(np.linalg.norm(telecloning_channel(d, N).amps) - 1) < 1e-10
 
 
 def test_phi_branches_orthogonal_d3():
@@ -164,7 +164,7 @@ def test_product_bell_d3_1221_oracle():
     )
     ref = statealg.reorder(ref, channel_labels(2))
     np.testing.assert_allclose(ch.amps, ref.amps, atol=1e-12)
-    assert abs(ch.norm() - 1) < 1e-12
+    assert abs(np.linalg.norm(ch.amps) - 1) < 1e-12
 
 
 def test_product_bell_stabilizers_at_zero_residues():
@@ -199,7 +199,7 @@ def test_beta_channel_d3_differs_from_telecloning():
 
 @pytest.mark.parametrize("d,N", [(2, 3), (3, 2)])
 def test_beta_channel_normalized(d, N):
-    assert abs(beta_weighted_channel(d, N).norm() - 1) < 1e-10
+    assert abs(np.linalg.norm(beta_weighted_channel(d, N).amps) - 1) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +369,7 @@ def test_presets_build(name):
 @pytest.mark.parametrize("name", ["ghz", "beta", "bell-product"])
 def test_pure_channels_norm_and_last_cut_entropy(d, N, name):
     state = preset_spec(name, d, N).build()
-    assert abs(state.norm() - 1) < 1e-10
+    assert abs(np.linalg.norm(state.amps) - 1) < 1e-10
     labels = channel_labels(N)
     ent = entropy_across_cut(state, Cut(labels[:-1], (labels[-1],)))
     assert abs(ent - np.log2(d)) < 1e-8

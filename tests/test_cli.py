@@ -242,20 +242,24 @@ def test_negative_max_transcripts_exit_2(capsys):
     ["ric-mm-multi", "--d", "20", "--N", "2", "--L", "2"],
     ["verify", "--d", "20", "--N", "2"],
     ["report", "--d", "20", "--N", "2"],
+    ["verify", "--d", "13", "--N", "2"],
+    ["verify", "--d", "2", "--N", "8"],
     ["unlock", "--d", "20", "--N", "2"],
     ["ric", "--d", "60", "--N", "3", "--channel", "mixed-uniform"],
     ["ric", "--d", "40", "--N", "2", "--channel", "beta"],
     ["ric", "--d", "12", "--N", "3", "--channel", "beta"],
     ["ric", "--d", "3", "--N", "3", "--channel", "smolin", "--mode", "all-branches"],
     ["ric-mm-multi", "--d", "12", "--N", "4", "--L", "2"],
-], ids=["ric", "ric-mm-ghz", "ric-mm-multi", "verify", "report", "unlock", "ric-mixed-uniform",
-        "ric-beta-40-2", "ric-beta-12-3", "ric-smolin-all-branches", "ric-mm-multi-12-4-2"])
+], ids=["ric", "ric-mm-ghz", "ric-mm-multi", "verify", "report", "verify-13-2", "verify-2-8",
+        "unlock", "ric-mixed-uniform", "ric-beta-40-2", "ric-beta-12-3", "ric-smolin-all-branches",
+        "ric-mm-multi-12-4-2"])
 def test_large_d_hits_the_size_guard_before_building_states(argv, monkeypatch):
     # each would otherwise allocate gigabytes: the joint state, the unlock
     # outcome table, or the d^(2(N-1)) mixture table; the beta channels fit the budget, but their O(d^(2N+2))
     # build would run for seconds to minutes before the joint register is
     # refused, and so would the clone family and Bbar sum of the (12, 4, 2)
-    # distributed state; verify and report refuse before their first check
+    # distributed state; verify and report refuse before their first check: at (13, 2)
+    # the unlock outcome table and at (2, 8) appendix B's Bell products would not fit
     def not_before_the_guard(*args, **kwargs):
         raise AssertionError("work started before the size guard")
 
@@ -265,12 +269,24 @@ def test_large_d_hits_the_size_guard_before_building_states(argv, monkeypatch):
     assert main(argv + ["--out", "/dev/null"]) == 3
 
 
+@pytest.mark.parametrize("argv,bound", [
+    (["ric", "--d", "2", "--N", "5", "--channel", "beta"], "protocol joint dimension"),
+    (["ric", "--d", "3", "--N", "3", "--channel", "smolin"], "mixture components"),
+], ids=["pure", "mixed"])
+def test_all_branches_refusal_names_the_bound_that_binds(argv, bound, capsys):
+    # a pure channel has one component, so only the joint dimension can refuse it
+    assert main(argv + ["--mode", "all-branches", "--out", "/dev/null"]) == 3
+    assert bound in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--d", "4", "--N", "3"],
+    ["verify", "--d", "3", "--N", "4"],
     ["stabilizers", "--d", "4", "--N", "3", "--channel", "mixed-uniform"],
-], ids=["verify", "stabilizers-mixed-uniform"])
+], ids=["verify", "verify-3-4", "stabilizers-mixed-uniform"])
 def test_mixture_checks_run_where_their_density_would_not_fit(argv, capsys):
-    # a 4096-row density is over the byte budget; the Bell-tuple weights are not
+    # a 4096- or 6561-row density is over the byte budget; the Bell-tuple weights are not,
+    # and at (3, 4) verify's largest array is appendix B's 2.8 MB of Bell products
     assert main(argv + ["--out", "/dev/null"]) == 0
     assert "checks passed" in capsys.readouterr().err
 

@@ -5,24 +5,24 @@ import pytest
 
 import reference
 from qric import (
+    PureState,
+    Register,
     bell_state,
-    from_amplitudes,
-    gbm_batch,
     gbm_branches,
-        permute,
+    permute,
     swap_identity_check,
     telecloning_channel,
     tensor,
 )
 from qric import statealg
-from qric.measurement import select_outcomes
+from qric.measurement import bell_projections, select_outcomes
 from qric.errors import LabelError
 
 
 def rand_state(d, labels, rng):
     v = rng.normal(size=d ** len(labels)) + 1j * rng.normal(size=d ** len(labels))
     v /= np.linalg.norm(v)
-    return from_amplitudes(d, v, labels)
+    return PureState(Register(d, labels), v)
 
 
 def test_eigenstate_branch():
@@ -88,9 +88,10 @@ def test_remove_drops_pair():
 
 
 def drawn_outcomes(st, pair, rng, trials=1):
-    """Outcome indices m*d + n that gbm_batch draws for `trials` copies of st."""
+    """Outcome indices m*d + n that one uniform per row draws for `trials` copies of st."""
     batch = np.repeat(st.amps[None, :], trials, axis=0)
-    rows, outcomes, _probs, _residuals = gbm_batch(batch, st.register, pair, rng)
+    rows, outcomes, _probs, _residuals = select_outcomes(
+        bell_projections(batch, st.register, pair), rng.random(trials))[:4]
     assert rows.tolist() == list(range(trials))
     return outcomes
 
@@ -199,7 +200,8 @@ def test_gbm_batch_matches_gbm_branches_row_by_row(d, pair):
     eigen = tensor(bell_state(d, 1, d - 1, pair), rand_state(d, rest, rng))
     states.append(statealg.reorder(eigen, labels))
     batch = np.stack([st.amps for st in states])
-    rows, outcomes, probs, residuals = gbm_batch(batch, states[0].register, pair)
+    rows, outcomes, probs, residuals = select_outcomes(
+        bell_projections(batch, states[0].register, pair))[:4]
     want = [(b, br) for b, st in enumerate(states)
             for br in reference.gbm_branches(st, pair) if not br.null]
     assert rows.tolist() == [b for b, _ in want]
@@ -212,7 +214,8 @@ def test_gbm_batch_draw_matches_gbm_sample():
     st = rand_state(3, ("a", "b", "c"), np.random.default_rng(5))
     rng1, rng2 = np.random.default_rng(9), np.random.default_rng(9)
     for _ in range(40):
-        _, outcome, prob, residual = gbm_batch(st.amps[None, :], st.register, ("c", "a"), rng1)
+        _, outcome, prob, residual = select_outcomes(
+            bell_projections(st.amps[None, :], st.register, ("c", "a")), rng1.random(1))[:4]
         br = reference.gbm_sample(st, ("c", "a"), rng2)
         assert outcome.tolist() == [br.outcome.m * 3 + br.outcome.n]
         assert prob[0] == pytest.approx(br.outcome.probability, abs=1e-12)

@@ -1,6 +1,7 @@
 """Source rules for src/qric, checked on the syntax tree: one size guard, no environment
 knobs, one Bell-product builder, one clone-basis builder, identity oracles without per-term
-states, internal self-checks outside the package's error types."""
+states, internal self-checks outside the package's error types, and no public function or
+method that only tests call."""
 
 import ast
 import pathlib
@@ -109,3 +110,45 @@ def test_phi_vector_is_called_only_by_phi_basis():
     callers = {f"{fname}:{owner}" for fname, tree in _trees().items()
                for owner, name in _calls(tree) if name == "phi_vector"}
     assert callers == {"opsbasis.py:phi_basis"}
+
+
+# public names the package itself never uses, each kept for a reason of its own
+UNUSED_IN_PACKAGE = {
+    "measurement.py:gbm_branches": "bound by perfbench/test_perfbench.py and tracer.py",
+    "measurement.py:Branch.null": "read by the tracer's gbm_branches hook",
+    "channels.py:ChannelSpec.to_json": "the writer of the documented channel-file format",
+    "statealg.py:PureState.amplitude": "the basis-convention accessor",
+}
+
+
+def test_every_public_function_is_used_inside_the_package():
+    # a function counts as used when any other part of src/qric names it (as a name, an
+    # attribute or an import; __init__.py's re-exports do not count); a method only as an
+    # attribute that is not on a numpy chain, so np.linalg.norm does not keep a norm method
+    trees = {fname: tree for fname, tree in _trees().items() if fname != "__init__.py"}
+    defs = []
+    for fname, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                defs.append((fname, node.name, node, False))
+            if isinstance(node, ast.ClassDef):
+                defs += [(fname, f"{node.name}.{m.name}", m, True) for m in node.body
+                         if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
+
+    def named(name, skip, method):
+        def visit(node):
+            if node is skip:
+                return False
+            if isinstance(node, ast.Attribute) and node.attr == name:
+                if not _name(node).startswith(("np.", "numpy.")):
+                    return True
+            if not method and (isinstance(node, ast.Name) and node.id == name
+                               or isinstance(node, ast.alias) and node.name == name):
+                return True
+            return any(visit(child) for child in ast.iter_child_nodes(node))
+
+        return any(visit(tree) for tree in trees.values())
+
+    unused = {f"{fname}:{qual}" for fname, qual, node, method in defs
+              if not named(qual.split(".")[-1], node, method)}
+    assert unused == set(UNUSED_IN_PACKAGE)
