@@ -22,7 +22,6 @@ from .opsbasis import (
     alpha_coeff,
     bell_state,
     ghz_state,
-    stabilizer_expectation,
     weyl_r,
     weyl_u,
 )

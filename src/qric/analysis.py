@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import log2
 
 import numpy as np
 
-from . import channels, opsbasis, protocols, statealg
+from . import channels, opsbasis, statealg
 from .channels import BellMixture, channel_labels
 from .errors import DimensionError, LabelError
-from .statealg import Cut, DensityOperator, PureState
+from .statealg import Cut, PureState
 
 
 def clone_fidelity_formula(d: int, N: int) -> float:
@@ -38,14 +39,32 @@ def stabilizer_groups(N: int) -> tuple[tuple, tuple]:
 def stabilizer_suite(state: PureState | BellMixture, d: int, N: int) -> dict:
     """All d^2 expectations tr(S^{mn} rho) under the canonical assignment.
 
-    Every Bell product |B_k> is an eigenstate of every S^{mn}, with eigenvalue
-    w^{m v_k - n u_k} (u_k, v_k the sums of its phase and of its shift indices),
-    so a BellMixture's table is sum_k C_k w^{m v_k - n u_k}.
+    S^{mn} shifts every digit of |x> by n and multiplies it by w^{m L(x)}, where
+    L(x) is the digit sum with the minus group's digits negated. So for a pure
+    state <psi|S^{mn}|psi> = sum_j h_n[j] w^{mj}, with h_n[j] the sum of
+    conj(psi(x + n)) psi(x) over the x with L(x) = j mod d: d shifts and d
+    binnings give the whole table. Every Bell product |B_k> is an eigenstate of
+    every S^{mn}, with eigenvalue w^{m v_k - n u_k} (u_k, v_k the sums of its
+    phase and of its shift indices), so a BellMixture's table is
+    sum_k C_k w^{m v_k - n u_k}.
     """
     minus, plus = stabilizer_groups(N)
     if isinstance(state, PureState):
-        return {(m, n): opsbasis.stabilizer_expectation(state, m, n, minus, plus)
-                for m in range(d) for n in range(d)}
+        reg = state.register
+        if sorted(minus + plus) != sorted(reg.labels):
+            raise LabelError("group assignment must cover the register")
+        digits = np.arange(reg.d)
+        L = np.zeros(1, dtype=np.intp)
+        for label in reg.labels:
+            sign = -1 if label in minus else 1
+            L = (L[:, None] + sign * digits).reshape(-1) % reg.d
+        psi = state.amps.reshape((reg.d,) * reg.n)
+        h = np.empty((reg.d, reg.d), dtype=np.complex128)  # h[n, j]
+        for n in range(reg.d):
+            terms = (np.roll(psi, -n, axis=tuple(range(reg.n))).conj() * psi).reshape(-1)
+            h[n] = np.bincount(L, terms.real, reg.d) + 1j * np.bincount(L, terms.imag, reg.d)
+        table = h @ opsbasis.omega_table(reg.d)[np.outer(digits, digits) % reg.d]  # [n, m]
+        return {(m, n): complex(table[n, m]) for m in range(d) for n in range(d)}
     if state.N != N:
         raise LabelError("group assignment must cover the register")
     u, v = (state.tuples[:, i::2].sum(axis=1) for i in (0, 1))
@@ -77,15 +96,17 @@ def appendix_c_relabeling(N: int) -> dict:
     return mapping
 
 
-def verify_appendix_c(d: int, N: int) -> float:
-    """|overlap| of the relabeled telecloning state with the beta channel.
+def verify_appendix_c(d: int, N: int, *, beta: PureState | None = None) -> float:
+    """|overlap| of the relabeled telecloning state with the beta channel, built
+    here unless the caller passes it.
 
     Appendix C: it is 1 for d = 2 and below 1 for d > 2.
     """
     tele = channels.telecloning_channel(d, N)
     relabeled = statealg.permute(tele, appendix_c_relabeling(N))
     relabeled = statealg.reorder(relabeled, channel_labels(N))
-    beta = channels.beta_weighted_channel(d, N)
+    if beta is None:
+        beta = channels.beta_weighted_channel(d, N)
     return abs(statealg.overlap(relabeled, beta))
 
 
@@ -179,50 +200,43 @@ class UnlockOutcome:
     bell_overlap: float  # largest |<B^{mn}|rho|B^{mn}>| style fidelity
 
 
-def unlock_table_bytes(d: int, N: int) -> int:
-    """Bytes of unlock_ubes' outcome table: a d^2 x d^2 block per outcome code."""
-    return 16 * d ** (2 * (N - 1)) * d**4
-
-
 def unlock_ubes(d: int, N: int, mode: str = "all-branches",
-                rng: np.random.Generator | None = None, trials: int = 20) -> list:
+                rng: np.random.Generator | None = None, trials: int = 20, *,
+                rho: BellMixture | None = None) -> list:
     """Joint GBMs on pairs (A'_s, s'), s = 2..N, then inspect (A'_1, 1').
 
-    The conditional pair state is aggregated over the Smolin-like mixture
-    components for each joint outcome, so a mixed conditional would show up
-    as purity < 1. The claim is that every outcome leaves a generalized
-    Bell state on (A'_1, 1').
+    rho is the Smolin-like mixture by default. Measuring a pair of a Bell
+    product in the Bell basis returns that pair's indices with certainty, so
+    each joint outcome leaves (A'_1, 1') in the Bell-diagonal state whose
+    weights are rho's diagonal W at those outcome indices. The last pair is
+    built on (N', A'_N), so measured on (A'_N, N') it reads (m, -n). Per
+    outcome with weights w: probability sum(w), purity sum(w^2) / p^2 and Bell
+    overlap max(w) / p; the reduced state of either qudit of any Bell-diagonal
+    pair is I/d, so the pair entropy is log2 d. The claim is that every
+    outcome leaves a generalized Bell state on (A'_1, 1'): purity 1.
     """
-    pairs = [(f"A'_{s}", f"{s}'") for s in range(2, N + 1)]
-    digits = (d,) * (2 * len(pairs))  # outcome code: the (m, n) digits in plan order
-    statealg.check_size("unlock table bytes", unlock_table_bytes(d, N))
-    tuples, weights, _ = channels.preset_spec("smolin", d, N).mixture()
-    joint = protocols.Joint.bell_mixture(None, d, N, tuples, weights)
-    outs, prob, pair_reg, vecs = protocols.execute(joint, pairs, "all-branches")
-    # codes repeat across components: np.add.at sums them, a fancy += would not
-    codes = np.ravel_multi_index(outs.reshape(len(prob), -1).T, digits)
-    mats = np.zeros((d ** len(digits), d * d, d * d), dtype=np.complex128)
-    masses = np.zeros(d ** len(digits))
-    np.add.at(mats, codes, prob[:, None, None] * (vecs[:, :, None] * vecs[:, None, :].conj()))
-    np.add.at(masses, codes, prob)
-    seen = np.zeros(d ** len(digits), dtype=bool)
-    seen[codes] = True
-    bras = opsbasis.bell_bras(d).reshape(d * d, -1)  # row m*d + n: <B^{m,n}|
-    reports = []
-    for code in np.flatnonzero(seen):
-        flat = [int(i) for i in np.unravel_index(code, digits)]
-        outs = tuple(zip(flat[0::2], flat[1::2]))
-        prob = float(masses[code])
-        rho = DensityOperator(pair_reg, mats[code] / prob, validate=False)
-        ent = statealg.von_neumann_entropy(statealg.partial_trace(rho, ["1'"]))
-        best = max(0.0, float(np.einsum("kx,xy,ky->k", bras, rho.mat, bras.conj()).real.max()))
-        reports.append(UnlockOutcome(outs, prob, rho.purity(), ent, best))
+    statealg.check_size("unlock Bell diagonal bytes", 8 * d ** (2 * N))
+    if rho is None:
+        rho = channels.preset_spec("smolin", d, N).build()
+    w = rho.diagonal().reshape(d * d, -1)  # column: the (m, n) digits of pairs 2..N
+    # per-outcome sums over W's columns, then the last pair's n -> -n on those, so that
+    # no second table-sized array is made
+    masses, squares, top = (
+        np.take(a.reshape((d,) * (2 * N - 2)), -np.arange(d) % d, axis=-1).reshape(-1)
+        for a in (w.sum(axis=0), np.einsum("ij,ij->j", w, w), w.max(axis=0)))
+    codes = np.flatnonzero(masses > 0)
+    masses = masses[codes]
+    purity = squares[codes] / masses**2
+    overlap = top[codes] / masses
+    outs = np.stack(np.unravel_index(codes, (d,) * (2 * N - 2)), axis=1)
+    reports = [UnlockOutcome(tuple(zip(o[0::2], o[1::2])), p, pur, log2(d), best)
+               for o, p, pur, best in zip(outs.tolist(), masses.tolist(),
+                                          purity.tolist(), overlap.tolist())]
     if mode != "all-branches":
         if rng is None:
             rng = np.random.default_rng(0)
-        probs = np.array([r.probability for r in reports])
         idx = rng.choice(len(reports), size=min(trials, len(reports)), replace=False,
-                         p=probs / probs.sum())
+                         p=masses / masses.sum())
         reports = [reports[int(i)] for i in idx]
     return reports
 

@@ -169,10 +169,10 @@ def cmd_ric_mm_multi(args):
 def cmd_verify(args):
     d, N = args.d, args.N
     # before any check runs, the suite's largest array, each term as its builder checks it:
-    # the unlock outcome table, appendix B's d^(N-1) Bell products, the swap identity rows
+    # appendix B's d^(N-1) Bell products, the swap identity rows
     swap_rows = d**4 if d <= 3 else 50
     statealg.check_size("verify suite bytes", max(
-        analysis.unlock_table_bytes(d, N), channels.bell_products_bytes(d, N, d ** (N - 1)),
+        channels.bell_products_bytes(d, N, d ** (N - 1)),
         analysis.swap_identity_bytes(d, swap_rows)))
     rho = channels.preset_spec("smolin", d, N).build()
     rng = np.random.default_rng(args.seed)
@@ -196,28 +196,28 @@ def cmd_verify(args):
     checks.append(_check("teleport_identity.max_dev", dev, 0.0, _tol(args, 1e-12)))
 
     family = protocols.extract_clone_decomposition(d, N)
-    dev = 0.0
-    for _ in range(20):
-        x = rng.normal(size=d) + 1j * rng.normal(size=d)
-        x /= np.linalg.norm(x)
-        dev = max(dev, protocols.reconstruction_deviation(family, x))
+    z = rng.normal(size=(20, 2, d))  # per input: d real parts, then d imaginary parts
+    xs = np.array([x / np.linalg.norm(x) for x in z[:, 0] + 1j * z[:, 1]])
+    dev = float(protocols.reconstruction_deviation(family, xs).max())
     checks.append(_check("clone_reconstruction.max_dev", dev, 0.0, _tol(args, 1e-9)))
 
     checks.append(
         _check("ghz_reduction.max_dev", analysis.verify_appendix_b(d, N), 0.0, _tol(args, 1e-12))
     )
 
-    ov = analysis.verify_appendix_c(d, N)
+    pure = {preset: channels.preset_spec(preset, d, N).build()
+            for preset in ("ghz", "beta", "bell-product")}
+    ov = analysis.verify_appendix_c(d, N, beta=pure["beta"])
     if d == 2:
         checks.append(_check("telecloning_channel_overlap", ov, 1.0, _tol(args, DEFAULT_TOL)))
     else:
         checks.append(_check("telecloning_channel_overlap", ov, "< 1 - 1e-6", 1e-6,
                              ok=ov < 1 - 1e-6))
 
-    for preset in ("ghz", "beta", "bell-product", "smolin", "mixed-uniform"):
-        table = analysis.stabilizer_suite(
-            rho if preset == "smolin" else channels.preset_spec(preset, d, N).build(), d, N
-        )
+    states = {**pure, "smolin": rho,
+              "mixed-uniform": channels.preset_spec("mixed-uniform", d, N).build()}
+    for preset, state in states.items():
+        table = analysis.stabilizer_suite(state, d, N)
         dev = max(abs(v - 1.0) for v in table.values())
         checks.append(_check(f"stabilizer.{preset}.max_dev", dev, 0.0, _tol(args, 1e-9)))
 
@@ -233,7 +233,7 @@ def cmd_verify(args):
     else:
         checks.append(_check("symmetry.cross_group", cross, "> 1e-3", 1e-3, ok=cross > 1e-3))
 
-    unlocks = analysis.unlock_ubes(d, N)
+    unlocks = analysis.unlock_ubes(d, N, rho=rho)
     checks.append(
         _check("unlock.min_purity", min(r.purity for r in unlocks), 1.0, _tol(args, 1e-9))
     )
@@ -255,14 +255,13 @@ def cmd_verify(args):
                          ok=ppt_min >= -1e-10))
 
     ent_tol = _tol(args, 1e-8)
-    for preset in ("ghz", "beta", "bell-product"):
-        state = channels.preset_spec(preset, d, N).build()
-        cut = Cut(labels[:-1], (labels[-1],))
+    cut = Cut(labels[:-1], (labels[-1],))
+    for preset, state in pure.items():
         ent = statealg.entropy_across_cut(state, cut)
         checks.append(_check(f"entropy.{preset}.rest_vs_Nprime", ent, log2(d), ent_tol))
 
-    fp_ghz = analysis.fingerprint(channels.ghz_channel(d, N))
-    fp_beta = analysis.fingerprint(channels.beta_weighted_channel(d, N))
+    fp_ghz = analysis.fingerprint(pure["ghz"])
+    fp_beta = analysis.fingerprint(pure["beta"])
     distinguishable = bool(analysis.compare_fingerprints(fp_ghz, fp_beta))
     checks.append(_check("fingerprint.ghz_vs_beta_distinguishable", distinguishable, True, 0,
                          ok=distinguishable))

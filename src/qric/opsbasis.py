@@ -1,5 +1,5 @@
-"""Weyl phase-shift operators, generalized Bell/GHZ states, symmetric
-clone-basis states, and stabilizer-group expectations.
+"""Weyl phase-shift operators, generalized Bell/GHZ states and symmetric
+clone-basis states.
 
 Conventions (fixed throughout the package):
   U^{m,n} = sum_k omega^{km} |k+n mod d><k|        (phase index m, shift n)
@@ -197,25 +197,3 @@ def phi_basis(d: int, N: int) -> np.ndarray:
 def clone_labels(N: int) -> tuple[str, ...]:
     """Labels of the (2N-1)-qudit clone register: 1..N then A_1..A_{N-1}."""
     return tuple(str(s) for s in range(1, N + 1)) + tuple(f"A_{s}" for s in range(1, N))
-
-
-# ---------------------------------------------------------------------------
-# stabilizer expectations
-
-def stabilizer_expectation(state: PureState, m: int, n: int, minus_labels, plus_labels) -> complex:
-    """<psi|S^{mn}|psi> with U^{-m,n} on minus_labels and U^{m,n} on plus_labels.
-
-    Every register label must sit in exactly one group. With S^{mn} as
-    (col, val) from `weyl_monomial`, <psi|S|psi> = sum_r conj(psi_r) val_r psi[col_r].
-    (A Bell-product mixture's table is `analysis.stabilizer_suite`, in closed form.)
-    """
-    minus_labels = tuple(minus_labels)
-    plus_labels = tuple(plus_labels)
-    reg = state.register
-    if set(minus_labels) & set(plus_labels):
-        raise LabelError("stabilizer group assignment overlaps")
-    if sorted(minus_labels + plus_labels) != sorted(reg.labels):
-        raise LabelError("group assignment must cover the register")
-    signs = [-1 if l in minus_labels else 1 for l in reg.labels]
-    col, val = weyl_monomial(reg.d, [("U", s * m, n) for s in signs])
-    return complex(np.vdot(state.amps, val * state.amps[col]))

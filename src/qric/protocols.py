@@ -308,15 +308,21 @@ def execute(joint, plan, mode: str = "sample", rng=None, *, trials: int | None =
 def clone_state(x, d: int, N: int) -> PureState:
     """sum_j x_j |phi_j> on labels 1..N, A_1..A_{N-1}."""
     x = np.asarray(x, dtype=np.complex128).reshape(-1)
-    if x.shape[0] != d:
-        raise ProtocolError(f"need {d} input amplitudes, got {x.shape[0]}")
-    if abs(np.sum(np.abs(x) ** 2) - 1.0) > 1e-8:
+    return PureState(Register(d, clone_labels(N)), _clone_amps(x, d, N), validate=False)
+
+
+def _clone_amps(x: np.ndarray, d: int, N: int) -> np.ndarray:
+    """(..., d^(2N-1)): sum_j x_j |phi_j> for each unit vector of x (..., d),
+    accumulated in j order."""
+    if x.shape[-1] != d:
+        raise ProtocolError(f"need {d} input amplitudes, got {x.shape[-1]}")
+    if (np.abs(np.sum(np.abs(x) ** 2, axis=-1) - 1.0) > 1e-8).any():
         raise NormalizationError("input amplitudes not normalized")
-    reg = Register(d, clone_labels(N))
-    amps = np.zeros(reg.dim, dtype=np.complex128)
-    for j, row in enumerate(opsbasis.phi_basis(d, N)):
-        amps += x[j] * row
-    return PureState(reg, amps, validate=False)
+    basis = opsbasis.phi_basis(d, N)
+    amps = np.zeros(x.shape[:-1] + basis.shape[1:], dtype=np.complex128)
+    for j, row in enumerate(basis):
+        amps += x[..., j, None] * row
+    return amps
 
 
 def telecloning_registry(N: int) -> dict:
@@ -423,37 +429,44 @@ def extract_clone_decomposition(d: int, N: int) -> CloneFamily:
 def bbar_sum(bbar: np.ndarray, beta: np.ndarray, tails: np.ndarray) -> np.ndarray:
     """(1/sqrt d) sum_{m,n} beta_n Bbar_mn (x) tails_mn, accumulated in (m, n) order.
 
-    bbar (d, d, dimB) and tails (d, d, dimT) hold flat amplitude vectors;
-    each term is scaled after its kron.
+    bbar (d, d, dimB) and tails (..., d, d, dimT) hold flat amplitude vectors,
+    one expansion per leading index of tails; each term is scaled after its
+    kron, the elementwise product np.kron forms.
     """
     d = len(beta)
-    acc = np.zeros(bbar.shape[2] * tails.shape[2], dtype=np.complex128)
+    acc = np.zeros(tails.shape[:-3] + (bbar.shape[2] * tails.shape[-1],), dtype=np.complex128)
     for m in range(d):
         for n in range(d):
-            acc += beta[n] * np.kron(bbar[m, n], tails[m, n])
+            kron = bbar[m, n, :, None] * tails[..., m, n, None, :]
+            acc += beta[n] * kron.reshape(acc.shape)
     acc /= np.sqrt(d)
     return acc
 
 
 def _clone_tails(d: int, x, L: int) -> np.ndarray:
-    """(d, d, d^L): (U^{-m,n} x)^(x L) for every (m, n), the legs of a Bbar expansion of x."""
-    tail = np.stack([weyl_u(d, -m, n) for m in range(d) for n in range(d)]) @ x
+    """(..., d, d, d^L): (U^{-m,n} x)^(x L) for every (m, n) and every vector of x
+    (..., d), the legs of a Bbar expansion of x."""
+    weyl = np.stack([weyl_u(d, -m, n) for m in range(d) for n in range(d)])
+    tail = (weyl @ x[..., None, :, None])[..., 0]  # (..., d^2, d)
     legs = tail
     for _ in range(L - 1):
-        legs = (legs[:, :, None] * tail[:, None, :]).reshape(d * d, -1)  # row-wise kron
-    return legs.reshape(d, d, -1)
+        legs = (legs[..., :, None] * tail[..., None, :]).reshape(tail.shape[:-1] + (-1,))
+    return legs.reshape(x.shape[:-1] + (d, d, -1))
 
 
-def reconstruction_deviation(family: CloneFamily, x) -> float:
-    """Max amplitude deviation of clone_state(x) from its Bbar expansion."""
+def reconstruction_deviation(family: CloneFamily, x):
+    """Max amplitude deviation of clone_state(x) from its Bbar expansion: a float
+    for one input x (d,), one per row for a batch (b, d), each the value of its
+    own single-input call."""
     d, N = family.d, family.N
     x = np.asarray(x, dtype=np.complex128)
-    direct = clone_state(x, d, N)
+    direct = _clone_amps(x, d, N)
     acc = bbar_sum(family.bbar, family.beta, _clone_tails(d, x, 1))
     # expansion order (1..N-1, A_1..A_{N-1}, N) -> clone labels (1..N, A_1..A_{N-1})
     half = d ** (N - 1)
-    expanded = acc.reshape(half, half, d).transpose(0, 2, 1).reshape(-1)
-    return float(np.abs(direct.amps - expanded).max())
+    expanded = acc.reshape(x.shape[:-1] + (half, half, d)).swapaxes(-1, -2)
+    dev = np.abs(direct - expanded.reshape(direct.shape)).max(axis=-1)
+    return float(dev) if x.ndim == 1 else dev
 
 
 # ---------------------------------------------------------------------------

@@ -146,9 +146,6 @@ class DensityOperator:
     def dim(self) -> int:
         return self.register.dim
 
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.mat @ self.mat)))
-
     def __repr__(self):
         return f"DensityOperator(d={self.d}, labels={self.register.labels})"
 

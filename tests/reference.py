@@ -18,6 +18,9 @@ checked against code that shares none of their index arithmetic:
 - ric_weyl_frame: the same run's component-to-base relabelling, leaf phase
   and Diana's correction from Z_d arithmetic alone, no state vectors
 
+- unlock_ubes: the unlocking report by running the joint GBMs over every
+  Smolin-like component and summing each outcome's conditional pair density
+  (the package reads it off the Bell-basis diagonal W)
 - swap_identity_check / teleport_identity_check: the two Weyl/Bell
   identities for one index tuple, each side a sum of PureState krons moved
   into one label order (the per-term loops the package's batched
@@ -44,7 +47,9 @@ tuples and weights alone):
   views of the density
 - spectrum_check: rank and flat-spectrum deviation from eigvalsh
 - stabilizer_expectation / stabilizer_suite: tr(S rho) read off the
-  density's entries at weyl_monomial's columns
+  density's entries at weyl_monomial's columns, or <psi|S|psi> of a pure
+  state as one weyl_monomial gather per (m, n) (the package bins the
+  shifted products by the signed digit sum instead)
 - permute: a density's subsystems moved by a relabeling
 
 Where that density does not fit, two oracles work from a BellMixture's
@@ -62,7 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qric import analysis, channels, opsbasis, statealg
+from qric import analysis, channels, opsbasis, protocols, statealg
 from qric.errors import DimensionError, LabelError
 from qric.measurement import NULL_PROB, Branch, GbmOutcome
 from qric.statealg import TOL, DensityOperator, PureState, Register
@@ -286,17 +291,29 @@ def spectrum_check(rho):
     return rank, max(dev, leak)
 
 
-def stabilizer_expectation(rho, m, n, minus_labels, plus_labels):
-    """tr(S^{mn} rho) of a density, U^{-m,n} on minus_labels and U^{m,n} on
-    the rest: sum_r val_r rho[col_r, r] over weyl_monomial's (col, val)."""
-    reg = rho.register
+def stabilizer_expectation(state, m, n, minus_labels, plus_labels):
+    """<S^{mn}> of a PureState or a density, U^{-m,n} on minus_labels and
+    U^{m,n} on plus_labels, with S^{mn} as weyl_monomial's (col, val): for a
+    pure state sum_r conj(psi_r) val_r psi[col_r], its groups disjoint and
+    covering the register; for a density sum_r val_r rho[col_r, r], U^{m,n}
+    on every label outside minus_labels."""
+    reg = state.register
+    if isinstance(state, PureState):
+        minus_labels, plus_labels = tuple(minus_labels), tuple(plus_labels)
+        if set(minus_labels) & set(plus_labels):
+            raise LabelError("stabilizer group assignment overlaps")
+        if sorted(minus_labels + plus_labels) != sorted(reg.labels):
+            raise LabelError("group assignment must cover the register")
     signs = [-1 if l in minus_labels else 1 for l in reg.labels]
     col, val = opsbasis.weyl_monomial(reg.d, [("U", s * m, n) for s in signs])
-    return complex(np.dot(val, rho.mat[col, np.arange(reg.dim)]))
+    if isinstance(state, PureState):
+        return complex(np.vdot(state.amps, val * state.amps[col]))
+    return complex(np.dot(val, state.mat[col, np.arange(reg.dim)]))
 
 
 def stabilizer_suite(rho, d, N):
-    """All d^2 expectations tr(S^{mn} rho) of a density under the canonical assignment."""
+    """All d^2 expectations <S^{mn}> of a PureState or a density under the canonical
+    assignment, one weyl_monomial gather per (m, n)."""
     minus, plus = analysis.stabilizer_groups(N)
     return {(m, n): stabilizer_expectation(rho, m, n, minus, plus)
             for m in range(d) for n in range(d)}
@@ -349,6 +366,48 @@ def bell_swap_distance(mix, a, b):
     diff = (M * W[:, None, :]) @ M.conj().T
     diff.reshape(len(W), -1)[:, ::len(M) + 1] -= W  # the diagonal of every block
     return float(np.linalg.norm(diff))
+
+
+def unlock_ubes(d, N, mode="all-branches", rng=None, trials=20, *, rho=None):
+    """analysis.unlock_ubes by running the protocol: joint GBMs on pairs
+    (A'_s, s'), s = 2..N, over every component of rho (by default the
+    Smolin-like mixture) through protocols.execute, each outcome's conditional (A'_1, 1') density
+    summed over the components, then its purity, the entropy of its 1' marginal
+    by eigvalsh, and its largest Bell-basis diagonal entry."""
+    pairs = [(f"A'_{s}", f"{s}'") for s in range(2, N + 1)]
+    digits = (d,) * (2 * len(pairs))  # outcome code: the (m, n) digits in plan order
+    statealg.check_size("unlock table bytes", 16 * d ** (2 * N + 2))
+    if rho is None:
+        rho = channels.preset_spec("smolin", d, N).build()
+    joint = protocols.Joint.bell_mixture(None, d, N, rho.tuples, rho.weights)
+    outs, prob, pair_reg, vecs = protocols.execute(joint, pairs, "all-branches")
+    # codes repeat across components: np.add.at sums them, a fancy += would not
+    codes = np.ravel_multi_index(outs.reshape(len(prob), -1).T, digits)
+    mats = np.zeros((d ** len(digits), d * d, d * d), dtype=np.complex128)
+    masses = np.zeros(d ** len(digits))
+    np.add.at(mats, codes, prob[:, None, None] * (vecs[:, :, None] * vecs[:, None, :].conj()))
+    np.add.at(masses, codes, prob)
+    seen = np.zeros(d ** len(digits), dtype=bool)
+    seen[codes] = True
+    bras = opsbasis.bell_bras(d).reshape(d * d, -1)  # row m*d + n: <B^{m,n}|
+    reports = []
+    for code in np.flatnonzero(seen):
+        flat = [int(i) for i in np.unravel_index(code, digits)]
+        outs = tuple(zip(flat[0::2], flat[1::2]))
+        prob = float(masses[code])
+        rho = DensityOperator(pair_reg, mats[code] / prob, validate=False)
+        ent = statealg.von_neumann_entropy(statealg.partial_trace(rho, ["1'"]))
+        purity = float(np.real(np.trace(rho.mat @ rho.mat)))
+        best = max(0.0, float(np.einsum("kx,xy,ky->k", bras, rho.mat, bras.conj()).real.max()))
+        reports.append(analysis.UnlockOutcome(outs, prob, purity, ent, best))
+    if mode != "all-branches":
+        if rng is None:
+            rng = np.random.default_rng(0)
+        probs = np.array([r.probability for r in reports])
+        idx = rng.choice(len(reports), size=min(trials, len(reports)), replace=False,
+                         p=probs / probs.sum())
+        reports = [reports[int(i)] for i in idx]
+    return reports
 
 
 def swap_identity_check(d, m, n, m2, n2):

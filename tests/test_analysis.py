@@ -21,7 +21,7 @@ from qric import (
     verify_appendix_c,
 )
 from qric import analysis, channels, opsbasis, statealg
-from qric.errors import DimensionError, LabelError
+from qric.errors import DimensionError, LabelError, SizeGuardError
 from qric.statealg import DensityOperator, Register
 
 
@@ -74,6 +74,26 @@ def test_suite_fails_on_random_product_state():
 def test_suite_every_zero_residue_channel(d, N, preset):
     state = channels.preset_spec(preset, d, N).build()
     assert stabilizer_suite_passes(stabilizer_suite(state, d, N))
+
+
+@pytest.mark.parametrize("d,N", [(2, 2), (3, 2), (4, 2), (5, 2), (3, 3), (2, 4)])
+@pytest.mark.parametrize("preset", ["ghz", "beta", "bell-product", "random"])
+def test_pure_stabilizer_tables_match_the_per_element_oracle(preset, d, N):
+    if preset == "random":  # a generic state on shuffled labels: no entry of its table is 1
+        rng = np.random.default_rng(d + 10 * N)
+        labels = tuple(rng.permutation(channel_labels(N)))
+        amps = rng.normal(size=d ** (2 * N)) + 1j * rng.normal(size=d ** (2 * N))
+        state = statealg.PureState(Register(d, labels), amps / np.linalg.norm(amps))
+    else:
+        state = channels.preset_spec(preset, d, N).build()
+    got, want = stabilizer_suite(state, d, N), reference.stabilizer_suite(state, d, N)
+    assert list(got) == list(want)
+    assert max(abs(got[k] - want[k]) for k in got) < 1e-14
+
+
+def test_pure_stabilizer_table_refuses_a_register_the_groups_do_not_cover():
+    with pytest.raises(LabelError, match="group assignment must cover the register"):
+        stabilizer_suite(channels.telecloning_channel(2, 2), 2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +178,57 @@ def test_unlock_d2_n3_two_gbms():
         assert len(r.outcomes) == 2
         assert r.purity > 1 - 1e-9
         assert r.bell_overlap > 1 - 1e-9
+
+
+UNLOCK_FIELDS = ("probability", "purity", "pair_entropy", "bell_overlap")
+
+
+def assert_same_unlock_reports(got, want):
+    assert [r.outcomes for r in got] == [r.outcomes for r in want]
+    for g, w in zip(got, want):
+        for field in UNLOCK_FIELDS:
+            assert abs(getattr(g, field) - getattr(w, field)) <= 1e-14, (g.outcomes, field)
+
+
+@pytest.mark.parametrize("d,N", [(d, 2) for d in (2, 3, 4, 5, 6, 7, 12)]
+                         + [(2, 3), (3, 3), (4, 3), (6, 3), (2, 5), (2, 7), (3, 4), (4, 4)])
+def test_unlock_from_the_bell_diagonal_matches_the_protocol_oracle(d, N):
+    assert_same_unlock_reports(unlock_ubes(d, N), reference.unlock_ubes(d, N))
+
+
+@pytest.mark.parametrize("d,N", [(3, 2), (4, 2), (3, 3)])
+def test_unlock_of_a_random_mixture_matches_the_protocol_oracle(d, N):
+    # unequal weights, and each outcome of pairs 2..N shared by two tuples, so the conditional
+    # pair states are mixed and a wrong index map for the last pair, built on (N', A'_N),
+    # would move every field
+    rng = np.random.default_rng(5 * d + N)
+    tuples = rng.integers(0, d, (2 * d, 2 * N))
+    tuples[d:, 2:] = tuples[:d, 2:]
+    weights = rng.random(2 * d)
+    mix = channels.BellMixture(d, N, tuples, weights / weights.sum())
+    got = unlock_ubes(d, N, rho=mix)
+    assert_same_unlock_reports(got, reference.unlock_ubes(d, N, rho=mix))
+    assert min(r.purity for r in got) < 1 - 1e-3
+
+
+@pytest.mark.parametrize("d,N", [(2, 2), (3, 2), (3, 3)])
+def test_unlock_sample_draws_the_oracle_outcomes(d, N):
+    # seeds 0-9 and the CLI default the sample tests run at; trials below and above the
+    # outcome count
+    for seed in [*range(10), 1234]:
+        for trials in (1, 4, 10, 100):
+            got, want = (f(d, N, "sample", np.random.default_rng(seed), trials)
+                         for f in (unlock_ubes, reference.unlock_ubes))
+            assert_same_unlock_reports(got, want)
+
+
+def test_unlock_refuses_its_bell_diagonal_before_enumerating_the_mixture(monkeypatch):
+    def not_before_the_guard(*args, **kwargs):
+        raise AssertionError("mixture enumerated before the size guard")
+
+    monkeypatch.setattr(channels, "preset_spec", not_before_the_guard)
+    with pytest.raises(SizeGuardError, match="unlock Bell diagonal bytes"):
+        unlock_ubes(20, 3)
 
 
 @pytest.mark.parametrize("d,N", [(2, 2), (3, 2), (2, 3)])

@@ -203,3 +203,12 @@ def test_reconstruction_deviation_matches_the_kron_loop(d, N):
     expanded = statealg.reorder(expanded, opsbasis.clone_labels(N))
     want = float(np.abs(protocols.clone_state(x, d, N).amps - expanded.amps).max())
     assert protocols.reconstruction_deviation(family, x) == want
+
+
+@pytest.mark.parametrize("d,N", [(2, 2), (3, 3), (4, 2)])
+def test_batched_reconstruction_deviation_is_the_per_input_calls(d, N):
+    family = protocols.extract_clone_decomposition(d, N)
+    xs = np.array([unit_vector(d, seed=s) for s in range(20)])
+    got = protocols.reconstruction_deviation(family, xs)
+    assert got.shape == (20,)
+    assert np.array_equal(got, [protocols.reconstruction_deviation(family, x) for x in xs])

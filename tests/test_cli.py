@@ -170,6 +170,12 @@ def test_stabilizers_table(capsys):
     assert len(doc["expectations"]) == 9
 
 
+def test_stabilizers_over_the_telecloning_channel_exit_2(capsys):
+    # its labels t', 1..N, A_1.. are not the channel labels the stabilizer groups cover
+    assert main(["stabilizers", "--channel", "telecloning", "--out", os.devnull]) == 2
+    assert "group assignment must cover the register" in capsys.readouterr().err
+
+
 def test_unlock_outcomes(capsys):
     rc = main(["unlock", "--d", "2", "--N", "2"])
     doc = json.loads(capsys.readouterr().out)
@@ -242,24 +248,24 @@ def test_negative_max_transcripts_exit_2(capsys):
     ["ric-mm-multi", "--d", "20", "--N", "2", "--L", "2"],
     ["verify", "--d", "20", "--N", "2"],
     ["report", "--d", "20", "--N", "2"],
-    ["verify", "--d", "13", "--N", "2"],
+    ["verify", "--d", "18", "--N", "2"],
     ["verify", "--d", "2", "--N", "8"],
-    ["unlock", "--d", "20", "--N", "2"],
+    ["unlock", "--d", "20", "--N", "3"],
     ["ric", "--d", "60", "--N", "3", "--channel", "mixed-uniform"],
     ["ric", "--d", "40", "--N", "2", "--channel", "beta"],
     ["ric", "--d", "12", "--N", "3", "--channel", "beta"],
     ["ric", "--d", "3", "--N", "3", "--channel", "smolin", "--mode", "all-branches"],
     ["ric-mm-multi", "--d", "12", "--N", "4", "--L", "2"],
-], ids=["ric", "ric-mm-ghz", "ric-mm-multi", "verify", "report", "verify-13-2", "verify-2-8",
+], ids=["ric", "ric-mm-ghz", "ric-mm-multi", "verify", "report", "verify-18-2", "verify-2-8",
         "unlock", "ric-mixed-uniform", "ric-beta-40-2", "ric-beta-12-3", "ric-smolin-all-branches",
         "ric-mm-multi-12-4-2"])
 def test_large_d_hits_the_size_guard_before_building_states(argv, monkeypatch):
-    # each would otherwise allocate gigabytes: the joint state, the unlock
-    # outcome table, or the d^(2(N-1)) mixture table; the beta channels fit the budget, but their O(d^(2N+2))
+    # each would otherwise allocate gigabytes: the joint state, the unlock Bell
+    # diagonal, or the d^(2(N-1)) mixture table; the beta channels fit the budget, but their O(d^(2N+2))
     # build would run for seconds to minutes before the joint register is
     # refused, and so would the clone family and Bbar sum of the (12, 4, 2)
-    # distributed state; verify and report refuse before their first check: at (13, 2)
-    # the unlock outcome table and at (2, 8) appendix B's Bell products would not fit
+    # distributed state; verify and report refuse before their first check: at (18, 2)
+    # the swap identity rows and at (2, 8) appendix B's Bell products would not fit
     def not_before_the_guard(*args, **kwargs):
         raise AssertionError("work started before the size guard")
 
@@ -346,7 +352,12 @@ SAMPLED_REPORTS = {
 # same keys, strings, integers and rows, the mixture floats within 1e-12.
 # The same three were re-pinned when verify and stabilizers stopped declaring
 # --mode and --trials: each parent report with config.mode and config.trials
-# dropped, re-dumped with indent=2 and sorted keys, gives the new bytes
+# dropped, re-dumped with indent=2 and sorted keys, gives the new bytes.
+# unlock and verify at (3, 2) and (4, 2) were re-pinned when unlock came to read
+# the Bell diagonal W and the pure stabilizer tables one binning per shift: the
+# same keys, strings, integers and row order, floats within 1e-14 (unlock moved
+# 81 probabilities, 79 purities and 81 Bell overlaps by at most 8.9e-16, and each
+# verify report its stabilizer.beta.max_dev by 2.2e-16 and 1.1e-16)
 ALL_BRANCHES_REPORTS = {
     "ric --d 3 --N 2 --channel beta":
         "441b6e88b593548649225b396ca587869f921346ff1379a63fd0d065f11c7f40",
@@ -355,7 +366,7 @@ ALL_BRANCHES_REPORTS = {
     "ric-mm-ghz --d 3 --N 2 --L 2":
         "3bb10f37a5b1b69a76ecf1de064f634cfa09cfb99f45f3274ca4b059b53f5c43",
     "verify --d 3 --N 2":
-        "b4a5a4de7e49ecc668e99aea517fe67847e5da13b6493c6d38d33777deb0fdec",
+        "7eb300e0ae629e70e789b30e7dadfb8edfcf2b761ecf6156227dc53a8de86830",
     "stabilizers --d 3 --N 2 --channel mixed-uniform":
         "6b493e3a1f67dd15091727567b3c582b014af3bc9e0c5e11c4a9fc51aca0cb91",
     "ric --d 3 --N 2 --channel ghz":
@@ -363,7 +374,7 @@ ALL_BRANCHES_REPORTS = {
     "ric --d 3 --N 2 --channel mixed-uniform":
         "dd5ef7c11af7a7a2782fb43075ebcb5cdd25ef367fe4cb8ef49362d0926448c0",
     "unlock --d 3 --N 3":
-        "c3f39e563127f9f65598fe57e59640cc81b6b0c907a7c517d44c53e641e344f6",
+        "6bca9c98463fc131911268079b118f4dcc50332353272fe4d9a46e55d467e456",
     "teleclone --d 3 --N 2":
         "e2eda57ae140dc2915ce462c56cf15dcc66972dd6b8fb0c989ee65908a0226f5",
     "ric-mm-multi --d 3 --N 2 --L 1":
@@ -374,7 +385,7 @@ ALL_BRANCHES_REPORTS = {
         "fab1eafab5d17303f1fd170cd53ebb3a18c730e59b04f13c69f4fbc76c120456",
     # d > 3: 50 drawn swap tuples, then the teleport draws, from one stream
     "verify --d 4 --N 2":
-        "4dab546c33a029e7814090d4a415ef6a6fceca285918ab26451866d8023223ba",
+        "ff2de1ec62033611de233da1ab41f0ede24a5a5fa11ff9aa88bac55e64f42854",
     "ric-mm-multi --d 2 --N 3 --L 1":
         "b764eb51e7f9f10a8e789731e6b5e17f44bcc3b9ad6b2494c0886fa3cb32be95",
 }

@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from reference import OccupationVector, apply_local, phi_state, symmetric_state
+from reference import (OccupationVector, apply_local, phi_state, stabilizer_expectation,
+                       symmetric_state)
 from qric import (
     alpha_coeff,
     bell_state,
         ghz_state,
     overlap,
-    stabilizer_expectation,
     weyl_r,
     weyl_u,
 )
