@@ -48,7 +48,6 @@ from .protocols import (
     Leaves,
     clone_state,
     deduce_correction,
-    default_ric_registry,
     extract_clone_decomposition,
     ghz_correlated_state,
     run_mm_ghz,

@@ -156,20 +156,16 @@ def swap_identity_check(d: int, m, n, m2, n2):
     return _max_per_row(shape, np.abs(lhs - rhs))
 
 
-def teleport_identity_check(d: int, m, n, k, kp, phi=None):
+def teleport_identity_check(d: int, m, n, k, kp, phi):
     """Max amplitude deviation of the single-pair teleportation expansion.
 
     LHS: U^{-m,n}|phi>_N (x) |B^{k,k'}> built on (N', A'_N).
     RHS: (1/d) sum_{x,y} w^{n(m-k)+ky-nx} |B^{x+k-m, y+k'-n}>_{(N, A'_N)}
          (x) U^{-x,y}|phi>_{N'},
-    both over (N, A'_N, N'). phi (..., d) holds unit vectors, by default one
-    drawn from default_rng(7); its leading axes broadcast with the indices as
-    in swap_identity_check. Each U|phi> is a dense matrix-vector product.
+    both over (N, A'_N, N'). phi (..., d) holds unit vectors; its leading axes
+    broadcast with the indices as in swap_identity_check. Each U|phi> is a
+    dense matrix-vector product.
     """
-    if phi is None:
-        rng = np.random.default_rng(7)
-        phi = rng.normal(size=d) + 1j * rng.normal(size=d)
-        phi /= np.linalg.norm(phi)
     phi = np.asarray(phi, dtype=np.complex128)
     shape, (m, n, k, kp) = _rows(d, (m, n, k, kp), phi.shape[:-1])
     phi = np.broadcast_to(phi, shape + (d,)).reshape(-1, d, 1)
@@ -317,6 +313,10 @@ def smolin_spectrum_check(rho: BellMixture) -> tuple[int, float]:
 # ---------------------------------------------------------------------------
 # LU-invariant fingerprints
 
+# two entropies or spectra closer than this count as equal
+FINGERPRINT_TOL = 1e-6
+
+
 @dataclass
 class FingerprintReport:
     cut_entropies: dict  # frozenset(labels) -> entropy, for 1- and 2-subsets
@@ -345,17 +345,17 @@ def fingerprint(state: PureState) -> FingerprintReport:
     return FingerprintReport(cut_entropies, spectra)
 
 
-def compare_fingerprints(a: FingerprintReport, b: FingerprintReport, tol: float = 1e-6) -> bool:
-    """True when the reports are LU-distinguishable (any multiset differs)."""
+def compare_fingerprints(a: FingerprintReport, b: FingerprintReport) -> bool:
+    """True when the reports are LU-distinguishable: a multiset differs by > FINGERPRINT_TOL."""
     for size in (1, 2):
         ea = np.array(a.entropy_multiset(size))
         eb = np.array(b.entropy_multiset(size))
-        if ea.shape != eb.shape or (ea.size and np.abs(ea - eb).max() > tol):
+        if ea.shape != eb.shape or (ea.size and np.abs(ea - eb).max() > FINGERPRINT_TOL):
             return True
         sa = sorted(tuple(v) for k, v in a.marginal_spectra.items() if len(k) == size)
         sb = sorted(tuple(v) for k, v in b.marginal_spectra.items() if len(k) == size)
         if len(sa) != len(sb):
             return True
-        if sa and np.abs(np.array(sa) - np.array(sb)).max() > tol:
+        if sa and np.abs(np.array(sa) - np.array(sb)).max() > FINGERPRINT_TOL:
             return True
     return False

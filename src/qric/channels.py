@@ -102,7 +102,6 @@ class ChannelSpec:
     v: int = 0
     table: list = field(default_factory=list)
     c: tuple | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -150,13 +149,12 @@ class ChannelSpec:
             doc["table"] = [{"k": list(k), "w": wgt} for k, wgt in self.table]
         if self.c is not None:
             doc["c"] = list(self.c)
-        if self.seed is not None:
-            doc["seed"] = self.seed
         return json.dumps(doc, indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "ChannelSpec":
-        """Parse a channel file; a schema violation raises ConstraintError naming the field."""
+        """Parse a channel file; a schema violation raises ConstraintError naming the
+        field. Keys it does not read are ignored."""
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ConstraintError("channel file must hold a JSON object")
@@ -166,8 +164,6 @@ class ChannelSpec:
         for key in ("d", "N", "u", "v"):
             if key in doc and not _is_int(doc[key]):
                 raise ConstraintError(f"channel field {key!r} must be an integer")
-        if doc.get("seed") is not None and not _is_int(doc["seed"]):
-            raise ConstraintError("channel field 'seed' must be an integer or null")
         entries = doc.get("table", [])
         if not isinstance(entries, list):
             raise ConstraintError("channel field 'table' must be a list")
@@ -189,7 +185,6 @@ class ChannelSpec:
             v=doc.get("v", 0),
             table=table,
             c=tuple(doc["c"]) if "c" in doc else None,
-            seed=doc.get("seed"),
         )
 
     # -- materialization ----------------------------------------------------
@@ -359,30 +354,30 @@ def beta_weighted_channel(d: int, N: int) -> PureState:
 # ---------------------------------------------------------------------------
 # presets
 
-def preset_spec(name: str, d: int, N: int, seed: int | None = None) -> ChannelSpec:
+def preset_spec(name: str, d: int, N: int) -> ChannelSpec:
     """Named channel presets, all with u = v = 0."""
     if name == "telecloning":
-        return ChannelSpec(kind="telecloning", d=d, N=N, seed=seed)
+        return ChannelSpec(kind="telecloning", d=d, N=N)
     if name == "ghz":
-        return ChannelSpec(kind="ghz", d=d, N=N, seed=seed)
+        return ChannelSpec(kind="ghz", d=d, N=N)
     if name == "beta":
-        return ChannelSpec(kind="beta-weighted", d=d, N=N, seed=seed)
+        return ChannelSpec(kind="beta-weighted", d=d, N=N)
     if name == "bell-product":
-        return ChannelSpec(kind="product-bell", d=d, N=N, c=(0,) * (2 * N), seed=seed)
+        return ChannelSpec(kind="product-bell", d=d, N=N, c=(0,) * (2 * N))
     if name == "smolin":
-        return ChannelSpec(kind="smolin-like", d=d, N=N, seed=seed)
+        return ChannelSpec(kind="smolin-like", d=d, N=N)
     if name == "mixed-uniform":
         tuples = enumerate_constrained_tuples(d, N, 0, 0)
         table = [(k, 1.0 / len(tuples)) for k in tuples]
-        return ChannelSpec(kind="mixed", d=d, N=N, table=table, seed=seed)
+        return ChannelSpec(kind="mixed", d=d, N=N, table=table)
     raise ConstraintError(f"unknown preset {name!r}; choose from {PRESETS}")
 
 
-def load_channel(source: str, d: int, N: int, seed: int | None = None) -> ChannelSpec:
+def load_channel(source: str, d: int, N: int) -> ChannelSpec:
     """Resolve a preset name or a JSON file path into a ChannelSpec for (d, N);
     a file for another (d, N) is refused."""
     if source in PRESETS:
-        return preset_spec(source, d, N, seed)
+        return preset_spec(source, d, N)
     try:
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 import time
-from math import log2
+from math import isfinite, log2
 
 import numpy as np
 
@@ -59,10 +59,6 @@ def _config_echo(args):
     return {**doc, "subcommand": args.command, "version": __version__}
 
 
-def _diana_target(inp, N):
-    return statealg.permute(inp, {inp.register.labels[0]: f"{N}'"})
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -95,7 +91,7 @@ def _fidelity_runs(args, leaves, target):
     channel); --mode sample gives --trials runs. The transcripts list the
     first --max-transcripts leaves, each with its fidelity.
     """
-    t = statealg.reorder(target, leaves.register.labels).amps
+    t = statealg.reorder(target, leaves.register.labels).amps  # refuses a target on other labels
     fids = [abs(complex(np.vdot(row, t))) ** 2 for row in leaves.amps]
     checks = [_check(f"run{i}.fidelity", fid, 1.0, _tol(args, DEFAULT_TOL))
               for i, fid in enumerate(fids)]
@@ -105,13 +101,14 @@ def _fidelity_runs(args, leaves, target):
 
 
 def cmd_ric(args):
-    spec = channels.load_channel(args.channel, args.d, args.N, args.seed)
+    spec = channels.load_channel(args.channel, args.d, args.N)
     d, N = args.d, args.N
     rng = np.random.default_rng(args.seed)
     inp = statealg.random_qudit(d, rng)
     clone = protocols.clone_state(inp.amps, d, N)
     leaves = protocols.run_ric(clone, spec, mode=args.mode, rng=rng, trials=args.trials)
-    fids, checks, transcripts = _fidelity_runs(args, leaves, _diana_target(inp, N))
+    target = statealg.PureState(leaves.register, inp.amps)
+    fids, checks, transcripts = _fidelity_runs(args, leaves, target)
     bits_expected = (2 * N - 1) * 2.0 * log2(d)
     checks.append(_check("classical_bits", leaves.total_bits(), bits_expected, 1e-12))
     return {
@@ -128,10 +125,8 @@ def cmd_ric_mm_ghz(args):
     rng = np.random.default_rng(args.seed)
     inp = statealg.random_qudit(d, rng)
     clone = protocols.clone_state(inp.amps, d, N)
-    target = protocols.ghz_correlated_state(
-        inp.amps, d, L, labels=[f"{N}'_{i}" for i in range(1, L + 1)]
-    )
     leaves = protocols.run_mm_ghz(clone, d, N, L, mode=args.mode, rng=rng, trials=args.trials)
+    target = protocols.ghz_correlated_state(inp.amps, d, L, leaves.register.labels)
     _, checks, transcripts = _fidelity_runs(args, leaves, target)
     return {
         "config": _config_echo(args),
@@ -149,12 +144,10 @@ def cmd_ric_mm_multi(args):
     rng = np.random.default_rng(args.seed)
     inp = statealg.random_qudit(d, rng)
     dist = protocols.synth_distributed_state(inp.amps, d, N, L)
-    receiver = [f"{s}'" for s in range(N - L + 1, N + 1)]
-    target = statealg.tensor_many(
-        [statealg.permute(inp, {inp.register.labels[0]: lab}) for lab in receiver]
-    )
     leaves = protocols.run_mm_multiqudit(dist, d, N, L, mode=args.mode, rng=rng,
                                          trials=args.trials)
+    target = statealg.tensor_many([statealg.PureState(statealg.Register(d, (label,)), inp.amps)
+                                   for label in leaves.register.labels])
     _, checks, transcripts = _fidelity_runs(args, leaves, target)
     bits_expected = (2 * N - L) * 2.0 * log2(d)
     checks.append(_check("classical_bits", leaves.total_bits(), bits_expected, 1e-12))
@@ -269,7 +262,7 @@ def cmd_verify(args):
 
 
 def cmd_stabilizers(args):
-    spec = channels.load_channel(args.channel, args.d, args.N, args.seed)
+    spec = channels.load_channel(args.channel, args.d, args.N)
     state = spec.build()
     table = analysis.stabilizer_suite(state, args.d, args.N)
     checks = [
@@ -392,6 +385,8 @@ def _validate(args):
         raise ConstraintError("--trials must be >= 1")
     if getattr(args, "max_transcripts", 0) < 0:
         raise ConstraintError("--max-transcripts must be >= 0")
+    if args.tol is not None and not (isfinite(args.tol) and args.tol >= 0):
+        raise ConstraintError(f"--tol must be finite and >= 0, got {args.tol}")
 
 
 def _emit(doc, out_path):

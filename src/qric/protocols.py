@@ -2,8 +2,10 @@
 RIC over every channel kind, and the two many-to-many variants.
 
 Measured pairs are ordered; outcomes are canonical Bell indices of that
-ordered pair. The RIC plan is Bob_s: (s, s'), Charlie_s: (A'_s, A_s),
-Bob_N: (N, A'_N), and Diana's corrections are the plain outcome sums
+ordered pair. concentration_layout declares every concentration plan:
+Bob_s: (s, s'), Charlie_s: (A'_s, A_s), then the tail senders, Bob_N:
+(N, A'_N) for RIC and the GHZ variant, Leg_i: (s, A'_s) for the multiqudit
+one. The receiver's corrections are the plain outcome sums
 x = u'' + u' - u, y = v'' + v' - v (mod d).
 """
 
@@ -27,15 +29,26 @@ from .statealg import PureState, Register
 # ---------------------------------------------------------------------------
 # parties and leaf records
 
-def default_ric_registry(N: int) -> dict:
-    """Ownership map of a RIC run: party name -> labels held."""
-    roles = {}
-    for s in range(1, N):
-        roles[f"Bob_{s}"] = (str(s), f"{s}'")
-        roles[f"Charlie_{s}"] = (f"A_{s}", f"A'_{s}")
-    roles[f"Bob_{N}"] = (str(N), f"A'_{N}")
-    roles["Diana"] = (f"{N}'",)
-    return roles
+def concentration_layout(front: int, tail: list, receiver: str, labels: tuple) -> tuple:
+    """(plan, parties, routes) of a concentration onto one receiver.
+
+    Bob_s measures (s, s') for s = 1..front, then Charlie_s (A'_s, A_s),
+    then each tail sender (party, pair) its pair; every sender reports to
+    the receiver, who holds labels. parties maps each party to the labels
+    it holds, Charlie_s A_s first.
+    """
+    rounds = range(1, front + 1)
+    parties = {}
+    for s in rounds:
+        parties[f"Bob_{s}"] = (str(s), f"{s}'")
+        parties[f"Charlie_{s}"] = (f"A_{s}", f"A'_{s}")
+    parties.update(tail)
+    parties[receiver] = tuple(labels)
+    plan = [(str(s), f"{s}'") for s in rounds] + [(f"A'_{s}", f"A_{s}") for s in rounds]
+    senders = [f"Bob_{s}" for s in rounds] + [f"Charlie_{s}" for s in rounds]
+    plan += [pair for _, pair in tail]
+    senders += [party for party, _ in tail]
+    return plan, parties, tuple((party, receiver) for party in senders)
 
 
 class Leaves(NamedTuple):
@@ -121,11 +134,6 @@ class Joint:
     phase: np.ndarray | None = None
 
     @classmethod
-    def of(cls, state: PureState) -> "Joint":
-        """One state as the base row, copied in."""
-        return cls(state.register, lambda out: np.copyto(out, state.amps), np.ones(1))
-
-    @classmethod
     def product(cls, front: PureState, back: PureState) -> "Joint":
         """front (x) back as one row, front's labels first, the outer product written once."""
         register = Register(front.d, front.register.labels + back.register.labels)
@@ -133,12 +141,11 @@ class Joint:
             front.amps, back.amps, out=out.reshape(front.register.dim, -1)), np.ones(1))
 
     @classmethod
-    def bell_mixture(cls, front: PureState | None, d: int, N: int, tuples, weights,
+    def bell_mixture(cls, front: PureState, d: int, N: int, tuples, weights,
                      draw: Callable | None = None) -> "Joint":
-        """front (x) sum_k C_k |B_k><B_k| (front optional): the all-zero Bell
-        product as the base row, each tuple a frame on the channel labels."""
-        base = channels.product_bell_channel(d, N, (0,) * (2 * N))
-        joint = cls.of(base) if front is None else cls.product(front, base)
+        """front (x) sum_k C_k |B_k><B_k|: front times the all-zero Bell product
+        as the base row, each tuple a frame on the channel labels."""
+        joint = cls.product(front, channels.product_bell_channel(d, N, (0,) * (2 * N)))
         exps, phase = channels.bell_frame(d, N, tuples)
         front_exps = np.zeros((len(exps), joint.register.n - 2 * N, 2), dtype=np.int64)
         return replace(joint, priors=np.asarray(weights), draw=draw,
@@ -241,11 +248,11 @@ def _relabel(leaves, rules, comps, rows):
 def execute(joint, plan, mode: str = "sample", rng=None, *, trials: int | None = None):
     """Measure the ordered pairs of `plan` in turn (GBM, pairs removed), level by level.
 
-    joint (a PureState or a Joint) is one base row; its live branches are
-    the rows of one (B, dim) array in depth-first order, B * dim never above
-    the joint dimension. So one workspace per call (two joint-dimension
-    buffers and the kernel scratch) holds the base row, every non-final
-    level's projection and its kept rows; only the last level allocates.
+    joint (a Joint) is one base row; its live branches are the rows of one
+    (B, dim) array in depth-first order, B * dim never above the joint
+    dimension. So one workspace per call (two joint-dimension buffers and the
+    kernel scratch) holds the base row, every non-final level's projection
+    and its kept rows; only the last level allocates.
     "all-branches" keeps every non-null outcome. "sample" draws `trials`
     trials (one if None) up front in the seed order of one run per trial,
     joint.draw(rng) (mixtures only) then rng.random(len(plan)), and keeps
@@ -266,8 +273,6 @@ def execute(joint, plan, mode: str = "sample", rng=None, *, trials: int | None =
         raise ProtocolError(f"unknown mode {mode!r}")
     if trials is not None and trials < 1:
         raise ProtocolError(f"need at least one trial, got {trials}")
-    if isinstance(joint, PureState):
-        joint = Joint.of(joint)
     statealg.check_size("protocol joint dimension", joint.register.dim, statealg.MAX_JOINT_DIM)
     if mode == "sample":
         trials = 1 if trials is None else trials
@@ -490,21 +495,6 @@ def deduce_correction(bob_charlie_outcomes, bobN_outcome, u: int, v: int, d: int
     return (int(x), int(y)) if last.ndim == 1 else (x, y)
 
 
-def ric_measurement_plan(N: int) -> list:
-    plan = [(str(s), f"{s}'") for s in range(1, N)]
-    plan += [(f"A'_{s}", f"A_{s}") for s in range(1, N)]
-    plan.append((str(N), f"A'_{N}"))
-    return plan
-
-
-def _ric_routes(N: int) -> tuple:
-    """Senders in plan order, each reporting to Diana."""
-    senders = [f"Bob_{s}" for s in range(1, N)]
-    senders += [f"Charlie_{s}" for s in range(1, N)]
-    senders.append(f"Bob_{N}")
-    return tuple((party, "Diana") for party in senders)
-
-
 def run_ric(
     clone: PureState,
     channel: ChannelSpec,
@@ -542,19 +532,17 @@ def run_ric(
         if mode == "all-branches":  # the leaves of every component are kept
             statealg.check_size("mixture components x joint dimension",
                                 len(weights) * joint_reg.dim, statealg.MAX_JOINT_DIM)
-        elif rng is None:
-            rng = np.random.default_rng(channel.seed or 0)
         joint = Joint.bell_mixture(clone, d, N, tuples, weights, draw)
-    outcomes, probs, register, amps = execute(joint, ric_measurement_plan(N), mode, rng,
-                                              trials=trials)
+    plan, parties, routes = concentration_layout(
+        N - 1, [(f"Bob_{N}", (str(N), f"A'_{N}"))], "Diana", channel_labels(N)[-1:])
+    outcomes, probs, register, amps = execute(joint, plan, mode, rng, trials=trials)
     x, y = deduce_correction(outcomes[:, :-1], outcomes[:, -1], channel.u, channel.v, d)
-    amps = _apply_r(amps, register, f"{N}'", x, y)
+    amps = _apply_r(amps, register, register.labels[0], x, y)
     nrm = np.sqrt(np.sum(np.abs(amps) ** 2, axis=1))
     off = np.abs(nrm - 1) > 1e-12
     amps[off] /= nrm[off, None]
     amps.setflags(write=False)
-    return Leaves(default_ric_registry(N), _ric_routes(N), register, outcomes, probs,
-                  np.stack((x, y), axis=-1), amps)
+    return Leaves(parties, routes, register, outcomes, probs, np.stack((x, y), axis=-1), amps)
 
 
 # ---------------------------------------------------------------------------
@@ -591,25 +579,22 @@ def run_mm_ghz(
     if tuple(clone.register.labels) != clone_labels(N):
         raise ProtocolError(f"clone state must live on labels {clone_labels(N)}")
     joint = Joint.product(clone, mm_ghz_channel(d, N, L))
-    leg_labels = [f"{N}'_{i}" for i in range(1, L + 1)]
-    parties = default_ric_registry(N)
-    parties["Diana"] = tuple(leg_labels)
-    outcomes, probs, register, amps = execute(joint, ric_measurement_plan(N), mode, rng,
-                                              trials=trials)
+    plan, parties, routes = concentration_layout(
+        N - 1, [(f"Bob_{N}", (str(N), f"A'_{N}"))], "Diana", mm_ghz_labels(N, L)[-L:])
+    outcomes, probs, register, amps = execute(joint, plan, mode, rng, trials=trials)
     x, y = deduce_correction(outcomes[:, :-1], outcomes[:, -1], 0, 0, d)
-    amps = _apply_r(amps, register, leg_labels[0], x, y)
-    for leg in leg_labels[1:]:
+    # the residual register is Diana's legs, in order
+    first, *rest = register.labels
+    amps = _apply_r(amps, register, first, x, y)
+    for leg in rest:
         amps = _apply_r(amps, register, leg, 0, y)
     amps.setflags(write=False)
-    return Leaves(parties, _ric_routes(N), register, outcomes, probs,
-                  np.stack((x, y), axis=-1), amps)
+    return Leaves(parties, routes, register, outcomes, probs, np.stack((x, y), axis=-1), amps)
 
 
-def ghz_correlated_state(x, d: int, L: int, labels=None) -> PureState:
-    """sum_j x_j |j>^(x L) - the L-receiver target of the first mm variant."""
+def ghz_correlated_state(x, d: int, L: int, labels) -> PureState:
+    """sum_j x_j |j>^(x L) on labels - the L-receiver target of the first mm variant."""
     x = np.asarray(x, dtype=np.complex128)
-    if labels is None:
-        labels = tuple(f"t_{i}" for i in range(1, L + 1))
     reg = Register(d, tuple(labels))
     v = np.zeros(reg.dim, dtype=np.complex128)
     for j in range(d):
@@ -658,8 +643,6 @@ def check_bbar_covariance(bbar: np.ndarray, d: int, pairs: int):
     1e-9. The set is computed, not given, so a violation raises RuntimeError
     naming the first failing (m, n, (k, l)).
     """
-    if pairs == 0:
-        return
     k, ell = np.array([1, 0, 1]), np.array([0, 1, 1])
     # one row per (k, l): R^{k,l} on the first-slot qudits, R^{-k,l} on the second-slot ones
     col, val = opsbasis.weyl_monomial(d, [("R", k, ell)] * pairs + [("R", -k, ell)] * pairs)
@@ -692,31 +675,18 @@ def run_mm_multiqudit(
     labels = mm_multi_labels(N, L)
     if tuple(distributed.register.labels) != labels:
         raise ProtocolError(f"distributed state must live on labels {labels}")
-    chan = channels.product_bell_channel(d, N, (0,) * (2 * N))
-    joint = Joint.product(distributed, chan)
-    plan = [(str(s), f"{s}'") for s in range(1, N - L + 1)]
-    plan += [(f"A'_{s}", f"A_{s}") for s in range(1, N - L + 1)]
-    plan += [(str(s), f"A'_{s}") for s in range(N - L + 1, N + 1)]
-    receiver = [f"{s}'" for s in range(N - L + 1, N + 1)]
-    parties = {}
-    for s in range(1, N - L + 1):
-        parties[f"Bob_{s}"] = (str(s), f"{s}'")
-        parties[f"Charlie_{s}"] = (f"A_{s}", f"A'_{s}")
-    for i, s in enumerate(range(N - L + 1, N + 1), start=1):
-        parties[f"Leg_{i}"] = (str(s), f"A'_{s}")
-    parties["Receiver"] = tuple(receiver)
-    senders = [f"Bob_{s}" for s in range(1, N - L + 1)]
-    senders += [f"Charlie_{s}" for s in range(1, N - L + 1)]
-    senders += [f"Leg_{i}" for i in range(1, L + 1)]
+    joint = Joint.product(distributed, channels.product_bell_channel(d, N, (0,) * (2 * N)))
     n_front = 2 * (N - L)
+    tail = [(f"Leg_{i}", (str(s), f"A'_{s}")) for i, s in enumerate(range(N - L + 1, N + 1), 1)]
+    plan, parties, routes = concentration_layout(
+        N - L, tail, "Receiver", channel_labels(N)[n_front + 1::2])
     outcomes, probs, register, amps = execute(joint, plan, mode, rng, trials=trials)
     legs = []
     # the residual register is the receiver's labels, in order
-    for i, label in enumerate(receiver):
+    for i, label in enumerate(register.labels):
         x, y = deduce_correction(outcomes[:, :n_front], outcomes[:, n_front + i], 0, 0, d)
         amps = _apply_r(amps, register, label, x, y)
         legs.append(np.stack((x, y), axis=-1))
     legs = np.stack(legs, axis=1)
     amps.setflags(write=False)
-    return Leaves(parties, tuple((party, "Receiver") for party in senders), register,
-                  outcomes, probs, legs[:, 0], amps, legs)
+    return Leaves(parties, routes, register, outcomes, probs, legs[:, 0], amps, legs)

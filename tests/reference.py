@@ -13,6 +13,10 @@ checked against code that shares none of their index arithmetic:
 - bbar_expansion: (1/sqrt d) sum_{m,n} beta_n Bbar_mn (x) (U^{-m,n} x)^(x L)
   as a kron loop over any (d, d, dim) Bbar array and beta
 
+- state_joint / mixture_joint: the plan executor's input (protocols.Joint)
+  for one state, and for a Bell-product mixture on the channel labels alone
+- unit_vector: one random unit vector of C^d from its own seed
+
 - project_plan: one outcome per plan level, each pair projected onto its
   Bell bra in turn (the dense per-component path of a mixture run)
 - ric_weyl_frame: the same run's component-to-base relabelling, leaf phase
@@ -63,7 +67,7 @@ amplitudes instead, still sharing none of the package's Z_d arithmetic:
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -184,6 +188,25 @@ def bbar_expansion(bbar, beta, x, d, L):
             out += beta[n] * np.kron(bbar[m, n], legs)
     out /= np.sqrt(d)
     return out
+
+
+def state_joint(state):
+    """One state as the plan executor's base row, copied in."""
+    return protocols.Joint(state.register, lambda out: np.copyto(out, state.amps), np.ones(1))
+
+
+def mixture_joint(d, N, tuples, weights, draw=None):
+    """sum_k C_k |B_k><B_k| on the channel labels alone: the all-zero Bell product
+    as the base row, each tuple a Weyl frame on it (channels.bell_frame)."""
+    exps, phase = channels.bell_frame(d, N, tuples)
+    base = state_joint(channels.product_bell_channel(d, N, (0,) * (2 * N)))
+    return replace(base, priors=np.asarray(weights), draw=draw, frame=exps, phase=phase)
+
+
+def unit_vector(d, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=d) + 1j * rng.normal(size=d)
+    return x / np.linalg.norm(x)
 
 
 def project_plan(state, plan, outcomes):
@@ -379,7 +402,7 @@ def unlock_ubes(d, N, mode="all-branches", rng=None, trials=20, *, rho=None):
     statealg.check_size("unlock table bytes", 16 * d ** (2 * N + 2))
     if rho is None:
         rho = channels.preset_spec("smolin", d, N).build()
-    joint = protocols.Joint.bell_mixture(None, d, N, rho.tuples, rho.weights)
+    joint = mixture_joint(d, N, rho.tuples, rho.weights)
     outs, prob, pair_reg, vecs = protocols.execute(joint, pairs, "all-branches")
     # codes repeat across components: np.add.at sums them, a fancy += would not
     codes = np.ravel_multi_index(outs.reshape(len(prob), -1).T, digits)

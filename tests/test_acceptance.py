@@ -14,6 +14,8 @@ from math import log2
 import numpy as np
 import pytest
 
+import reference
+
 from qric import (
     ChannelSpec,
     Cut,
@@ -136,7 +138,7 @@ def test_criterion_3_identity_suite():
     )
     # teleportation-step identity
     tele_dev = max(
-        teleport_identity_check(d, *t)
+        teleport_identity_check(d, *t, reference.unit_vector(d, 7))
         for d in (2, 3)
         for t in itertools.product(range(d), repeat=4)
     )

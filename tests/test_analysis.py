@@ -139,7 +139,7 @@ def test_batched_identity_checks_match_the_per_term_reference(d):
 
 def test_identity_checks_give_a_float_for_ints_and_broadcast_arrays():
     swap = analysis.swap_identity_check(3, 1, 2, 0, 1)
-    tele = analysis.teleport_identity_check(3, 1, 2, 0, 1)
+    tele = analysis.teleport_identity_check(3, 1, 2, 0, 1, reference.unit_vector(3, 7))
     assert type(swap) is float and type(tele) is float and max(swap, tele) < 1e-12
     m = np.arange(3)[:, None]
     grid = analysis.swap_identity_check(3, m, np.arange(3), 0, 1)

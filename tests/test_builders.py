@@ -179,15 +179,9 @@ def test_beta_weighted_channel_matches_the_transplant_loop(d, N):
     assert np.array_equal(channels.beta_weighted_channel(d, N).amps, old_beta_weighted(d, N))
 
 
-def unit_vector(d, seed):
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=d) + 1j * rng.normal(size=d)
-    return x / np.linalg.norm(x)
-
-
 @pytest.mark.parametrize("d,N,L", [(2, 3, 1), (3, 3, 2), (2, 4, 2), (3, 2, 1)])
 def test_distributed_state_matches_the_kron_loop(d, N, L):
-    x = unit_vector(d, seed=d + N + L)
+    x = reference.unit_vector(d, seed=d + N + L)
     bbar, beta = old_extraction(d, N - L + 1)
     got = protocols.synth_distributed_state(x, d, N, L)
     assert np.array_equal(got.amps, reference.bbar_expansion(bbar, beta, x, d, L))
@@ -196,7 +190,7 @@ def test_distributed_state_matches_the_kron_loop(d, N, L):
 @pytest.mark.parametrize("d,N", [(2, 2), (3, 3), (4, 2)])
 def test_reconstruction_deviation_matches_the_kron_loop(d, N):
     family = protocols.extract_clone_decomposition(d, N)
-    x = unit_vector(d, seed=3 * d + N)
+    x = reference.unit_vector(d, seed=3 * d + N)
     bbar, beta = old_extraction(d, N)
     expanded = PureState(Register(d, front_labels(N) + (str(N),)),
                          reference.bbar_expansion(bbar, beta, x, d, 1), validate=False)
@@ -208,7 +202,7 @@ def test_reconstruction_deviation_matches_the_kron_loop(d, N):
 @pytest.mark.parametrize("d,N", [(2, 2), (3, 3), (4, 2)])
 def test_batched_reconstruction_deviation_is_the_per_input_calls(d, N):
     family = protocols.extract_clone_decomposition(d, N)
-    xs = np.array([unit_vector(d, seed=s) for s in range(20)])
+    xs = np.array([reference.unit_vector(d, seed=s) for s in range(20)])
     got = protocols.reconstruction_deviation(family, xs)
     assert got.shape == (20,)
     assert np.array_equal(got, [protocols.reconstruction_deviation(family, x) for x in xs])

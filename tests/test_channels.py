@@ -308,7 +308,7 @@ def test_smolin_d3_tuple_constraints():
 
 
 def test_sampler_frequencies_within_5_sigma():
-    spec = preset_spec("mixed-uniform", 2, 2, seed=0)
+    spec = preset_spec("mixed-uniform", 2, 2)
     rng = np.random.default_rng(0)
     counts = {}
     trials = 10_000
@@ -343,10 +343,10 @@ def test_sampler_returns_matching_component():
 # spec serialization and presets
 
 def test_channel_spec_json_roundtrip(tmp_path):
-    spec = preset_spec("mixed-uniform", 2, 2, seed=9)
+    spec = preset_spec("mixed-uniform", 2, 2)
     text = spec.to_json()
     again = ChannelSpec.from_json(text)
-    assert again.kind == spec.kind and again.table == spec.table and again.seed == 9
+    assert again.kind == spec.kind and again.table == spec.table
     path = tmp_path / "chan.json"
     path.write_text(text)
     loaded = channels.load_channel(str(path), 2, 2)

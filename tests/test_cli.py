@@ -116,10 +116,26 @@ def test_internal_reconstruction_fault_is_not_a_configuration_error(monkeypatch)
 @pytest.mark.parametrize("subcommand", ["ric", "stabilizers"])
 def test_channel_file_for_another_size_exit_2(subcommand, tmp_path, capsys):
     path = tmp_path / "chan.json"
-    path.write_text(channels.preset_spec("mixed-uniform", 2, 2, seed=5).to_json())
+    path.write_text(channels.preset_spec("mixed-uniform", 2, 2).to_json())
     argv = [subcommand, "--d", "3", "--N", "2", "--channel", str(path), "--out", os.devnull]
     assert main(argv) == 2
     assert "channel file is for (d,N)=(2,2), requested (3,2)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["sample", "all-branches"])
+def test_channel_file_keys_the_reader_does_not_read_change_nothing(mode, tmp_path, capsys):
+    # a file written with the former "seed" key loads and runs as the same file without it
+    path, out = tmp_path / "chan.json", tmp_path / "report.json"
+    doc = json.loads(channels.preset_spec("mixed-uniform", 3, 2).to_json())
+    reports = []
+    for extra in ({}, {"seed": 7}):
+        path.write_text(json.dumps({**doc, **extra}))
+        argv = ["ric", "--d", "3", "--N", "2", "--channel", str(path), "--mode", mode,
+                "--trials", "20", "--seed", "1", "--out", str(out)]
+        assert main(argv) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("subcommand", sorted(cli.HANDLERS))
@@ -222,9 +238,14 @@ def test_report_unwritable_path_exit_4():
     assert main(["report", "--d", "2", "--N", "2", "--out", "/nonexistent_dir/x.json"]) == 4
 
 
-def test_bad_flag_values_exit_2():
+def test_bad_flag_values_exit_2(capsys):
     assert main(["teleclone", "--d", "1", "--out", "/dev/null"]) == 2
     assert main(["ric", "--trials", "0", "--out", "/dev/null"]) == 2
+    # a tolerance that is negative, nan or infinite compares nothing: bad input, not a failed check
+    for argv in (["verify", "--tol", "-1"], ["verify", "--tol", "nan"], ["ric", "--tol", "inf"]):
+        capsys.readouterr()
+        assert main(argv + ["--out", "/dev/null"]) == 2, argv
+        assert capsys.readouterr().err.startswith("configuration error: --tol must be"), argv
 
 
 def test_oversized_trials_hit_the_size_guard_before_any_allocation(monkeypatch, capsys):
@@ -388,6 +409,14 @@ ALL_BRANCHES_REPORTS = {
         "ff2de1ec62033611de233da1ab41f0ede24a5a5fa11ff9aa88bac55e64f42854",
     "ric-mm-multi --d 2 --N 3 --L 1":
         "b764eb51e7f9f10a8e789731e6b5e17f44bcc3b9ad6b2494c0886fa3cb32be95",
+    # the multi-leg Leg_i/Receiver and L = 3 Diana tables, pinned from the runners
+    # that spelled out their own party and route tables, before those went
+    "ric-mm-multi --d 2 --N 3 --L 2":
+        "c3f9733f3c3c00237448a8fd77db3a8dd5c7611e33738087a0f37a83d5f89e3a",
+    "ric-mm-multi --d 2 --N 3 --L 3":
+        "658e35e8cb07a83bae491c5b2ee99d899eb299e7316d91e97588a7d04c088d06",
+    "ric-mm-ghz --d 2 --N 3 --L 3":
+        "69215e088be5e7229eb697a8f3a99c4987b9ef5f1b95bd7dfcfd0a0d6c403796",
 }
 
 

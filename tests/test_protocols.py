@@ -54,6 +54,11 @@ def xy(transcript):
     return transcript["correction"]["x"], transcript["correction"]["y"]
 
 
+def execute_state(state, plan, *args, **kwargs):
+    """protocols.execute on one state's base row."""
+    return protocols.execute(reference.state_joint(state), plan, *args, **kwargs)
+
+
 # ---------------------------------------------------------------------------
 # telecloning
 
@@ -258,11 +263,11 @@ def test_ric_measurement_order_independent():
     chan = channels.ghz_channel(d, N)
     joint = statealg.tensor(clone, chan)
     target = diana_target(inp, N)
-    base_plan = protocols.ric_measurement_plan(N)
+    base_plan = ric_plan(N)
     for order in itertools.permutations(range(len(base_plan))):
         plan = [base_plan[i] for i in order]
 
-        outcomes, _probs, register, amps = protocols.execute(joint, plan, "all-branches")
+        outcomes, _probs, register, amps = execute_state(joint, plan, "all-branches")
         # columns back in base-plan order, then Diana's correction for every leaf
         ordered = outcomes[:, [plan.index(p) for p in base_plan]]
         xs, ys = deduce_correction(ordered[:, :-1], ordered[:, -1], 0, 0, d)
@@ -273,6 +278,13 @@ def test_ric_measurement_order_independent():
         assert leaves
         for out in leaves:
             assert abs(overlap(out, target)) > 1 - 1e-9
+
+
+def ric_plan(N):
+    """Who measures what in run_ric and run_mm_ghz, in message order."""
+    plan = [(str(s), f"{s}'") for s in range(1, N)]
+    plan += [(f"A'_{s}", f"A_{s}") for s in range(1, N)]
+    return plan + [(str(N), f"A'_{N}")]
 
 
 def mm_multi_plan(N, L):
@@ -288,14 +300,14 @@ def plan_run(kind, d, N, rng):
     clone = clone_state(inp.amps, d, N)
     if kind == "mm-ghz":
         joint = statealg.tensor(clone, protocols.mm_ghz_channel(d, N, 2))
-        return joint, protocols.ric_measurement_plan(N), run_mm_ghz(clone, d, N, 2, "all-branches")
+        return joint, ric_plan(N), run_mm_ghz(clone, d, N, 2, "all-branches")
     if kind == "mm-multi":
         dist = synth_distributed_state(inp.amps, d, N, 2)
         joint = statealg.tensor(dist, channels.product_bell_channel(d, N, (0,) * (2 * N)))
         return joint, mm_multi_plan(N, 2), run_mm_multiqudit(dist, d, N, 2, "all-branches")
     spec = preset_spec(kind, d, N)
     joint = statealg.tensor(clone, spec.build())
-    return joint, protocols.ric_measurement_plan(N), run_ric(clone, spec, mode="all-branches")
+    return joint, ric_plan(N), run_ric(clone, spec, mode="all-branches")
 
 
 @pytest.mark.parametrize("kind,d,N", [("ghz", 2, 2), ("beta", 3, 2), ("mm-ghz", 3, 2),
@@ -359,7 +371,7 @@ def test_run_ric_accepts_all_pure_presets_sampled():
 @pytest.mark.parametrize("d", [2, 3])
 def test_teleport_identity_exhaustive(d):
     for m, n, k, kp in itertools.product(range(d), repeat=4):
-        assert teleport_identity_check(d, m, n, k, kp) < 1e-12
+        assert teleport_identity_check(d, m, n, k, kp, reference.unit_vector(d, 7)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +616,7 @@ def assert_run_matches(leaves, reference, corrections_of):
 def test_engine_matches_depth_first_gbm_ric(preset, d, N):
     joint, plan, leaves = plan_run(preset, d, N, np.random.default_rng(89))
     want = depth_first_leaves(joint, plan)
-    assert_same_leaves(engine_leaves(protocols.execute(joint, plan, "all-branches")), want)
+    assert_same_leaves(engine_leaves(execute_state(joint, plan, "all-branches")), want)
     assert_run_matches(leaves, want, lambda t: [(f"{N}'", *xy(t))])
 
 
@@ -612,7 +624,7 @@ def test_engine_matches_depth_first_gbm_mm_ghz():
     d, N, L = 3, 2, 2
     joint, plan, leaves = plan_run("mm-ghz", d, N, np.random.default_rng(97))
     want = depth_first_leaves(joint, plan)
-    assert_same_leaves(engine_leaves(protocols.execute(joint, plan, "all-branches")), want)
+    assert_same_leaves(engine_leaves(execute_state(joint, plan, "all-branches")), want)
     legs = [f"{N}'_{i}" for i in range(1, L + 1)]
     assert_run_matches(leaves, want, lambda t: [(legs[0], *xy(t))]
                        + [(leg, 0, xy(t)[1]) for leg in legs[1:]])
@@ -624,7 +636,7 @@ def test_engine_matches_depth_first_gbm_telecloning():
     joint = statealg.tensor(permute(inp, {inp.register.labels[0]: "t"}),
                             channels.telecloning_channel(d, N))
     want = depth_first_leaves(joint, [("t", "t'")])
-    assert_same_leaves(engine_leaves(protocols.execute(joint, [("t", "t'")], "all-branches")),
+    assert_same_leaves(engine_leaves(execute_state(joint, [("t", "t'")], "all-branches")),
                        want)
     leaves = run_telecloning(inp, d, N, mode="all-branches")
     assert_run_matches(leaves, want, lambda t: [(str(s), *xy(t)) for s in range(1, N + 1)]
@@ -641,7 +653,7 @@ def test_engine_matches_depth_first_gbm_unlock():
     for k in tuples:
         comp = channels.product_bell_channel(d, N, k)
         want = depth_first_leaves(comp, pairs)
-        assert_same_leaves(engine_leaves(protocols.execute(comp, pairs, "all-branches")), want)
+        assert_same_leaves(engine_leaves(execute_state(comp, pairs, "all-branches")), want)
         for outs, prob, state in want:
             slot = acc.setdefault(tuple(outs), [0.0, 0.0])
             rho = np.outer(state.amps, state.amps.conj())
@@ -661,7 +673,7 @@ def test_engine_sample_draws_like_chained_gbm_sample(preset, d, N):
     # one call with T trials against T chained single-state runs from the same seed
     joint, plan, _ = plan_run(preset, d, N, np.random.default_rng(103))
     rng_engine, rng_chain = np.random.default_rng(5), np.random.default_rng(5)
-    got = engine_leaves(protocols.execute(joint, plan, "sample", rng_engine, trials=25))
+    got = engine_leaves(execute_state(joint, plan, "sample", rng_engine, trials=25))
     assert len(got) == 25
     for outs, prob, state in got:
         want_outs, want_prob, st = [], 1.0, joint
@@ -676,12 +688,12 @@ def test_engine_sample_draws_like_chained_gbm_sample(preset, d, N):
     assert rng_engine.random() == rng_chain.random()
     # without trials, one trial and its leaf alone
     rng_engine, rng_chain = np.random.default_rng(6), np.random.default_rng(6)
-    (outs, prob, _state), = engine_leaves(protocols.execute(joint, plan, "sample", rng_engine))
-    (want_outs, want_prob, _st), = engine_leaves(protocols.execute(joint, plan, "sample",
+    (outs, prob, _state), = engine_leaves(execute_state(joint, plan, "sample", rng_engine))
+    (want_outs, want_prob, _st), = engine_leaves(execute_state(joint, plan, "sample",
                                                                    rng_chain, trials=1))
     assert (outs, prob) == (want_outs, want_prob)
     with pytest.raises(ProtocolError):
-        protocols.execute(joint, plan, "sample", rng_engine, trials=0)
+        execute_state(joint, plan, "sample", rng_engine, trials=0)
 
 
 @pytest.mark.parametrize("preset,d,N", [("smolin", 2, 2), ("smolin", 3, 2),
@@ -729,7 +741,7 @@ def test_run_ric_trials_draw_like_one_run_per_trial(preset):
     rng_batch, rng_single = np.random.default_rng(8), np.random.default_rng(8)
     got = rows(run_ric(clone, spec, mode="sample", rng=rng_batch, trials=30))
     assert len(got) == 30
-    plan = protocols.ric_measurement_plan(N)
+    plan = ric_plan(N)
     for state, transcript in got:
         if spec.is_mixed:
             _k, chan = reference.sample(spec, rng_single)
@@ -769,7 +781,7 @@ def test_weyl_frame_oracle_matches_the_dense_component_path(data):
     outs = data.draw(st.lists(pairs, min_size=2 * N - 1, max_size=2 * N - 1))
     u, v = sum(k[0::2]) % d, sum(k[1::2]) % d
     front = random_front(d, N, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
-    plan = protocols.ric_measurement_plan(N)
+    plan = ric_plan(N)
     base, phase, (x, y) = reference.ric_weyl_frame(d, N, k, outs)
     leaf = reference.project_plan(statealg.tensor(front, channels.product_bell_channel(d, N, k)),
                                   plan, outs)
@@ -795,10 +807,11 @@ def test_mixture_leaves_are_the_dense_components_leaves(plan_of, d, N):
     weights /= weights.sum()
     if plan_of == "ric":
         front = random_front(d, N, rng)
-        plan = protocols.ric_measurement_plan(N)
+        plan = ric_plan(N)
     else:
         front, plan = None, [(f"A'_{s}", f"{s}'") for s in range(2, N + 1)]
-    joint = protocols.Joint.bell_mixture(front, d, N, tuples, weights)
+    joint = (reference.mixture_joint(d, N, tuples, weights) if front is None
+             else protocols.Joint.bell_mixture(front, d, N, tuples, weights))
     outcomes, probs, register, amps = protocols.execute(joint, plan, "all-branches")
     want = []
     for k, w in zip(tuples, weights):
@@ -815,7 +828,8 @@ def test_mixture_leaves_are_the_dense_components_leaves(plan_of, d, N):
     def draw(r):
         return int(r.choice(len(weights), p=weights))
 
-    joint = protocols.Joint.bell_mixture(front, d, N, tuples, weights, draw)
+    joint = (reference.mixture_joint(d, N, tuples, weights, draw) if front is None
+             else protocols.Joint.bell_mixture(front, d, N, tuples, weights, draw))
     rng_batch, rng_single = np.random.default_rng(4), np.random.default_rng(4)
     got = engine_leaves(protocols.execute(joint, plan, "sample", rng_batch, trials=40))
     for outs, prob, state in got:

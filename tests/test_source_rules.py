@@ -152,3 +152,58 @@ def test_every_public_function_is_used_inside_the_package():
     unused = {f"{fname}:{qual}" for fname, qual, node, method in defs
               if not named(qual.split(".")[-1], node, method)}
     assert unused == set(UNUSED_IN_PACKAGE)
+
+
+# parameters with a default that no call in the package passes, each kept for a reason
+# of its own
+DEFAULTS_NOT_PASSED = {
+    "cli.py:main(argv)": "the entry point; the console script calls it with no argument",
+    "measurement.py:gbm_branches(remove)": "bound by perfbench/test_perfbench.py and tracer.py",
+    "protocols.py:run_telecloning(correct_ancillas)":
+        "tests check that the clone fidelities do not depend on the ancilla corrections",
+    "statealg.py:random_qudit(label)": "tests build product states from labelled qudits",
+}
+
+
+def test_every_defaulted_parameter_is_passed_inside_the_package():
+    # a parameter is passed when some call of the function's name (the class's for
+    # __init__) gives it by keyword, by position or through **; a method's positions
+    # start after self or cls, and a *args covers its own position and every later one
+    trees = _trees()
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                calls.setdefault(_name(node.func).split(".")[-1], []).append(node)
+
+    def passed(callee, index, param):
+        """index: the parameter's position in a call's arguments, None if keyword-only."""
+        for call in calls.get(callee, []):
+            if any(kw.arg in (param, None) for kw in call.keywords):
+                return True
+            if index is not None and (len(call.args) > index or any(
+                    isinstance(a, ast.Starred) for a in call.args[:index + 1])):
+                return True
+        return False
+
+    not_passed = set()
+    for fname, tree in trees.items():
+        methods = {id(m): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for m in cls.body if isinstance(m, ast.FunctionDef)}
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            owner = methods.get(id(func))
+            static = any(_name(dec) == "staticmethod" for dec in func.decorator_list)
+            callee = owner if func.name == "__init__" else func.name
+            skip = 1 if owner is not None and not static else 0
+            args = func.args
+            positional = args.posonlyargs + args.args
+            defaulted = [(i - skip, a.arg) for i, a in enumerate(positional)
+                         if i >= len(positional) - len(args.defaults)]
+            defaulted += [(None, a.arg) for a, v in zip(args.kwonlyargs, args.kw_defaults)
+                          if v is not None]
+            qual = func.name if owner is None else f"{owner}.{func.name}"
+            not_passed |= {f"{fname}:{qual}({param})" for index, param in defaulted
+                           if not passed(callee, index, param)}
+    assert not_passed == set(DEFAULTS_NOT_PASSED)
