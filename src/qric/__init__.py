@@ -21,7 +21,6 @@ from .statealg import (
 from .opsbasis import (
     alpha_coeff,
     bell_state,
-    ghz_state,
     weyl_r,
     weyl_u,
 )

@@ -15,6 +15,7 @@ import numpy as np
 from . import channels, opsbasis, statealg
 from .channels import BellMixture, channel_labels
 from .errors import DimensionError, LabelError
+from .protocols import check_trials
 from .statealg import Cut, PureState
 
 
@@ -96,17 +97,14 @@ def appendix_c_relabeling(N: int) -> dict:
     return mapping
 
 
-def verify_appendix_c(d: int, N: int, *, beta: PureState | None = None) -> float:
-    """|overlap| of the relabeled telecloning state with the beta channel, built
-    here unless the caller passes it.
+def verify_appendix_c(d: int, N: int, beta: PureState) -> float:
+    """|overlap| of the relabeled telecloning state with the beta channel.
 
     Appendix C: it is 1 for d = 2 and below 1 for d > 2.
     """
     tele = channels.telecloning_channel(d, N)
     relabeled = statealg.permute(tele, appendix_c_relabeling(N))
     relabeled = statealg.reorder(relabeled, channel_labels(N))
-    if beta is None:
-        beta = channels.beta_weighted_channel(d, N)
     return abs(statealg.overlap(relabeled, beta))
 
 
@@ -196,9 +194,8 @@ class UnlockOutcome:
     bell_overlap: float  # largest |<B^{mn}|rho|B^{mn}>| style fidelity
 
 
-def unlock_ubes(d: int, N: int, mode: str = "all-branches",
-                rng: np.random.Generator | None = None, trials: int = 20, *,
-                rho: BellMixture | None = None) -> list:
+def unlock_ubes(d: int, N: int, rng: np.random.Generator | None = None,
+                trials: int | None = None, *, rho: BellMixture | None = None) -> list:
     """Joint GBMs on pairs (A'_s, s'), s = 2..N, then inspect (A'_1, 1').
 
     rho is the Smolin-like mixture by default. Measuring a pair of a Bell
@@ -210,7 +207,10 @@ def unlock_ubes(d: int, N: int, mode: str = "all-branches",
     overlap max(w) / p; the reduced state of either qudit of any Bell-diagonal
     pair is I/d, so the pair entropy is log2 d. The claim is that every
     outcome leaves a generalized Bell state on (A'_1, 1'): purity 1.
+    Every outcome is reported, or with trials=T min(T, outcomes) distinct
+    ones drawn from rng by probability.
     """
+    check_trials(rng, trials)
     statealg.check_size("unlock Bell diagonal bytes", 8 * d ** (2 * N))
     if rho is None:
         rho = channels.preset_spec("smolin", d, N).build()
@@ -228,9 +228,7 @@ def unlock_ubes(d: int, N: int, mode: str = "all-branches",
     reports = [UnlockOutcome(tuple(zip(o[0::2], o[1::2])), p, pur, log2(d), best)
                for o, p, pur, best in zip(outs.tolist(), masses.tolist(),
                                           purity.tolist(), overlap.tolist())]
-    if mode != "all-branches":
-        if rng is None:
-            rng = np.random.default_rng(0)
+    if trials is not None:
         idx = rng.choice(len(reports), size=min(trials, len(reports)), replace=False,
                          p=masses / masses.sum())
         reports = [reports[int(i)] for i in idx]

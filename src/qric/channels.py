@@ -34,6 +34,9 @@ KINDS = (
     "smolin-like",
 )
 
+# kinds that build one fixed state of residues (0, 0); any other u or v is refused
+ZERO_RESIDUE_KINDS = ("telecloning", "ghz", "beta-weighted", "smolin-like")
+
 PRESETS = ("telecloning", "ghz", "beta", "bell-product", "smolin", "mixed-uniform")
 
 
@@ -110,6 +113,10 @@ class ChannelSpec:
             raise ConstraintError("channel needs d >= 2 and N >= 2")
         self.u %= self.d
         self.v %= self.d
+        if self.kind in ZERO_RESIDUE_KINDS and (self.u, self.v) != (0, 0):
+            name = "u" if self.u else "v"
+            raise ConstraintError(f"channel kind {self.kind!r} needs field {name!r} = 0 (mod d), "
+                                  f"got {getattr(self, name)}")
         if self.c is not None:
             self.c = tuple(int(x) for x in self.c)
             _check_tuple(self.c, self.d, self.N, self.u, self.v)
@@ -329,7 +336,8 @@ def general_pure_channel(spec: ChannelSpec) -> PureState:
 
 def ghz_channel(d: int, N: int) -> PureState:
     """(1/sqrt d) sum_j |j>^(2N) on the channel labels."""
-    return opsbasis.ghz_state(d, channel_labels(N), 0, 0)
+    return PureState(Register(d, channel_labels(N)),
+                     opsbasis.ghz_vector(np.full(d, 1 / np.sqrt(d)), 2 * N), validate=False)
 
 
 def beta_weighted_channel(d: int, N: int) -> PureState:

@@ -36,6 +36,11 @@ def _tol(args, default):
     return args.tol if args.tol is not None else default
 
 
+def _trials(args):
+    """The runners' trials: None, every branch, for --mode all-branches, else --trials."""
+    return None if args.mode == "all-branches" else args.trials
+
+
 def _check(name, measured, expected, tol, ok=None):
     """One check row. Without ok it passes when |measured - expected| <= tol; a
     one-sided or boolean check gives ok and its rows keep measured and expected as is."""
@@ -68,7 +73,7 @@ def cmd_teleclone(args):
     inp = statealg.random_qudit(d, rng)
     expected = analysis.clone_fidelity_formula(d, N)
     checks = []
-    leaves = protocols.run_telecloning(inp, d, N, mode=args.mode, rng=rng, trials=args.trials)
+    leaves = protocols.run_telecloning(inp, d, N, rng, _trials(args))
     rows = range(len(leaves.probs))
     for i in rows:
         state = leaves.state(i)
@@ -106,7 +111,7 @@ def cmd_ric(args):
     rng = np.random.default_rng(args.seed)
     inp = statealg.random_qudit(d, rng)
     clone = protocols.clone_state(inp.amps, d, N)
-    leaves = protocols.run_ric(clone, spec, mode=args.mode, rng=rng, trials=args.trials)
+    leaves = protocols.run_ric(clone, spec, rng, _trials(args))
     target = statealg.PureState(leaves.register, inp.amps)
     fids, checks, transcripts = _fidelity_runs(args, leaves, target)
     bits_expected = (2 * N - 1) * 2.0 * log2(d)
@@ -125,7 +130,7 @@ def cmd_ric_mm_ghz(args):
     rng = np.random.default_rng(args.seed)
     inp = statealg.random_qudit(d, rng)
     clone = protocols.clone_state(inp.amps, d, N)
-    leaves = protocols.run_mm_ghz(clone, d, N, L, mode=args.mode, rng=rng, trials=args.trials)
+    leaves = protocols.run_mm_ghz(clone, d, N, L, rng, _trials(args))
     target = protocols.ghz_correlated_state(inp.amps, d, L, leaves.register.labels)
     _, checks, transcripts = _fidelity_runs(args, leaves, target)
     return {
@@ -144,8 +149,7 @@ def cmd_ric_mm_multi(args):
     rng = np.random.default_rng(args.seed)
     inp = statealg.random_qudit(d, rng)
     dist = protocols.synth_distributed_state(inp.amps, d, N, L)
-    leaves = protocols.run_mm_multiqudit(dist, d, N, L, mode=args.mode, rng=rng,
-                                         trials=args.trials)
+    leaves = protocols.run_mm_multiqudit(dist, d, N, L, rng, _trials(args))
     target = statealg.tensor_many([statealg.PureState(statealg.Register(d, (label,)), inp.amps)
                                    for label in leaves.register.labels])
     _, checks, transcripts = _fidelity_runs(args, leaves, target)
@@ -200,7 +204,7 @@ def cmd_verify(args):
 
     pure = {preset: channels.preset_spec(preset, d, N).build()
             for preset in ("ghz", "beta", "bell-product")}
-    ov = analysis.verify_appendix_c(d, N, beta=pure["beta"])
+    ov = analysis.verify_appendix_c(d, N, pure["beta"])
     if d == 2:
         checks.append(_check("telecloning_channel_overlap", ov, 1.0, _tol(args, DEFAULT_TOL)))
     else:
@@ -278,8 +282,8 @@ def cmd_stabilizers(args):
 
 
 def cmd_unlock(args):
-    reports = analysis.unlock_ubes(args.d, args.N, mode=args.mode,
-                                   rng=np.random.default_rng(args.seed), trials=args.trials)
+    # by position: perfbench's tracer counts an unlock call with two arguments as every outcome
+    reports = analysis.unlock_ubes(args.d, args.N, np.random.default_rng(args.seed), _trials(args))
     checks = []
     outcome_rows = []
     for r in reports:

@@ -109,26 +109,13 @@ def bell_state(d: int, m: int, n: int, labels: tuple[str, str]) -> PureState:
     return PureState(Register(d, tuple(labels)), bell_vector(d, m, n), validate=False)
 
 
-def ghz_vector(d: int, legs: int, m: int, n: int) -> np.ndarray:
-    """|G^{m,n}> amplitudes: leg 0 untouched, legs 1..L shifted by n, leg 1 phased."""
-    if legs < 2:
-        raise DimensionError("GHZ needs at least two legs")
-    if not (0 <= m < d and 0 <= n < d):
-        raise DimensionError(f"GHZ indices ({m},{n}) out of range for d={d}")
+def ghz_vector(x, legs: int) -> np.ndarray:
+    """sum_j x_j |j>^(x legs) for x (d,): x written at the indices j (d^legs - 1) / (d - 1)."""
+    x = np.asarray(x, dtype=np.complex128)
+    d = len(x)
     v = np.zeros(d**legs, dtype=np.complex128)
-    for j in range(d):
-        idx = j
-        shifted = (j + n) % d
-        for _ in range(legs - 1):
-            idx = idx * d + shifted
-        v[idx] = omega_power(d, j * m)
-    return v / np.sqrt(d)
-
-
-def ghz_state(d: int, labels, m: int = 0, n: int = 0) -> PureState:
-    """Generalized GHZ state (I (x) U^{m,n} (x) U^{0,n} (x) ...) |G^{0,0}>."""
-    labels = tuple(labels)
-    return PureState(Register(d, labels), ghz_vector(d, len(labels), m, n), validate=False)
+    v[np.arange(d) * ((d**legs - 1) // (d - 1))] = x
+    return v
 
 
 def _orderings(d: int, counts) -> np.ndarray:

@@ -245,7 +245,14 @@ def _relabel(leaves, rules, comps, rows):
     return outcomes, probs[rows], register, amps
 
 
-def execute(joint, plan, mode: str = "sample", rng=None, *, trials: int | None = None):
+def check_trials(rng, trials):
+    """Refuse a sampled run, trials not None, of fewer than one trial or without a Generator."""
+    if trials is not None and (trials < 1 or not isinstance(rng, np.random.Generator)):
+        raise ProtocolError("sampling needs trials >= 1 and a numpy Generator, got "
+                            f"trials={trials} and {type(rng).__name__}")
+
+
+def execute(joint, plan, rng=None, trials=None):
     """Measure the ordered pairs of `plan` in turn (GBM, pairs removed), level by level.
 
     joint (a Joint) is one base row; its live branches are the rows of one
@@ -253,14 +260,14 @@ def execute(joint, plan, mode: str = "sample", rng=None, *, trials: int | None =
     dimension. So one workspace per call (two joint-dimension buffers and the
     kernel scratch) holds the base row, every non-final level's projection
     and its kept rows; only the last level allocates.
-    "all-branches" keeps every non-null outcome. "sample" draws `trials`
-    trials (one if None) up front in the seed order of one run per trial,
+    trials=None keeps every non-null outcome. trials=T draws T trials from
+    the Generator rng up front, in the seed order of one run per trial,
     joint.draw(rng) (mixtures only) then rng.random(len(plan)), and keeps
-    only the branches some trial visits: the all-branches tree pruned to
-    the drawn branches, probabilities from 1.
+    only the branches some trial visits: the full tree pruned to the drawn
+    branches, probabilities from 1.
     A mixture's components are never built: component k's leaves are the
-    base row's under its frame (_frame_rules). All-branches repeats the base
-    tree once per component, probabilities times its prior, component-major
+    base row's under its frame (_frame_rules). The full tree is repeated
+    once per component, probabilities times its prior, component-major
     and each in lexicographic order of its own outcomes. A sampled trial
     draws each level's outcome in its component's order (_draw_orders), so
     trials of any component landing on one base branch share its row.
@@ -269,21 +276,16 @@ def execute(joint, plan, mode: str = "sample", rng=None, *, trials: int | None =
     sampling. A joint register over statealg.MAX_JOINT_DIM, or more trials
     than that, raises SizeGuardError.
     """
-    if mode not in ("sample", "all-branches"):
-        raise ProtocolError(f"unknown mode {mode!r}")
-    if trials is not None and trials < 1:
-        raise ProtocolError(f"need at least one trial, got {trials}")
+    check_trials(rng, trials)
     statealg.check_size("protocol joint dimension", joint.register.dim, statealg.MAX_JOINT_DIM)
-    if mode == "sample":
-        trials = 1 if trials is None else trials
+    if trials is not None:
         statealg.check_size("sampled trials", trials, statealg.MAX_JOINT_DIM)
     d = joint.register.d
     rules = None if joint.frame is None else _frame_rules(joint, plan)
     work = _workspace(joint.register)
-    if mode == "all-branches":
+    if trials is None:
         leaves = _descend(joint, plan, work)
     else:
-        rng = np.random.default_rng(0) if rng is None else rng
         comps, uniforms = np.zeros(trials, dtype=np.intp), np.empty((trials, len(plan)))
         for t, u in enumerate(uniforms):
             comps[t] = 0 if joint.draw is None else joint.draw(rng)
@@ -293,7 +295,7 @@ def execute(joint, plan, mode: str = "sample", rng=None, *, trials: int | None =
     del work  # the leaves are fresh arrays; the workspace goes before they are relabelled
     if rules is None:
         return leaves
-    if mode == "sample":
+    if trials is not None:
         return _relabel(leaves, rules, comps, np.arange(trials))
     K, B = len(joint.priors), len(leaves[1])
     shift = rules[0].reshape(K, -1)
@@ -339,18 +341,10 @@ def telecloning_registry(N: int) -> dict:
     return roles
 
 
-def run_telecloning(
-    input_state: PureState,
-    d: int,
-    N: int,
-    mode: str = "sample",
-    rng: np.random.Generator | None = None,
-    *,
-    correct_ancillas: bool = True,
-    trials: int | None = None,
-) -> Leaves:
+def run_telecloning(input_state: PureState, d: int, N: int, rng: np.random.Generator | None = None,
+                    trials: int | None = None, *, correct_ancillas: bool = True) -> Leaves:
     """Teleclone one unknown qudit to N receivers: the clone-register Leaves of
-    Alice's d^2 outcomes ("all-branches") or of `trials` drawn runs ("sample").
+    Alice's d^2 outcomes, or of `trials` runs drawn from rng (see execute).
 
     Alice sends her one outcome to every Bob, and to every Charlie when the
     ancillas are corrected; it is also the correction.
@@ -362,7 +356,7 @@ def run_telecloning(
     routes = [("Alice", f"Bob_{s}") for s in range(1, N + 1)]
     if correct_ancillas:
         routes += [("Alice", f"Charlie_{s}") for s in range(1, N)]
-    outcomes, probs, register, amps = execute(joint, [("t", "t'")], mode, rng, trials=trials)
+    outcomes, probs, register, amps = execute(joint, [("t", "t'")], rng, trials)
     m, n = outcomes[:, 0, 0], outcomes[:, 0, 1]
     for s in range(1, N + 1):
         amps = _apply_r(amps, register, str(s), m, n)
@@ -495,20 +489,15 @@ def deduce_correction(bob_charlie_outcomes, bobN_outcome, u: int, v: int, d: int
     return (int(x), int(y)) if last.ndim == 1 else (x, y)
 
 
-def run_ric(
-    clone: PureState,
-    channel: ChannelSpec,
-    mode: str = "sample",
-    rng: np.random.Generator | None = None,
-    trials: int | None = None,
-) -> Leaves:
+def run_ric(clone: PureState, channel: ChannelSpec, rng: np.random.Generator | None = None,
+            trials: int | None = None) -> Leaves:
     """Concentrate the clone-state information onto Diana's qudit N'.
 
-    Returns the Leaves on N' of every non-null branch ("all-branches") or of
-    `trials` drawn runs, one if None ("sample"). A mixed channel is one base
-    row, the all-zero Bell product, and a Weyl frame per component (exact by
-    the untouched-purification argument): a trial draws its component,
-    all-branches weights each by C_k.
+    Returns the Leaves on N' of every non-null branch, or of `trials` runs
+    drawn from rng (see execute). A mixed channel is one base row, the
+    all-zero Bell product, and a Weyl frame per component (exact by the
+    untouched-purification argument): a trial draws its component, the full
+    tree weights each by C_k.
     """
     d = clone.d
     if not isinstance(channel, ChannelSpec):
@@ -529,18 +518,15 @@ def run_ric(
         joint = Joint.product(clone, channel.build())
     else:  # the all-zero Bell product, its components as a frame
         tuples, weights, draw = channel.mixture()
-        if mode == "all-branches":  # the leaves of every component are kept
+        if trials is None:  # the leaves of every component are kept
             statealg.check_size("mixture components x joint dimension",
                                 len(weights) * joint_reg.dim, statealg.MAX_JOINT_DIM)
         joint = Joint.bell_mixture(clone, d, N, tuples, weights, draw)
     plan, parties, routes = concentration_layout(
         N - 1, [(f"Bob_{N}", (str(N), f"A'_{N}"))], "Diana", channel_labels(N)[-1:])
-    outcomes, probs, register, amps = execute(joint, plan, mode, rng, trials=trials)
+    outcomes, probs, register, amps = execute(joint, plan, rng, trials)
     x, y = deduce_correction(outcomes[:, :-1], outcomes[:, -1], channel.u, channel.v, d)
     amps = _apply_r(amps, register, register.labels[0], x, y)
-    nrm = np.sqrt(np.sum(np.abs(amps) ** 2, axis=1))
-    off = np.abs(nrm - 1) > 1e-12
-    amps[off] /= nrm[off, None]
     amps.setflags(write=False)
     return Leaves(parties, routes, register, outcomes, probs, np.stack((x, y), axis=-1), amps)
 
@@ -561,18 +547,11 @@ def mm_ghz_channel(d: int, N: int, L: int) -> PureState:
     # |B^{00}> is swap-symmetric, so the builder's turned last pair is canonical here
     front = channels.bell_products(d, N - 1, (0,) * (2 * N - 2))[0]
     return PureState(Register(d, mm_ghz_labels(N, L)),
-                     np.kron(front, opsbasis.ghz_vector(d, L + 1, 0, 0)))
+                     np.kron(front, opsbasis.ghz_vector(np.full(d, 1 / np.sqrt(d)), L + 1)))
 
 
-def run_mm_ghz(
-    clone: PureState,
-    d: int,
-    N: int,
-    L: int,
-    mode: str = "sample",
-    rng: np.random.Generator | None = None,
-    trials: int | None = None,
-) -> Leaves:
+def run_mm_ghz(clone: PureState, d: int, N: int, L: int, rng: np.random.Generator | None = None,
+               trials: int | None = None) -> Leaves:
     """Concentrate clone-state information onto L GHZ-correlated receivers; returns as run_ric."""
     if L < 1:
         raise ProtocolError("L must be >= 1")
@@ -581,7 +560,7 @@ def run_mm_ghz(
     joint = Joint.product(clone, mm_ghz_channel(d, N, L))
     plan, parties, routes = concentration_layout(
         N - 1, [(f"Bob_{N}", (str(N), f"A'_{N}"))], "Diana", mm_ghz_labels(N, L)[-L:])
-    outcomes, probs, register, amps = execute(joint, plan, mode, rng, trials=trials)
+    outcomes, probs, register, amps = execute(joint, plan, rng, trials)
     x, y = deduce_correction(outcomes[:, :-1], outcomes[:, -1], 0, 0, d)
     # the residual register is Diana's legs, in order
     first, *rest = register.labels
@@ -594,15 +573,7 @@ def run_mm_ghz(
 
 def ghz_correlated_state(x, d: int, L: int, labels) -> PureState:
     """sum_j x_j |j>^(x L) on labels - the L-receiver target of the first mm variant."""
-    x = np.asarray(x, dtype=np.complex128)
-    reg = Register(d, tuple(labels))
-    v = np.zeros(reg.dim, dtype=np.complex128)
-    for j in range(d):
-        idx = 0
-        for _ in range(L):
-            idx = idx * d + j
-        v[idx] = x[j]
-    return PureState(reg, v)
+    return PureState(Register(d, tuple(labels)), opsbasis.ghz_vector(x, L))
 
 
 # ---------------------------------------------------------------------------
@@ -655,15 +626,8 @@ def check_bbar_covariance(bbar: np.ndarray, d: int, pairs: int):
         raise RuntimeError(f"Bbar_({m},{n}) violates the covariance for (k,l)=({k[i]},{ell[i]})")
 
 
-def run_mm_multiqudit(
-    distributed: PureState,
-    d: int,
-    N: int,
-    L: int,
-    mode: str = "sample",
-    rng: np.random.Generator | None = None,
-    trials: int | None = None,
-) -> Leaves:
+def run_mm_multiqudit(distributed: PureState, d: int, N: int, L: int,
+                      rng: np.random.Generator | None = None, trials: int | None = None) -> Leaves:
     """Concentrate L-fold distributed information back onto L receiver qudits.
 
     Channel is |B^{0,0}>^(x N): senders hold every A'_s plus s' for
@@ -680,7 +644,7 @@ def run_mm_multiqudit(
     tail = [(f"Leg_{i}", (str(s), f"A'_{s}")) for i, s in enumerate(range(N - L + 1, N + 1), 1)]
     plan, parties, routes = concentration_layout(
         N - L, tail, "Receiver", channel_labels(N)[n_front + 1::2])
-    outcomes, probs, register, amps = execute(joint, plan, mode, rng, trials=trials)
+    outcomes, probs, register, amps = execute(joint, plan, rng, trials)
     legs = []
     # the residual register is the receiver's labels, in order
     for i, label in enumerate(register.labels):

@@ -391,7 +391,7 @@ def bell_swap_distance(mix, a, b):
     return float(np.linalg.norm(diff))
 
 
-def unlock_ubes(d, N, mode="all-branches", rng=None, trials=20, *, rho=None):
+def unlock_ubes(d, N, rng=None, trials=None, *, rho=None):
     """analysis.unlock_ubes by running the protocol: joint GBMs on pairs
     (A'_s, s'), s = 2..N, over every component of rho (by default the
     Smolin-like mixture) through protocols.execute, each outcome's conditional (A'_1, 1') density
@@ -403,7 +403,7 @@ def unlock_ubes(d, N, mode="all-branches", rng=None, trials=20, *, rho=None):
     if rho is None:
         rho = channels.preset_spec("smolin", d, N).build()
     joint = mixture_joint(d, N, rho.tuples, rho.weights)
-    outs, prob, pair_reg, vecs = protocols.execute(joint, pairs, "all-branches")
+    outs, prob, pair_reg, vecs = protocols.execute(joint, pairs)
     # codes repeat across components: np.add.at sums them, a fancy += would not
     codes = np.ravel_multi_index(outs.reshape(len(prob), -1).T, digits)
     mats = np.zeros((d ** len(digits), d * d, d * d), dtype=np.complex128)
@@ -423,9 +423,7 @@ def unlock_ubes(d, N, mode="all-branches", rng=None, trials=20, *, rho=None):
         purity = float(np.real(np.trace(rho.mat @ rho.mat)))
         best = max(0.0, float(np.einsum("kx,xy,ky->k", bras, rho.mat, bras.conj()).real.max()))
         reports.append(analysis.UnlockOutcome(outs, prob, purity, ent, best))
-    if mode != "all-branches":
-        if rng is None:
-            rng = np.random.default_rng(0)
+    if trials is not None:
         probs = np.array([r.probability for r in reports])
         idx = rng.choice(len(reports), size=min(trials, len(reports)), replace=False,
                          p=probs / probs.sum())

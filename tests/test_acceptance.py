@@ -73,7 +73,7 @@ def test_criterion_1_clone_fidelity():
     for (d, N), want in cases.items():
         assert abs(clone_fidelity_formula(d, N) - want) < 1e-12
         inp = random_qudit(d, rng)
-        leaves = run_telecloning(inp, d, N, mode="all-branches")
+        leaves = run_telecloning(inp, d, N)
         for i in range(len(leaves.probs)):
             state = leaves.state(i)
             for s in range(1, N + 1):
@@ -99,7 +99,7 @@ def test_criterion_2_ric_determinism():
         clone = clone_state(inp.amps, d, N)
         target = diana_target(inp, N)
         for preset in ("ghz", "beta", "bell-product"):
-            leaves = run_ric(clone, preset_spec(preset, d, N), mode="all-branches")
+            leaves = run_ric(clone, preset_spec(preset, d, N))
             total_p = sum(leaves.transcript(i)["branch_probability"]
                           for i in range(len(leaves.probs)))
             assert abs(total_p - 1) < 1e-9  # the enumeration is exhaustive
@@ -110,7 +110,7 @@ def test_criterion_2_ric_determinism():
             spec = preset_spec(preset, d, N)
             fmin = 1.0
             for _ in range(100):
-                state = run_ric(clone, spec, mode="sample", rng=rng).state(0)
+                state = run_ric(clone, spec, rng=rng, trials=1).state(0)
                 fmin = min(fmin, abs(overlap(state, target)) ** 2)
             worst = min(worst, fmin)
             details.append(f"({d},{N}) {preset}: 100 trials")
@@ -162,9 +162,9 @@ def test_criterion_3_identity_suite():
 
 
 def test_criterion_4_appendix_c():
-    ov22 = verify_appendix_c(2, 2)
-    ov23 = verify_appendix_c(2, 3)
-    ov32 = verify_appendix_c(3, 2)
+    ov22 = verify_appendix_c(2, 2, channels.beta_weighted_channel(2, 2))
+    ov23 = verify_appendix_c(2, 3, channels.beta_weighted_channel(2, 3))
+    ov32 = verify_appendix_c(3, 2, channels.beta_weighted_channel(3, 2))
     ok = abs(ov22 - 1) < 1e-9 and abs(ov23 - 1) < 1e-9 and ov32 < 1 - 1e-6
     report(
         4,
@@ -253,13 +253,13 @@ def test_criterion_8_many_to_many():
     inp = random_qudit(d, rng)
     clone = clone_state(inp.amps, d, N)
     target = ghz_correlated_state(inp.amps, d, L, labels=[f"{N}'_1", f"{N}'_2"])
-    branches = run_mm_ghz(clone, d, N, L, mode="all-branches")
+    branches = run_mm_ghz(clone, d, N, L)
     fmin_ghz = min_fidelity(branches, target)
 
     dist = synth_distributed_state(inp.amps, d, N, L)
     receiver = [f"{s}'" for s in range(N - L + 1, N + 1)]
     target2 = tensor_many([permute(inp, {inp.register.labels[0]: lab}) for lab in receiver])
-    branches2 = run_mm_multiqudit(dist, d, N, L, mode="all-branches")
+    branches2 = run_mm_multiqudit(dist, d, N, L)
     fmin_multi = min_fidelity(branches2, target2)
     ok = fmin_ghz > 1 - 1e-9 and fmin_multi > 1 - 1e-9
     report(

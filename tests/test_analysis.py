@@ -21,7 +21,7 @@ from qric import (
     verify_appendix_c,
 )
 from qric import analysis, channels, opsbasis, statealg
-from qric.errors import DimensionError, LabelError, SizeGuardError
+from qric.errors import DimensionError, LabelError, ProtocolError, SizeGuardError
 from qric.statealg import DensityOperator, Register
 
 
@@ -106,11 +106,11 @@ def test_appendix_b(d, N):
 
 def test_appendix_c_d2():
     for N in (2, 3):
-        assert abs(verify_appendix_c(2, N) - 1) < 1e-9
+        assert abs(verify_appendix_c(2, N, channels.beta_weighted_channel(2, N)) - 1) < 1e-9
 
 
 def test_appendix_c_d3():
-    assert verify_appendix_c(3, 2) < 1 - 1e-6
+    assert verify_appendix_c(3, 2, channels.beta_weighted_channel(3, 2)) < 1 - 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +217,16 @@ def test_unlock_sample_draws_the_oracle_outcomes(d, N):
     # outcome count
     for seed in [*range(10), 1234]:
         for trials in (1, 4, 10, 100):
-            got, want = (f(d, N, "sample", np.random.default_rng(seed), trials)
+            got, want = (f(d, N, np.random.default_rng(seed), trials)
                          for f in (unlock_ubes, reference.unlock_ubes))
             assert_same_unlock_reports(got, want)
+
+
+def test_unlock_sample_needs_a_generator_and_a_trial():
+    with pytest.raises(ProtocolError, match="Generator"):
+        unlock_ubes(2, 2, None, 3)
+    with pytest.raises(ProtocolError):
+        unlock_ubes(2, 2, np.random.default_rng(0), 0)
 
 
 def test_unlock_refuses_its_bell_diagonal_before_enumerating_the_mixture(monkeypatch):

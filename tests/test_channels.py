@@ -126,6 +126,16 @@ def test_constraint_violation_reports_tuple():
     assert "(1, 0, 0, 0)" in str(err.value)
 
 
+@pytest.mark.parametrize("kind", channels.ZERO_RESIDUE_KINDS)
+def test_zero_residue_kinds_refuse_other_residues(kind):
+    # their builders take no residues, so a run would correct for a (u, v) the state lacks
+    for field in ("u", "v"):
+        with pytest.raises(ConstraintError, match=f"{kind!r} needs field {field!r}"):
+            ChannelSpec(kind=kind, d=3, N=2, **{field: 1})
+    spec = ChannelSpec(kind=kind, d=3, N=2, u=3, v=-3)  # residues are taken mod d
+    assert (spec.u, spec.v) == (0, 0)
+
+
 def test_weight_normalization_warns():
     with pytest.warns(UserWarning):
         spec = ChannelSpec(

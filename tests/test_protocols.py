@@ -68,7 +68,7 @@ def test_telecloning_every_branch_fidelity_and_state(d, N):
     inp = random_qudit(d, rng)
     ref = clone_state(inp.amps, d, N)
     want = clone_fidelity_formula(d, N)
-    branches = rows(run_telecloning(inp, d, N, mode="all-branches"))
+    branches = rows(run_telecloning(inp, d, N))
     assert len(branches) == d * d
     for state, transcript in branches:
         # post-correction collective state equals the clone state exactly
@@ -83,8 +83,7 @@ def test_telecloning_ancilla_corrections_optional():
     rng = np.random.default_rng(23)
     inp = random_qudit(3, rng)
     want = clone_fidelity_formula(3, 2)
-    for state, _t in rows(run_telecloning(inp, 3, 2, mode="all-branches",
-                                          correct_ancillas=False)):
+    for state, _t in rows(run_telecloning(inp, 3, 2, correct_ancillas=False)):
         for s in (1, 2):
             assert abs(clone_fid(state, inp, str(s)) - want) < 1e-9
 
@@ -92,7 +91,7 @@ def test_telecloning_ancilla_corrections_optional():
 def test_telecloning_sample_mode_and_transcript():
     rng = np.random.default_rng(3)
     inp = random_qudit(2, rng)
-    (state, transcript), = rows(run_telecloning(inp, 2, 2, mode="sample", rng=rng))
+    (state, transcript), = rows(run_telecloning(inp, 2, 2, rng=rng, trials=1))
     # N Bobs + N-1 ancilla holders receive the outcome
     assert len(transcript["messages"]) == 2 + 1
     assert all(msg["bits"] == 2.0 for msg in transcript["messages"])
@@ -218,7 +217,7 @@ def test_ric_every_branch_pure_channels(d, N, preset):
     inp = random_qudit(d, rng)
     clone = clone_state(inp.amps, d, N)
     spec = preset_spec(preset, d, N)
-    branches = rows(run_ric(clone, spec, mode="all-branches"))
+    branches = rows(run_ric(clone, spec))
     target = diana_target(inp, N)
     for state, transcript in branches:
         assert abs(overlap(state, target)) > 1 - 1e-9
@@ -235,7 +234,7 @@ def test_ric_product_channel_with_nonzero_residues():
     clone = clone_state(inp.amps, d, N)
     c = (1, 2, 2, 1)
     spec = ChannelSpec(kind="product-bell", d=d, N=N, u=0, v=0, c=c)
-    branches = rows(run_ric(clone, spec, mode="all-branches"))
+    branches = rows(run_ric(clone, spec))
     target = diana_target(inp, N)
     assert len(branches) == 729
     for state, _t in branches:
@@ -251,7 +250,7 @@ def test_ric_mixed_channels_sampled(preset):
     spec = preset_spec(preset, d, N)
     target = diana_target(inp, N)
     for _ in range(50):
-        (state, transcript), = rows(run_ric(clone, spec, mode="sample", rng=rng))
+        (state, transcript), = rows(run_ric(clone, spec, rng=rng, trials=1))
         assert abs(overlap(state, target)) > 1 - 1e-9
 
 
@@ -267,7 +266,7 @@ def test_ric_measurement_order_independent():
     for order in itertools.permutations(range(len(base_plan))):
         plan = [base_plan[i] for i in order]
 
-        outcomes, _probs, register, amps = execute_state(joint, plan, "all-branches")
+        outcomes, _probs, register, amps = execute_state(joint, plan)
         # columns back in base-plan order, then Diana's correction for every leaf
         ordered = outcomes[:, [plan.index(p) for p in base_plan]]
         xs, ys = deduce_correction(ordered[:, :-1], ordered[:, -1], 0, 0, d)
@@ -300,14 +299,14 @@ def plan_run(kind, d, N, rng):
     clone = clone_state(inp.amps, d, N)
     if kind == "mm-ghz":
         joint = statealg.tensor(clone, protocols.mm_ghz_channel(d, N, 2))
-        return joint, ric_plan(N), run_mm_ghz(clone, d, N, 2, "all-branches")
+        return joint, ric_plan(N), run_mm_ghz(clone, d, N, 2)
     if kind == "mm-multi":
         dist = synth_distributed_state(inp.amps, d, N, 2)
         joint = statealg.tensor(dist, channels.product_bell_channel(d, N, (0,) * (2 * N)))
-        return joint, mm_multi_plan(N, 2), run_mm_multiqudit(dist, d, N, 2, "all-branches")
+        return joint, mm_multi_plan(N, 2), run_mm_multiqudit(dist, d, N, 2)
     spec = preset_spec(kind, d, N)
     joint = statealg.tensor(clone, spec.build())
-    return joint, ric_plan(N), run_ric(clone, spec, mode="all-branches")
+    return joint, ric_plan(N), run_ric(clone, spec)
 
 
 @pytest.mark.parametrize("kind,d,N", [("ghz", 2, 2), ("beta", 3, 2), ("mm-ghz", 3, 2),
@@ -335,7 +334,7 @@ def test_ric_d2_n3_sampled_branches():
     target = diana_target(inp, N)
     spec = preset_spec("ghz", d, N)
     # the full tree has 1024 branches, within budget: exhaustive
-    branches = rows(run_ric(clone, spec, mode="all-branches"))
+    branches = rows(run_ric(clone, spec))
     assert len(branches) >= 200
     for state, _t in branches:
         assert abs(overlap(state, target)) > 1 - 1e-9
@@ -361,7 +360,7 @@ def test_run_ric_accepts_all_pure_presets_sampled():
     clone = clone_state(inp.amps, d, N)
     target = diana_target(inp, N)
     for preset in ("ghz", "beta", "bell-product"):
-        (state, _t), = rows(run_ric(clone, preset_spec(preset, d, N), mode="sample", rng=rng))
+        (state, _t), = rows(run_ric(clone, preset_spec(preset, d, N), rng=rng, trials=1))
         assert abs(overlap(state, target)) > 1 - 1e-9
 
 
@@ -383,14 +382,14 @@ def test_mm_ghz_all_branches_2_2_2():
     inp = random_qudit(d, rng)
     clone = clone_state(inp.amps, d, N)
     target = ghz_correlated_state(inp.amps, d, L, labels=[f"{N}'_1", f"{N}'_2"])
-    for state, _t in rows(run_mm_ghz(clone, d, N, L, mode="all-branches")):
+    for state, _t in rows(run_mm_ghz(clone, d, N, L)):
         assert abs(overlap(state, target)) > 1 - 1e-9
 
 
 def test_mm_ghz_basis_input_gives_all_zeros():
     d, N, L = 2, 2, 2
     clone = clone_state([1, 0], d, N)
-    branches = rows(run_mm_ghz(clone, d, N, L, mode="all-branches"))
+    branches = rows(run_mm_ghz(clone, d, N, L))
     zero = ghz_correlated_state([1, 0], d, L, labels=[f"{N}'_1", f"{N}'_2"])
     for state, _t in branches:
         assert abs(overlap(state, zero)) > 1 - 1e-9
@@ -401,7 +400,7 @@ def test_mm_ghz_l1_degenerates_to_ric():
     rng = np.random.default_rng(43)
     inp = random_qudit(d, rng)
     clone = clone_state(inp.amps, d, N)
-    branches = rows(run_mm_ghz(clone, d, N, 1, mode="all-branches"))
+    branches = rows(run_mm_ghz(clone, d, N, 1))
     target = ghz_correlated_state(inp.amps, d, 1, labels=[f"{N}'_1"])
     for state, _t in branches:
         assert abs(overlap(state, target)) > 1 - 1e-9
@@ -412,7 +411,7 @@ def test_mm_multi_2_2_2_and_bit_count():
     rng = np.random.default_rng(47)
     inp = random_qudit(d, rng)
     dist = synth_distributed_state(inp.amps, d, N, L)
-    branches = rows(run_mm_multiqudit(dist, d, N, L, mode="all-branches"))
+    branches = rows(run_mm_multiqudit(dist, d, N, L))
     receiver = [f"{s}'" for s in range(N - L + 1, N + 1)]
     target = tensor_many(
         [permute(inp, {inp.register.labels[0]: lab}) for lab in receiver]
@@ -428,7 +427,7 @@ def test_mm_multi_l1_reduces_to_ric():
     rng = np.random.default_rng(53)
     inp = random_qudit(d, rng)
     dist = synth_distributed_state(inp.amps, d, N, 1)
-    branches = rows(run_mm_multiqudit(dist, d, N, 1, mode="all-branches"))
+    branches = rows(run_mm_multiqudit(dist, d, N, 1))
     target = diana_target(inp, N)
     for state, _t in branches:
         assert abs(overlap(state, target)) > 1 - 1e-9
@@ -439,7 +438,7 @@ def test_mm_multi_3_2_with_clone_family_bbar():
     rng = np.random.default_rng(59)
     inp = random_qudit(d, rng)
     dist = synth_distributed_state(inp.amps, d, N, L)
-    branches = rows(run_mm_multiqudit(dist, d, N, L, mode="all-branches"))
+    branches = rows(run_mm_multiqudit(dist, d, N, L))
     receiver = [f"{s}'" for s in range(N - L + 1, N + 1)]
     target = tensor_many(
         [permute(inp, {inp.register.labels[0]: lab}) for lab in receiver]
@@ -489,7 +488,7 @@ def test_synth_random_orthonormal_source_covariant_and_concentrable():
     amps = reference.bbar_expansion(bbar, np.ones(d) / np.sqrt(d), inp.amps, d, L)
     dist = PureState(statealg.Register(d, protocols.mm_multi_labels(N, L)), amps)
     assert abs(np.linalg.norm(dist.amps) - 1) < 1e-10
-    branches = rows(run_mm_multiqudit(dist, d, N, L, mode="all-branches"))
+    branches = rows(run_mm_multiqudit(dist, d, N, L))
     receiver = [f"{s}'" for s in range(N - L + 1, N + 1)]
     target = tensor_many(
         [permute(inp, {inp.register.labels[0]: lab}) for lab in receiver]
@@ -531,7 +530,7 @@ def test_ric_3_3_enumerates_every_branch():
     inp = random_qudit(d, rng)
     clone = clone_state(inp.amps, d, N)
     spec = preset_spec("bell-product", d, N)
-    branches = rows(run_ric(clone, spec, mode="all-branches", rng=rng))
+    branches = rows(run_ric(clone, spec, rng=rng))
     assert len(branches) == 59049
     assert sum(t["branch_probability"] for _s, t in branches) == pytest.approx(1.0, abs=1e-9)
     target = diana_target(inp, N)
@@ -544,7 +543,7 @@ def test_transcript_json_schema(tmp_path):
     rng = np.random.default_rng(101)
     inp = random_qudit(d, rng)
     clone = clone_state(inp.amps, d, N)
-    doc = run_ric(clone, preset_spec("ghz", d, N), mode="sample", rng=rng).transcript(0)
+    doc = run_ric(clone, preset_spec("ghz", d, N), rng=rng, trials=1).transcript(0)
     assert set(doc) == {"parties", "messages", "correction", "branch_probability"}
     assert set(doc["correction"]) == {"x", "y"}
     for msg in doc["messages"]:
@@ -616,7 +615,7 @@ def assert_run_matches(leaves, reference, corrections_of):
 def test_engine_matches_depth_first_gbm_ric(preset, d, N):
     joint, plan, leaves = plan_run(preset, d, N, np.random.default_rng(89))
     want = depth_first_leaves(joint, plan)
-    assert_same_leaves(engine_leaves(execute_state(joint, plan, "all-branches")), want)
+    assert_same_leaves(engine_leaves(execute_state(joint, plan)), want)
     assert_run_matches(leaves, want, lambda t: [(f"{N}'", *xy(t))])
 
 
@@ -624,7 +623,7 @@ def test_engine_matches_depth_first_gbm_mm_ghz():
     d, N, L = 3, 2, 2
     joint, plan, leaves = plan_run("mm-ghz", d, N, np.random.default_rng(97))
     want = depth_first_leaves(joint, plan)
-    assert_same_leaves(engine_leaves(execute_state(joint, plan, "all-branches")), want)
+    assert_same_leaves(engine_leaves(execute_state(joint, plan)), want)
     legs = [f"{N}'_{i}" for i in range(1, L + 1)]
     assert_run_matches(leaves, want, lambda t: [(legs[0], *xy(t))]
                        + [(leg, 0, xy(t)[1]) for leg in legs[1:]])
@@ -636,9 +635,9 @@ def test_engine_matches_depth_first_gbm_telecloning():
     joint = statealg.tensor(permute(inp, {inp.register.labels[0]: "t"}),
                             channels.telecloning_channel(d, N))
     want = depth_first_leaves(joint, [("t", "t'")])
-    assert_same_leaves(engine_leaves(execute_state(joint, [("t", "t'")], "all-branches")),
+    assert_same_leaves(engine_leaves(execute_state(joint, [("t", "t'")])),
                        want)
-    leaves = run_telecloning(inp, d, N, mode="all-branches")
+    leaves = run_telecloning(inp, d, N)
     assert_run_matches(leaves, want, lambda t: [(str(s), *xy(t)) for s in range(1, N + 1)]
                        + [(f"A_{s}", -xy(t)[0], xy(t)[1]) for s in range(1, N)])
 
@@ -653,7 +652,7 @@ def test_engine_matches_depth_first_gbm_unlock():
     for k in tuples:
         comp = channels.product_bell_channel(d, N, k)
         want = depth_first_leaves(comp, pairs)
-        assert_same_leaves(engine_leaves(execute_state(comp, pairs, "all-branches")), want)
+        assert_same_leaves(engine_leaves(execute_state(comp, pairs)), want)
         for outs, prob, state in want:
             slot = acc.setdefault(tuple(outs), [0.0, 0.0])
             rho = np.outer(state.amps, state.amps.conj())
@@ -673,7 +672,7 @@ def test_engine_sample_draws_like_chained_gbm_sample(preset, d, N):
     # one call with T trials against T chained single-state runs from the same seed
     joint, plan, _ = plan_run(preset, d, N, np.random.default_rng(103))
     rng_engine, rng_chain = np.random.default_rng(5), np.random.default_rng(5)
-    got = engine_leaves(execute_state(joint, plan, "sample", rng_engine, trials=25))
+    got = engine_leaves(execute_state(joint, plan, rng_engine, trials=25))
     assert len(got) == 25
     for outs, prob, state in got:
         want_outs, want_prob, st = [], 1.0, joint
@@ -686,14 +685,11 @@ def test_engine_sample_draws_like_chained_gbm_sample(preset, d, N):
         assert prob == pytest.approx(want_prob, abs=1e-12)
         np.testing.assert_allclose(state.amps, st.amps, atol=1e-12)
     assert rng_engine.random() == rng_chain.random()
-    # without trials, one trial and its leaf alone
-    rng_engine, rng_chain = np.random.default_rng(6), np.random.default_rng(6)
-    (outs, prob, _state), = engine_leaves(execute_state(joint, plan, "sample", rng_engine))
-    (want_outs, want_prob, _st), = engine_leaves(execute_state(joint, plan, "sample",
-                                                                   rng_chain, trials=1))
-    assert (outs, prob) == (want_outs, want_prob)
+    # a sampled run needs at least one trial and a Generator to draw them from
     with pytest.raises(ProtocolError):
-        execute_state(joint, plan, "sample", rng_engine, trials=0)
+        execute_state(joint, plan, rng_engine, trials=0)
+    with pytest.raises(ProtocolError, match="Generator"):
+        execute_state(joint, plan, None, trials=1)
 
 
 @pytest.mark.parametrize("preset,d,N", [("smolin", 2, 2), ("smolin", 3, 2),
@@ -703,13 +699,13 @@ def test_ric_mixed_all_branches_enumerates_every_component(preset, d, N):
     inp = random_qudit(d, rng)
     clone = clone_state(inp.amps, d, N)
     spec = preset_spec(preset, d, N)
-    branches = rows(run_ric(clone, spec, mode="all-branches"))
+    branches = rows(run_ric(clone, spec))
     target = diana_target(inp, N)
     assert all(abs(overlap(state, target)) ** 2 > 1 - 1e-9 for state, _t in branches)
     assert sum(t["branch_probability"] for _s, t in branches) == pytest.approx(1.0, abs=1e-12)
     tuples, weights, _ = spec.mixture()
     per_component = [
-        rows(run_ric(clone, ChannelSpec(kind="product-bell", d=d, N=N, c=k), mode="all-branches"))
+        rows(run_ric(clone, ChannelSpec(kind="product-bell", d=d, N=N, c=k)))
         for k in tuples
     ]
     assert len(branches) == sum(len(leaves) for leaves in per_component)
@@ -725,9 +721,9 @@ def test_ric_mixed_all_branches_over_the_joint_budget_is_refused():
     d, N = 3, 3  # 81 components of a 3^11 joint
     clone = clone_state(np.ones(d) / np.sqrt(d), d, N)
     with pytest.raises(SizeGuardError):
-        run_ric(clone, preset_spec("smolin", d, N), mode="all-branches")
-    (state, _t), = rows(run_ric(clone, preset_spec("smolin", d, N), mode="sample",
-                                rng=np.random.default_rng(1)))
+        run_ric(clone, preset_spec("smolin", d, N))
+    (state, _t), = rows(run_ric(clone, preset_spec("smolin", d, N),
+                                rng=np.random.default_rng(1), trials=1))
     assert state.register.labels == (f"{N}'",)
 
 
@@ -739,7 +735,7 @@ def test_run_ric_trials_draw_like_one_run_per_trial(preset):
     clone = clone_state(random_qudit(d, rng).amps, d, N)
     spec = preset_spec(preset, d, N)
     rng_batch, rng_single = np.random.default_rng(8), np.random.default_rng(8)
-    got = rows(run_ric(clone, spec, mode="sample", rng=rng_batch, trials=30))
+    got = rows(run_ric(clone, spec, rng=rng_batch, trials=30))
     assert len(got) == 30
     plan = ric_plan(N)
     for state, transcript in got:
@@ -812,7 +808,7 @@ def test_mixture_leaves_are_the_dense_components_leaves(plan_of, d, N):
         front, plan = None, [(f"A'_{s}", f"{s}'") for s in range(2, N + 1)]
     joint = (reference.mixture_joint(d, N, tuples, weights) if front is None
              else protocols.Joint.bell_mixture(front, d, N, tuples, weights))
-    outcomes, probs, register, amps = protocols.execute(joint, plan, "all-branches")
+    outcomes, probs, register, amps = protocols.execute(joint, plan)
     want = []
     for k, w in zip(tuples, weights):
         comp = channels.product_bell_channel(d, N, k)
@@ -831,7 +827,7 @@ def test_mixture_leaves_are_the_dense_components_leaves(plan_of, d, N):
     joint = (reference.mixture_joint(d, N, tuples, weights, draw) if front is None
              else protocols.Joint.bell_mixture(front, d, N, tuples, weights, draw))
     rng_batch, rng_single = np.random.default_rng(4), np.random.default_rng(4)
-    got = engine_leaves(protocols.execute(joint, plan, "sample", rng_batch, trials=40))
+    got = engine_leaves(protocols.execute(joint, plan, rng_batch, trials=40))
     for outs, prob, state in got:
         chain = channels.product_bell_channel(d, N, tuples[draw(rng_single)])
         chain = chain if front is None else statealg.tensor(front, chain)
@@ -865,7 +861,8 @@ def test_executor_reuses_one_workspace_across_components(mode, monkeypatch):
     monkeypatch.setattr(kernels, "project_bell_pairs", recording)
     clone = clone_state(random_qudit(d, np.random.default_rng(67)).amps, d, N)
     spec = preset_spec("smolin", d, N)
-    leaves = run_ric(clone, spec, mode=mode, rng=np.random.default_rng(3), trials=60)
+    leaves = run_ric(clone, spec, np.random.default_rng(3),
+                     None if mode == "all-branches" else 60)
     finals = [c for c in calls if c[0] is None]
     levels = [c for c in calls if c[0] is not None]
     assert len(finals) == 1  # the components share the base row's one descent
@@ -897,7 +894,9 @@ RUNNERS = {
 @pytest.mark.parametrize("runner", sorted(RUNNERS))
 def test_every_runner_returns_one_leaves_record(runner, mode, trials):
     inp = random_qudit(2, np.random.default_rng(11))
-    leaves = RUNNERS[runner](inp, mode=mode, rng=np.random.default_rng(12), trials=trials)
+    # "sample" without a count is one trial, as --mode sample --trials 1
+    leaves = RUNNERS[runner](inp, rng=np.random.default_rng(12),
+                             trials=None if mode == "all-branches" else trials or 1)
     assert isinstance(leaves, protocols.Leaves)
     B = len(leaves.probs)
     assert leaves.outcomes.shape == (B, len(leaves.routes), 2)

@@ -106,6 +106,14 @@ def test_identity_checks_build_no_per_term_states():
             and name in ("bell_state", "tensor", "reorder", "PureState")] == []
 
 
+def test_run_mode_strings_appear_only_in_the_cli():
+    # trials=None is every branch and trials=T a sample: the mode names are CLI flags only
+    hits = [f"{fname}:{node.lineno}" for fname, tree in _trees().items() if fname != "cli.py"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and node.value in ("all-branches", "sample")]
+    assert hits == []
+
+
 def test_phi_vector_is_called_only_by_phi_basis():
     callers = {f"{fname}:{owner}" for fname, tree in _trees().items()
                for owner, name in _calls(tree) if name == "phi_vector"}
