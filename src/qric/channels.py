@@ -67,7 +67,6 @@ def enumerate_constrained_tuples(d: int, N: int, u: int, v: int) -> list[tuple[i
         k_last_odd = (u - sum(head[0::2])) % d
         k_last_even = (v - sum(head[1::2])) % d
         out.append(head + (k_last_odd, k_last_even))
-    out.sort()
     return out
 
 

@@ -197,15 +197,16 @@ def _descend(joint, plan, work, uniforms=None, orders=None):
 
 
 def _frame_rules(joint, plan):
-    """What the frame does at each plan level: (shift, coef, const, rest).
+    """What the frame does at each plan level: (shift, coef, const).
 
     Level (X, Y) meets U^{p,q} on X and U^{r,t} on Y, and
     U^{p,q} (x) U^{r,t} |B^{c}> = w^{c_n r - q c_m - q (p + r)} |B^{c + (p + r, t - q)}>,
     so component k's outcome c + shift[k, level] (mod d) is the base row's
     outcome c, with the same probability, and its residual is the base
     residual times that phase. A leaf's phase exponent is const[k] plus
-    coef[k] . c over the levels; rest (K, r, 2) is the frame left on the
-    residual labels, in register order.
+    coef[k] . c over the levels. The frame must be the identity on every
+    label the plan leaves unmeasured: RIC's residual is N', an s' label, and
+    channels.bell_frame gives every s' the identity.
     """
     d = joint.register.d
     pos = np.array([joint.register.positions(pair) for pair in plan], dtype=np.intp).reshape(-1, 2)
@@ -214,8 +215,7 @@ def _frame_rules(joint, plan):
     shift = np.stack((p + r, t - q), axis=-1) % d
     coef = np.stack((-q, r), axis=-1) % d
     const = (joint.phase - (q * (p + r)).sum(axis=1)) % d
-    rest = [i for i in range(joint.register.n) if i not in pos]
-    return shift, coef, const, joint.frame[:, rest]
+    return shift, coef, const
 
 
 def _draw_orders(shift, d):
@@ -227,18 +227,13 @@ def _draw_orders(shift, d):
 
 def _relabel(leaves, rules, comps, rows):
     """Leaf i is component comps[i] on the base row's leaf rows[i]: its outcomes
-    shifted, its amplitudes times the leaf phase and the frame left on the
-    residual labels (weyl_monomial)."""
+    shifted and its amplitudes times the leaf phase."""
     outcomes, probs, register, amps = leaves
-    shift, coef, const, rest = rules
+    shift, coef, const = rules
     d, K, B = register.d, len(const), len(probs)
     # the phase exponent of every (component, base leaf) pair, one (K, B) product
     phase = (coef.reshape(K, -1) @ outcomes.reshape(B, -1).T + const[:, None]) % d
     amps = amps[rows] * opsbasis.omega_table(d)[phase[comps, rows]][:, None]
-    if rest[comps].any():
-        col, val = opsbasis.weyl_monomial(d, [("U", e[:, 0], e[:, 1])
-                                              for e in np.moveaxis(rest[comps], 1, 0)])
-        amps = val * np.take_along_axis(amps, col, axis=1)
     outcomes = outcomes[rows]
     outcomes += shift[comps]
     outcomes %= d
@@ -342,27 +337,25 @@ def telecloning_registry(N: int) -> dict:
 
 
 def run_telecloning(input_state: PureState, d: int, N: int, rng: np.random.Generator | None = None,
-                    trials: int | None = None, *, correct_ancillas: bool = True) -> Leaves:
+                    trials: int | None = None) -> Leaves:
     """Teleclone one unknown qudit to N receivers: the clone-register Leaves of
     Alice's d^2 outcomes, or of `trials` runs drawn from rng (see execute).
 
-    Alice sends her one outcome to every Bob, and to every Charlie when the
-    ancillas are corrected; it is also the correction.
+    Alice sends her one outcome to every Bob and every Charlie; it is also
+    the correction.
     """
     if input_state.register.n != 1 or input_state.d != d:
         raise ProtocolError("input must be a single qudit of dimension d")
     inp = statealg.permute(input_state, {input_state.register.labels[0]: "t"})
     joint = Joint.product(inp, channels.telecloning_channel(d, N))
     routes = [("Alice", f"Bob_{s}") for s in range(1, N + 1)]
-    if correct_ancillas:
-        routes += [("Alice", f"Charlie_{s}") for s in range(1, N)]
+    routes += [("Alice", f"Charlie_{s}") for s in range(1, N)]
     outcomes, probs, register, amps = execute(joint, [("t", "t'")], rng, trials)
     m, n = outcomes[:, 0, 0], outcomes[:, 0, 1]
     for s in range(1, N + 1):
         amps = _apply_r(amps, register, str(s), m, n)
-    if correct_ancillas:
-        for s in range(1, N):
-            amps = _apply_r(amps, register, f"A_{s}", -m, n)
+    for s in range(1, N):
+        amps = _apply_r(amps, register, f"A_{s}", -m, n)
     amps.setflags(write=False)
     return Leaves(telecloning_registry(N), tuple(routes), register,
                   np.repeat(outcomes, len(routes), axis=1), probs, outcomes[:, 0], amps)
@@ -580,6 +573,10 @@ def ghz_correlated_state(x, d: int, L: int, labels) -> PureState:
 # many-to-many: multiqudit concentration over |B^{00}>^(x N)
 
 def mm_multi_labels(N: int, L: int) -> tuple:
+    """The distributed state's labels: 1..N-L and A_1..A_{N-L}, then the L legs
+    N-L+1..N. Every multiqudit path calls this first, so it holds the one L check."""
+    if not 1 <= L <= N:
+        raise ProtocolError(f"need 1 <= L <= N, got L={L} and N={N}")
     front = tuple(str(s) for s in range(1, N - L + 1))
     front += tuple(f"A_{s}" for s in range(1, N - L + 1))
     legs = tuple(str(s) for s in range(N - L + 1, N + 1))
@@ -593,12 +590,10 @@ def synth_distributed_state(x, d: int, N: int, L: int) -> PureState:
     satisfies the covariance on 2(N-L) qudits. For L = N the Bbar register
     is empty and the state degenerates to |phi>^(x L).
     """
-    if not 1 <= L <= N:
-        raise ProtocolError("need 1 <= L <= N")
+    labels = mm_multi_labels(N, L)
     x = np.asarray(x, dtype=np.complex128).reshape(-1)
     if abs(np.sum(np.abs(x) ** 2) - 1.0) > 1e-8:
         raise NormalizationError("input amplitudes not normalized")
-    labels = mm_multi_labels(N, L)
     if L == N:
         return statealg.tensor_many([PureState(Register(d, (l,)), x) for l in labels])
     family = extract_clone_decomposition(d, N - L + 1)
@@ -634,8 +629,6 @@ def run_mm_multiqudit(distributed: PureState, d: int, N: int, L: int,
     s <= N-L; the receiver holds (N-L+1)'..N'. Returns as run_ric does, with
     the per-leg corrections as legs and leg 1's as corrections.
     """
-    if not 1 <= L <= N:
-        raise ProtocolError("need 1 <= L <= N")
     labels = mm_multi_labels(N, L)
     if tuple(distributed.register.labels) != labels:
         raise ProtocolError(f"distributed state must live on labels {labels}")

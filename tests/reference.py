@@ -13,8 +13,7 @@ checked against code that shares none of their index arithmetic:
 - bbar_expansion: (1/sqrt d) sum_{m,n} beta_n Bbar_mn (x) (U^{-m,n} x)^(x L)
   as a kron loop over any (d, d, dim) Bbar array and beta
 
-- state_joint / mixture_joint: the plan executor's input (protocols.Joint)
-  for one state, and for a Bell-product mixture on the channel labels alone
+- state_joint: the plan executor's input (protocols.Joint) for one state
 - unit_vector: one random unit vector of C^d from its own seed
 
 - project_plan: one outcome per plan level, each pair projected onto its
@@ -22,9 +21,10 @@ checked against code that shares none of their index arithmetic:
 - ric_weyl_frame: the same run's component-to-base relabelling, leaf phase
   and Diana's correction from Z_d arithmetic alone, no state vectors
 
-- unlock_ubes: the unlocking report by running the joint GBMs over every
-  Smolin-like component and summing each outcome's conditional pair density
-  (the package reads it off the Bell-basis diagonal W)
+- unlock_ubes: the unlocking report by running the joint GBMs over each
+  component's Bell product, one unframed plan run per component, and summing
+  each outcome's conditional pair density (the package reads it off the
+  Bell-basis diagonal W; the oracle shares no Weyl-frame arithmetic with RIC)
 - swap_identity_check / teleport_identity_check: the two Weyl/Bell
   identities for one index tuple, each side a sum of PureState krons moved
   into one label order (the per-term loops the package's batched
@@ -67,7 +67,7 @@ amplitudes instead, still sharing none of the package's Z_d arithmetic:
 
 import functools
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -130,7 +130,7 @@ def _residual(state, pair_amps, pair):
         p1, p2 = p2, p1
     n = state.register.n
     return project_pair(state.amps, P.reshape(-1), d, d ** (n - 1 - p1), d ** (n - 1 - p2),
-                        state.dim // (d * d))
+                        state.register.dim // (d * d))
 
 
 def gbm_branches(state, pair):
@@ -195,14 +195,6 @@ def state_joint(state):
     return protocols.Joint(state.register, lambda out: np.copyto(out, state.amps), np.ones(1))
 
 
-def mixture_joint(d, N, tuples, weights, draw=None):
-    """sum_k C_k |B_k><B_k| on the channel labels alone: the all-zero Bell product
-    as the base row, each tuple a Weyl frame on it (channels.bell_frame)."""
-    exps, phase = channels.bell_frame(d, N, tuples)
-    base = state_joint(channels.product_bell_channel(d, N, (0,) * (2 * N)))
-    return replace(base, priors=np.asarray(weights), draw=draw, frame=exps, phase=phase)
-
-
 def unit_vector(d, seed):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=d) + 1j * rng.normal(size=d)
@@ -256,7 +248,7 @@ def density(mix):
     statealg.check_size("density matrix bytes", 16 * reg.dim**2)
     vecs = channels.bell_products(mix.d, mix.N, mix.tuples)
     # sum_k C_k |v_k><v_k| as one (dim, K) @ (K, dim) product
-    return DensityOperator(reg, (vecs.T * mix.weights) @ vecs.conj(), validate=False)
+    return DensityOperator(reg, (vecs.T * mix.weights) @ vecs.conj())
 
 
 def mixed_channel(spec):
@@ -304,7 +296,7 @@ def symmetry_report(rho, d, N):
 def spectrum_check(rho):
     """(rank, max deviation of nonzero eigenvalues from 1/d^{2(N-1)}) of a
     2N-qudit density, from its eigvalsh spectrum."""
-    d, N = rho.d, rho.register.n // 2
+    d, N = rho.register.d, rho.register.n // 2
     vals = np.linalg.eigvalsh(rho.mat)
     target = 1.0 / d ** (2 * (N - 1))
     nonzero = vals[vals > target / 2]
@@ -348,8 +340,7 @@ def permute(rho, relabeling):
     new_labels = tuple(relabeling.get(l, l) for l in reg.labels)
     perm = [new_labels.index(l) for l in reg.labels]
     t = np.transpose(rho.mat.reshape([reg.d] * (2 * reg.n)), perm + [reg.n + p for p in perm])
-    return DensityOperator(Register(reg.d, reg.labels), t.reshape(reg.dim, reg.dim),
-                           validate=False)
+    return DensityOperator(Register(reg.d, reg.labels), t.reshape(reg.dim, reg.dim))
 
 
 def stabilizer_suite_from_rows(mix, d, N):
@@ -393,35 +384,39 @@ def bell_swap_distance(mix, a, b):
 
 def unlock_ubes(d, N, rng=None, trials=None, *, rho=None):
     """analysis.unlock_ubes by running the protocol: joint GBMs on pairs
-    (A'_s, s'), s = 2..N, over every component of rho (by default the
-    Smolin-like mixture) through protocols.execute, each outcome's conditional (A'_1, 1') density
-    summed over the components, then its purity, the entropy of its 1' marginal
-    by eigvalsh, and its largest Bell-basis diagonal entry."""
+    (A'_s, s'), s = 2..N, over the Bell product of every component of rho (by
+    default the Smolin-like mixture), each through protocols.execute with no
+    Weyl frame; each outcome's conditional (A'_1, 1') density summed over the
+    components with their weights, then its purity, the entropy of its 1'
+    marginal (A'_1 traced out by einsum, the spectrum by eigvalsh), and its
+    largest Bell-basis diagonal entry."""
     pairs = [(f"A'_{s}", f"{s}'") for s in range(2, N + 1)]
     digits = (d,) * (2 * len(pairs))  # outcome code: the (m, n) digits in plan order
     statealg.check_size("unlock table bytes", 16 * d ** (2 * N + 2))
     if rho is None:
         rho = channels.preset_spec("smolin", d, N).build()
-    joint = mixture_joint(d, N, rho.tuples, rho.weights)
-    outs, prob, pair_reg, vecs = protocols.execute(joint, pairs)
-    # codes repeat across components: np.add.at sums them, a fancy += would not
-    codes = np.ravel_multi_index(outs.reshape(len(prob), -1).T, digits)
     mats = np.zeros((d ** len(digits), d * d, d * d), dtype=np.complex128)
     masses = np.zeros(d ** len(digits))
-    np.add.at(mats, codes, prob[:, None, None] * (vecs[:, :, None] * vecs[:, None, :].conj()))
-    np.add.at(masses, codes, prob)
-    seen = np.zeros(d ** len(digits), dtype=bool)
-    seen[codes] = True
+    for k, weight in zip(rho.tuples, rho.weights):
+        joint = state_joint(channels.product_bell_channel(d, N, k))
+        outs, prob, pair_reg, vecs = protocols.execute(joint, pairs)
+        assert pair_reg.labels == ("A'_1", "1'")
+        # one leaf per outcome, so the codes of one component are distinct
+        codes = np.ravel_multi_index(outs.reshape(len(prob), -1).T, digits)
+        mats[codes] += weight * prob[:, None, None] * (vecs[:, :, None] * vecs[:, None, :].conj())
+        masses[codes] += weight * prob
     bras = opsbasis.bell_bras(d).reshape(d * d, -1)  # row m*d + n: <B^{m,n}|
     reports = []
-    for code in np.flatnonzero(seen):
+    for code in np.flatnonzero(masses > 0):
         flat = [int(i) for i in np.unravel_index(code, digits)]
         outs = tuple(zip(flat[0::2], flat[1::2]))
         prob = float(masses[code])
-        rho = DensityOperator(pair_reg, mats[code] / prob, validate=False)
-        ent = statealg.von_neumann_entropy(statealg.partial_trace(rho, ["1'"]))
-        purity = float(np.real(np.trace(rho.mat @ rho.mat)))
-        best = max(0.0, float(np.einsum("kx,xy,ky->k", bras, rho.mat, bras.conj()).real.max()))
+        mat = mats[code] / prob
+        vals = np.linalg.eigvalsh(np.einsum("aiaj->ij", mat.reshape(d, d, d, d)))
+        vals = vals[vals > 1e-14]
+        ent = float(-np.sum(vals * np.log2(vals)))
+        purity = float(np.real(np.trace(mat @ mat)))
+        best = max(0.0, float(np.einsum("kx,xy,ky->k", bras, mat, bras.conj()).real.max()))
         reports.append(analysis.UnlockOutcome(outs, prob, purity, ent, best))
     if trials is not None:
         probs = np.array([r.probability for r in reports])

@@ -63,7 +63,7 @@ def test_suite_fails_on_random_product_state():
     rng = np.random.default_rng(5)
     parts = []
     for l in channel_labels(2):
-        parts.append(statealg.random_qudit(2, rng, l))
+        parts.append(statealg.PureState(Register(2, (l,)), statealg.random_qudit(2, rng).amps))
     st = statealg.tensor_many(parts)
     table = stabilizer_suite(st, 2, 2)
     assert not stabilizer_suite_passes(table)
@@ -247,7 +247,7 @@ def test_smolin_rank_and_flat_spectrum(d, N):
 
 def test_ppt_separable_identity():
     reg = Register(2, ("a", "b"))
-    rho = DensityOperator(reg, np.eye(4) / 4, validate=False)
+    rho = DensityOperator(reg, np.eye(4) / 4)
     assert reference.ppt_min_eigenvalue(rho, Cut(("a",), ("b",))) >= -1e-12
 
 
@@ -290,7 +290,7 @@ def _random_density(d, N, rng):
     reg = Register(d, channel_labels(N))
     g = rng.normal(size=(reg.dim, reg.dim)) + 1j * rng.normal(size=(reg.dim, reg.dim))
     rho = g @ g.conj().T
-    return DensityOperator(reg, rho / np.trace(rho), validate=False)
+    return DensityOperator(reg, rho / np.trace(rho))
 
 
 @pytest.mark.parametrize("source", ["smolin", "random"])

@@ -101,7 +101,7 @@ def old_mm_ghz(d, N, L):
     ghz_labels = tuple(f"{N}'_{i}" for i in range(1, L + 1)) + (f"A'_{N}",)
     parts.append(PureState(Register(d, ghz_labels), ghz / np.sqrt(d), validate=False))
     comp = statealg.reorder(statealg.tensor_many(parts), labels)
-    out = np.zeros(comp.dim, dtype=np.complex128)
+    out = np.zeros(comp.register.dim, dtype=np.complex128)
     out += np.sqrt(1.0) * comp.amps
     return out
 

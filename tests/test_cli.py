@@ -259,6 +259,12 @@ def test_bad_flag_values_exit_2(capsys):
         capsys.readouterr()
         assert main(argv + ["--out", "/dev/null"]) == 2, argv
         assert capsys.readouterr().err.startswith("configuration error: --tol must be"), argv
+    # L > N is refused before any register over the distributed labels is sized
+    for argv in (["ric-mm-multi", "--d", "3", "--N", "3", "--L", "9"],
+                 ["ric-mm-multi", "--d", "2", "--N", "2", "--L", "100"]):
+        capsys.readouterr()
+        assert main(argv + ["--out", "/dev/null"]) == 2, argv
+        assert capsys.readouterr().err.startswith("configuration error: need 1 <= L <= N"), argv
 
 
 def test_oversized_trials_hit_the_size_guard_before_any_allocation(monkeypatch, capsys):

@@ -48,7 +48,7 @@ def test_branch_ordering_row_major():
 
 def test_telecloning_joint_state_uniform_outcomes():
     rng = np.random.default_rng(1)
-    inp = statealg.random_qudit(2, rng, "t")
+    inp = statealg.random_qudit(2, rng)
     joint = tensor(inp, telecloning_channel(2, 2))
     branches = gbm_branches(joint, ("t", "t'"))
     for br in branches:
@@ -127,7 +127,7 @@ def test_sample_frequencies_uniform_on_telecloning_joint():
     # the distributor's measurement on the joint input+channel state is
     # uniform over all d^2 outcomes
     rng = np.random.default_rng(21)
-    inp = statealg.random_qudit(2, rng, "t")
+    inp = statealg.random_qudit(2, rng)
     joint = tensor(inp, telecloning_channel(2, 2))
     trials = 10_000
     drawn = drawn_outcomes(joint, ("t", "t'"), rng, trials)

@@ -287,7 +287,7 @@ def test_stabilizer_expectation_matches_dense_reference(d, N, kind):
     else:
         rho = g @ g.conj().T
         rho /= np.trace(rho)
-        state = DensityOperator(reg, rho, validate=False)
+        state = DensityOperator(reg, rho)
     # every (m, n), plus indices below 0 and at d (taken mod d)
     for m, n in itertools.product(range(-1, d + 1), repeat=2):
         A, B = _dense_stabilizer_halves(d, m, n, signs)

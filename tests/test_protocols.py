@@ -78,16 +78,6 @@ def test_telecloning_every_branch_fidelity_and_state(d, N):
         assert transcript["branch_probability"] == pytest.approx(1 / d**2, abs=1e-10)
 
 
-def test_telecloning_ancilla_corrections_optional():
-    # skipping ancilla corrections leaves every single-clone fidelity unchanged
-    rng = np.random.default_rng(23)
-    inp = random_qudit(3, rng)
-    want = clone_fidelity_formula(3, 2)
-    for state, _t in rows(run_telecloning(inp, 3, 2, correct_ancillas=False)):
-        for s in (1, 2):
-            assert abs(clone_fid(state, inp, str(s)) - want) < 1e-9
-
-
 def test_telecloning_sample_mode_and_transcript():
     rng = np.random.default_rng(3)
     inp = random_qudit(2, rng)
@@ -791,28 +781,23 @@ def test_weyl_frame_oracle_matches_the_dense_component_path(data):
     assert deduce_correction(base[:-1], base[-1], 0, 0, d) == (x, y)
 
 
-@pytest.mark.parametrize("plan_of", ["ric", "unlock"])
+@pytest.mark.parametrize("plan_of", ["ric"])
 @pytest.mark.parametrize("d,N", [(2, 2), (3, 2), (2, 3)])
 def test_mixture_leaves_are_the_dense_components_leaves(plan_of, d, N):
-    # tuples with nonzero residues; the unlock plan leaves A'_1's frame factor on the residual
+    # tuples with nonzero residues
     rng = np.random.default_rng(71 + d * N)
     u, v = 1, d - 1
     tuples = [k for k in channels.enumerate_constrained_tuples(d, N, u, v)
               if rng.random() < 0.5][:6]
     weights = rng.random(len(tuples))
     weights /= weights.sum()
-    if plan_of == "ric":
-        front = random_front(d, N, rng)
-        plan = ric_plan(N)
-    else:
-        front, plan = None, [(f"A'_{s}", f"{s}'") for s in range(2, N + 1)]
-    joint = (reference.mixture_joint(d, N, tuples, weights) if front is None
-             else protocols.Joint.bell_mixture(front, d, N, tuples, weights))
+    front = random_front(d, N, rng)
+    plan = ric_plan(N)
+    joint = protocols.Joint.bell_mixture(front, d, N, tuples, weights)
     outcomes, probs, register, amps = protocols.execute(joint, plan)
     want = []
     for k, w in zip(tuples, weights):
-        comp = channels.product_bell_channel(d, N, k)
-        comp = comp if front is None else statealg.tensor(front, comp)
+        comp = statealg.tensor(front, channels.product_bell_channel(d, N, k))
         for outs, prob, state in depth_first_leaves(comp, plan):
             want.append((outs, w * prob, state))
     assert [[tuple(o) for o in row] for row in outcomes.tolist()] == [o for o, _p, _s in want]
@@ -824,13 +809,12 @@ def test_mixture_leaves_are_the_dense_components_leaves(plan_of, d, N):
     def draw(r):
         return int(r.choice(len(weights), p=weights))
 
-    joint = (reference.mixture_joint(d, N, tuples, weights, draw) if front is None
-             else protocols.Joint.bell_mixture(front, d, N, tuples, weights, draw))
+    joint = protocols.Joint.bell_mixture(front, d, N, tuples, weights, draw)
     rng_batch, rng_single = np.random.default_rng(4), np.random.default_rng(4)
     got = engine_leaves(protocols.execute(joint, plan, rng_batch, trials=40))
     for outs, prob, state in got:
-        chain = channels.product_bell_channel(d, N, tuples[draw(rng_single)])
-        chain = chain if front is None else statealg.tensor(front, chain)
+        k = tuples[draw(rng_single)]
+        chain = statealg.tensor(front, channels.product_bell_channel(d, N, k))
         want_outs, want_prob = [], 1.0
         for pair in plan:
             br = reference.gbm_sample(chain, pair, rng_single)

@@ -7,7 +7,6 @@ import reference
 from reference import apply_local, basis_state
 from qric import (
     Cut,
-    DensityOperator,
     PureState,
     Register,
     bell_state,
@@ -60,7 +59,7 @@ def test_norm_validation():
 
 def test_size_guard_ignores_the_environment(monkeypatch):
     monkeypatch.setenv("QRIC_MAX_DIM", "8")
-    assert basis_state(2, (0,) * 4, ("a", "b", "c", "e")).dim == 16
+    assert basis_state(2, (0,) * 4, ("a", "b", "c", "e")).register.dim == 16
 
 
 def test_oversized_register_raises_before_allocating(monkeypatch):
@@ -92,7 +91,7 @@ def test_tensor_basis_case():
 
 
 def test_tensor_plus_zero():
-    plus = PureState(Register(2, ["x"]), np.array([1, 1]) / np.sqrt(2))
+    plus = PureState(Register(2, ("x",)), np.array([1, 1]) / np.sqrt(2))
     st = tensor(plus, basis_state(2, [0], ["y"]))
     np.testing.assert_allclose(st.amps, np.array([1, 0, 1, 0]) / np.sqrt(2), atol=1e-12)
 
@@ -133,7 +132,7 @@ def test_apply_r01_d3():
 
 
 def test_apply_r10_d2_on_plus():
-    plus = PureState(Register(2, ["q"]), np.array([1, 1]) / np.sqrt(2))
+    plus = PureState(Register(2, ("q",)), np.array([1, 1]) / np.sqrt(2))
     out = apply_local(plus, weyl_r(2, 1, 0), "q")
     np.testing.assert_allclose(out.amps, np.array([1, -1]) / np.sqrt(2), atol=1e-12)
 
@@ -183,9 +182,6 @@ def test_partial_trace_properties_random(d, n):
     rho = partial_trace(st, keep)
     assert abs(np.trace(rho.mat) - 1) < 1e-10
     assert np.linalg.eigvalsh(rho.mat).min() > -1e-10
-    # density path agrees with the pure path
-    rho2 = partial_trace(DensityOperator(st.register, np.outer(st.amps, st.amps.conj())), keep)
-    np.testing.assert_allclose(rho.mat, rho2.mat, atol=1e-10)
 
 
 def test_partial_trace_errors():
@@ -243,6 +239,12 @@ def test_overlap_register_mismatch():
         overlap(basis_state(2, [0], ["q"]), basis_state(2, [0], ["r"]))
 
 
+def test_overlap_refuses_another_label_order():
+    # no alignment: a caller compares states on one register order
+    with pytest.raises(LabelError):
+        overlap(basis_state(2, [0, 1], ["q", "r"]), basis_state(2, [1, 0], ["r", "q"]))
+
+
 def test_entropy_product_and_bell():
     prod = basis_state(2, [0, 0], ["X", "Y"])
     assert entropy_across_cut(prod, Cut(("X",), ("Y",))) < 1e-12
@@ -257,14 +259,6 @@ def test_entropy_ghz_channel_last_cut():
     labels = channel_labels(2)
     cut = Cut(labels[:-1], (labels[-1],))
     assert abs(entropy_across_cut(ch, cut) - 1.0) < 1e-8
-
-
-def test_density_validation():
-    reg = Register(2, ("a",))
-    with pytest.raises(NormalizationError):
-        DensityOperator(reg, np.array([[1.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(NormalizationError):
-        DensityOperator(reg, np.eye(2))  # trace 2
 
 
 def test_states_are_frozen():
