@@ -446,6 +446,17 @@ ALL_BRANCHES_REPORTS = {
         "c0e0ff25d77030990522ca88f88bc6e8b3e719b88012dcf10d37495a5f88a137",
     "report --d 2 --N 2":
         "9d622037e7312378959cdf2de168c92dbd525433b87d1cd8be3e3d398bfb3ed3",
+    # pinned from json.dumps(doc, indent=2, sort_keys=True), before the report
+    # text came from one C-encoder call per flat container; the empty
+    # transcripts list of --max-transcripts 0 takes the [] path
+    "report --d 2 --N 3":
+        "c0f68620d90e51414aac8406ba1ba7059b66ffbaf5dbd405c5af726ef7c6cce7",
+    "teleclone --d 4 --N 3":
+        "d293634ad42f7964e2a9ebb30aef25e0298839bbe36dade440d96a78cf2b054a",
+    "ric-mm-multi --d 3 --N 3 --L 2":
+        "360040f78b9e81f64b617c7968954c86a69af5ec35f00fa1ca083502d4fad035",
+    "ric --d 3 --N 2 --channel ghz --max-transcripts 0":
+        "1a6f5a72152662dd0f5461b724fee68fc5eb3e4c7bba8925e87a583672699b2b",
 }
 
 
