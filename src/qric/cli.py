@@ -11,11 +11,12 @@ import argparse
 import json
 import sys
 import time
+from itertools import chain, repeat
 from math import isfinite, log2
 
 import numpy as np
 
-from . import __version__, analysis, channels, protocols, statealg
+from . import __version__, analysis, channels, opsbasis, protocols, statealg
 from .channels import channel_labels
 from .errors import ConstraintError, ProtocolError, QricError, SizeGuardError
 from .statealg import Cut
@@ -269,8 +270,11 @@ def cmd_stabilizers(args):
     spec = channels.load_channel(args.channel, args.d, args.N)
     state = spec.build()
     table = analysis.stabilizer_suite(state, args.d, args.N)
+    # a channel of residues (u, v) has S[m,n] = w^{m v - n u}; the check undoes that phase
+    omega = opsbasis.omega_table(args.d)
     checks = [
-        _check(f"S[{m},{n}]", np.real(val), 1.0, _tol(args, 1e-9))
+        _check(f"S[{m},{n}]", np.real(val * omega[(n * spec.u - m * spec.v) % args.d]), 1.0,
+               _tol(args, 1e-9))
         for (m, n), val in sorted(table.items())
     ]
     return {
@@ -393,8 +397,50 @@ def _validate(args):
         raise ConstraintError(f"--tol must be finite and >= 0, got {args.tol}")
 
 
+_SCALARS = (str, int, float, type(None))
+
+
+def _flat(values):
+    return all(map(isinstance, values, repeat(_SCALARS)))
+
+
+def _rows(obj):
+    """Whether obj is a list of non-empty dicts whose values are all scalars."""
+    return (all(map(isinstance, obj, repeat(dict))) and all(obj)
+            and _flat(chain.from_iterable(map(dict.values, obj))))
+
+
+def _dumps(obj, level=0):
+    """json.dumps(obj, indent=2, sort_keys=True), byte for byte, for a str-keyed obj.
+
+    indent alone sends json to its pure-Python encoder, so each container of
+    scalars, and each list of non-empty flat dicts (the check rows), is one call
+    of the C encoder with the indented item separator; other containers recurse.
+    """
+    if not isinstance(obj, (dict, list, tuple)) or not obj:
+        return json.dumps(obj)
+    pad, pad1 = "  " * level, "  " * (level + 1)
+    is_dict = isinstance(obj, dict)
+    opening, closing = "{}" if is_dict else "[]"
+    if _flat(obj.values() if is_dict else obj):
+        text = json.dumps(obj, separators=(",\n" + pad1, ": "), sort_keys=True)
+        return f"{opening}\n{pad1}{text[1:-1]}\n{pad}{closing}"
+    if not is_dict and _rows(obj):
+        # rows joined by the rows' own separator: "},\n" + pad2 + "{" is a row seam
+        # and nothing else, as a value before "," is a scalar and strings hold no newline
+        pad2 = pad1 + "  "
+        text = json.dumps(obj, separators=(",\n" + pad2, ": "), sort_keys=True)
+        text = text[2:-2].replace("},\n" + pad2 + "{", f"\n{pad1}}},\n{pad1}{{\n{pad2}")
+        return f"[\n{pad1}{{\n{pad2}{text}\n{pad1}}}\n{pad}]"
+    if is_dict:
+        items = [f"{json.dumps(k)}: {_dumps(v, level + 1)}" for k, v in sorted(obj.items())]
+    else:
+        items = [_dumps(v, level + 1) for v in obj]
+    return f"{opening}\n{pad1}" + f",\n{pad1}".join(items) + f"\n{pad}{closing}"
+
+
 def _emit(doc, out_path):
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    text = _dumps(doc)
     if out_path == "-":
         print(text)
         return

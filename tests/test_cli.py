@@ -1,4 +1,5 @@
 import argparse
+import cmath
 import hashlib
 import json
 import os
@@ -7,6 +8,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qric import analysis, channels, cli, protocols
 from qric.cli import main
@@ -197,6 +200,22 @@ def test_stabilizers_table(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert rc == 0
     assert len(doc["expectations"]) == 9
+
+
+def test_stabilizers_over_a_channel_of_nonzero_residues(tmp_path, capsys):
+    # a Bell product of residues (u, v) has S[m,n] = w^{m v - n u}: the report keeps
+    # that raw table and each check undoes its phase
+    path = tmp_path / "bell.json"
+    path.write_text(json.dumps({"kind": "product-bell", "d": 3, "N": 2, "u": 1, "v": 2,
+                                "c": [1, 2, 0, 0]}))
+    assert main(["stabilizers", "--d", "3", "--N", "2", "--channel", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert "9/9 checks passed" in captured.err
+    doc = json.loads(captured.out)
+    for m in range(3):
+        for n in range(3):
+            w = cmath.exp(2j * cmath.pi * (2 * m - n) / 3)
+            assert doc["expectations"][f"{m},{n}"] == pytest.approx([w.real, w.imag], abs=1e-12)
 
 
 def test_stabilizers_over_the_telecloning_channel_exit_2(capsys):
@@ -477,3 +496,47 @@ def test_sampled_reports_are_byte_identical_to_the_per_trial_sampler(argv, tmp_p
     assert main(argv.split() + ["--mode", "sample", "--seed", "1", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SAMPLED_REPORTS[argv]
     capsys.readouterr()
+
+
+# strings the encoder must escape, and the row seam at the paddings of levels 0 to 2
+TRICKY = ["},\n    {", "},\n      {", "},\n        {", "[", "]", "{}", "\"", "\\", "\n",
+          "\t", "\x00", "\x1f", "\x7f", "é", "Ωmega", "日本", "\U0001f600", ""]
+texts = st.lists(st.sampled_from(TRICKY) | st.text(max_size=6), max_size=3).map("".join)
+scalars = (st.none() | st.booleans() | st.integers()
+           | st.floats(allow_nan=True, allow_infinity=True) | texts)
+flat_rows = st.dictionaries(texts, scalars, min_size=1, max_size=4)
+documents = st.recursive(
+    scalars | flat_rows | st.lists(flat_rows, min_size=2, max_size=4)
+    | st.just({}) | st.just([]) | st.just(()),
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(texts, inner, max_size=4)),
+    max_leaves=24,
+)
+
+
+def _indented(obj):
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(documents)
+def test_dumps_writes_the_indented_json_text(doc):
+    assert cli._dumps(doc) == _indented(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    {}, [], (), 0, "x", None,
+    {"a": {}, "b": [], "c": ()},
+    [{"a": 1}, {"b": 2.5, "c": "},\n      {"}],
+    {"rows": [{"a": 1}, {"b": "},\n      {"}], "z": [{"s": "},\n        {"}, {"t": None}]},
+    [{"a": 1}, {}, {"b": 2}],
+    [{"a": 1}, {"b": [1, 2]}, {"c": {"d": True}}],
+    [{"a": 1}, 2, [{"b": 3}, {"c": 4}]],
+    {"f": [float("nan"), float("inf"), -float("inf"), -0.0, 1e-300, 1e22]},
+    {"t": (1, (2, (3,))), "b": [True, False], "n": None, "i": [-5, 10**30]},
+    {"s": "é\x00\x1f\"\\[]{}\n\t日本\U0001f600", "\"k\n}": {"[": "]"}},
+    [[{"a": "},"}, {"b": "{"}], [{"c": "}"}, {"d": ",\n"}]],
+    {"a": [[]], "b": [{}], "c": [[], {}]},
+])
+def test_dumps_hand_picked_documents(doc):
+    assert cli._dumps(doc) == _indented(doc)
