@@ -8,15 +8,13 @@ from .statealg import (
     DensityOperator,
     PureState,
     Register,
-    entropy_across_cut,
+    entropy,
     overlap,
-    partial_trace,
     permute,
     random_qudit,
     reorder,
     tensor,
     tensor_many,
-    von_neumann_entropy,
 )
 from .opsbasis import (
     alpha_coeff,
@@ -56,11 +54,9 @@ from .protocols import (
     synth_distributed_state,
 )
 from .analysis import (
-    FingerprintReport,
     SymmetryReport,
     clone_fidelity_formula,
-    compare_fingerprints,
-    fingerprint,
+    entropy_gap,
     ppt_min_eigenvalue,
     stabilizer_suite,
     swap_identity_check,

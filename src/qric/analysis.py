@@ -1,7 +1,7 @@
 """Verification of the entanglement claims: stabilizer suite, appendix
 equivalences, dense Weyl/Bell identity oracles, UBES unlocking,
 partial-transpose evidence, permutation (a)symmetry, and LU-invariant
-fingerprints.
+entropy fingerprints.
 """
 
 from __future__ import annotations
@@ -311,49 +311,19 @@ def smolin_spectrum_check(rho: BellMixture) -> tuple[int, float]:
 # ---------------------------------------------------------------------------
 # LU-invariant fingerprints
 
-# two entropies or spectra closer than this count as equal
+# two entropies closer than this count as equal
 FINGERPRINT_TOL = 1e-6
 
 
-@dataclass
-class FingerprintReport:
-    cut_entropies: dict  # frozenset(labels) -> entropy, for 1- and 2-subsets
-    marginal_spectra: dict  # frozenset(labels) -> sorted eigenvalues
-
-    def entropy_multiset(self, size: int) -> tuple:
-        vals = [v for k, v in self.cut_entropies.items() if len(k) == size]
-        return tuple(sorted(vals))
-
-
-def fingerprint(state: PureState) -> FingerprintReport:
-    """Entropies and marginal spectra over every 1- and 2-label subset."""
-    labels = state.register.labels
-    cut_entropies = {}
-    spectra = {}
-    subsets = [frozenset([l]) for l in labels]
-    subsets += [
-        frozenset([labels[i], labels[j]])
-        for i in range(len(labels))
-        for j in range(i + 1, len(labels))
-    ]
-    for sub in subsets:
-        rho = statealg.partial_trace(state, sorted(sub))
-        spectra[sub] = tuple(np.round(np.linalg.eigvalsh(rho.mat), 12))
-        cut_entropies[sub] = statealg.von_neumann_entropy(rho)
-    return FingerprintReport(cut_entropies, spectra)
-
-
-def compare_fingerprints(a: FingerprintReport, b: FingerprintReport) -> bool:
-    """True when the reports are LU-distinguishable: a multiset differs by > FINGERPRINT_TOL."""
+def entropy_gap(a: PureState, b: PureState) -> float:
+    """The largest gap (bits) between the sorted entropies of a and of b over every
+    1-label subset, and over every 2-label subset, of their registers (of one size).
+    The entropies are LU invariants, so a gap above FINGERPRINT_TOL tells the states
+    apart."""
+    gap = 0.0
     for size in (1, 2):
-        ea = np.array(a.entropy_multiset(size))
-        eb = np.array(b.entropy_multiset(size))
-        if ea.shape != eb.shape or (ea.size and np.abs(ea - eb).max() > FINGERPRINT_TOL):
-            return True
-        sa = sorted(tuple(v) for k, v in a.marginal_spectra.items() if len(k) == size)
-        sb = sorted(tuple(v) for k, v in b.marginal_spectra.items() if len(k) == size)
-        if len(sa) != len(sb):
-            return True
-        if sa and np.abs(np.array(sa) - np.array(sb)).max() > FINGERPRINT_TOL:
-            return True
-    return False
+        ea, eb = (sorted(statealg.entropy(s, sub)
+                         for sub in itertools.combinations(s.register.labels, size))
+                  for s in (a, b))
+        gap = max(gap, float(np.abs(np.subtract(ea, eb)).max()))
+    return gap

@@ -15,6 +15,7 @@ import itertools
 import json
 import warnings
 from dataclasses import dataclass, field
+from math import isfinite
 
 import numpy as np
 
@@ -120,15 +121,27 @@ class ChannelSpec:
             self.c = tuple(int(x) for x in self.c)
             _check_tuple(self.c, self.d, self.N, self.u, self.v)
         if self.table:
-            norm = []
+            norm, seen = [], set()
             total = 0.0
-            for k, wgt in self.table:
+            for i, (k, wgt) in enumerate(self.table):
                 k = tuple(int(x) for x in k)
                 _check_tuple(k, self.d, self.N, self.u, self.v)
+                try:
+                    wgt = float(wgt)
+                except OverflowError:
+                    raise ConstraintError(f"channel field 'table[{i}].w' is an integer past "
+                                          f"the float range") from None
+                total += wgt
+                if not isfinite(total):  # a NaN or infinite weight, or a sum past the range
+                    raise ConstraintError(f"channel field 'table[{i}].w' = {wgt} takes the "
+                                          f"weight sum to {total}: weights must be finite")
                 if wgt < 0:
-                    raise ConstraintError(f"negative weight for tuple {k}")
-                norm.append((k, float(wgt)))
-                total += float(wgt)
+                    raise ConstraintError(f"channel field 'table[{i}].w' is negative for tuple {k}")
+                # a pure channel's Bell products must be distinct; a mixture may repeat one
+                if self.kind == "general-pure" and k in seen:
+                    raise ConstraintError(f"tuple {k} is repeated in the general-pure table")
+                seen.add(k)
+                norm.append((k, wgt))
             if total <= 0:
                 raise ConstraintError("table weights sum to zero")
             if abs(total - 1.0) > WEIGHT_TOL:
@@ -161,7 +174,10 @@ class ChannelSpec:
     def from_json(cls, text: str) -> "ChannelSpec":
         """Parse a channel file; a schema violation raises ConstraintError naming the
         field. Keys it does not read are ignored."""
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except ValueError as exc:  # a JSONDecodeError, or an integer past 4300 digits
+            raise ConstraintError(f"channel file is not valid JSON: {exc}") from None
         if not isinstance(doc, dict):
             raise ConstraintError("channel file must hold a JSON object")
         for key in ("kind", "d", "N"):
@@ -180,7 +196,7 @@ class ChannelSpec:
             w = e.get("w")
             if isinstance(w, bool) or not isinstance(w, (int, float)):
                 raise ConstraintError(f"channel field 'table[{i}].w' must be a number")
-            table.append((tuple(e["k"]), float(w)))
+            table.append((tuple(e["k"]), w))
         if "c" in doc and not _is_int_list(doc["c"]):
             raise ConstraintError("channel field 'c' must be a list of integers")
         return cls(

@@ -114,8 +114,8 @@ class PureState:
 
 
 class DensityOperator:
-    """Immutable dense density matrix over a labeled register, unchecked: the package
-    builds only reduced states of pure states (partial_trace)."""
+    """Immutable dense density matrix over a labeled register, unchecked. The package
+    builds none: the tests' dense oracles and the benchmark's tracer use it."""
 
     def __init__(self, register: Register, mat: np.ndarray):
         check_size("density matrix bytes", 16 * register.dim**2)
@@ -124,9 +124,6 @@ class DensityOperator:
             raise DimensionError(f"expected {register.dim}x{register.dim} matrix")
         self.register = register
         self.mat = _freeze(mat)
-
-    def __repr__(self):
-        return f"DensityOperator(d={self.register.d}, labels={self.register.labels})"
 
 
 @dataclass(frozen=True)
@@ -184,23 +181,6 @@ def drop_labels(register: Register, labels) -> Register:
     return Register(register.d, keep)
 
 
-def partial_trace(state: PureState, keep) -> DensityOperator:
-    """Reduced density operator of a pure state on `keep` (kept labels stay in register order)."""
-    keep = list(keep)
-    if not keep:
-        raise LabelError("keep must be non-empty")
-    reg = state.register
-    keep_pos = sorted(reg.positions(keep))
-    out_pos = [p for p in range(reg.n) if p not in keep_pos]
-    d = reg.d
-    dk = d ** len(keep_pos)
-    new_reg = Register(d, tuple(reg.labels[p] for p in keep_pos))
-    check_size("density matrix bytes", 16 * new_reg.dim**2)
-    t = state.amps.reshape([d] * reg.n)
-    t = np.transpose(t, keep_pos + out_pos).reshape(dk, -1)
-    return DensityOperator(new_reg, t @ t.conj().T)
-
-
 def reorder(state: PureState, new_order) -> PureState:
     """Permute the register to the given label order (same label set)."""
     reg = state.register
@@ -243,14 +223,17 @@ def overlap(a: PureState, b: PureState) -> complex:
     return complex(np.vdot(a.amps, b.amps))
 
 
-def von_neumann_entropy(rho: DensityOperator) -> float:
-    """Entropy in bits."""
-    vals = np.linalg.eigvalsh(rho.mat)
+def entropy(state: PureState, keep) -> float:
+    """Von Neumann entropy (bits) of a pure state's reduced state on `keep`: the
+    eigenvalues of the Gram matrix t t^dag, t the amplitudes with the kept labels
+    first, in register order."""
+    reg = state.register
+    kept = Register(reg.d, tuple(keep))  # refuses an empty or repeated keep
+    check_size("density matrix bytes", 16 * kept.dim**2)
+    keep_pos = sorted(reg.positions(kept.labels))
+    out_pos = [p for p in range(reg.n) if p not in keep_pos]
+    t = np.transpose(state.amps.reshape([reg.d] * reg.n), keep_pos + out_pos)
+    t = t.reshape(kept.dim, -1)
+    vals = np.linalg.eigvalsh(t @ t.conj().T)
     vals = vals[vals > 1e-14]
     return float(-np.sum(vals * np.log2(vals)))
-
-
-def entropy_across_cut(state: PureState, cut: Cut) -> float:
-    """Von Neumann entropy (bits) of the reduced state on cut.groupB."""
-    cut.validate(state.register)
-    return von_neumann_entropy(partial_trace(state, cut.groupB))

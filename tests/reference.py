@@ -15,6 +15,10 @@ checked against code that shares none of their index arithmetic:
 
 - state_joint: the plan executor's input (protocols.Joint) for one state
 - unit_vector: one random unit vector of C^d from its own seed
+- partial_trace, von_neumann_entropy: a pure state's reduced density as one
+  einsum over the traced labels, and its entropy from eigvalsh (the package
+  takes entropies from the kept side's Gram matrix, statealg.entropy, and
+  teleclone's clone fidelities from a batch of those Gram matrices)
 
 - project_plan: one outcome per plan level, each pair projected onto its
   Bell bra in turn (the dense per-component path of a mixture run)
@@ -249,6 +253,26 @@ def density(mix):
     vecs = channels.bell_products(mix.d, mix.N, mix.tuples)
     # sum_k C_k |v_k><v_k| as one (dim, K) @ (K, dim) product
     return DensityOperator(reg, (vecs.T * mix.weights) @ vecs.conj())
+
+
+def partial_trace(state, keep):
+    """The DensityOperator of a pure state on `keep`, kept labels in register order:
+    one einsum of the amplitudes with their conjugates, summed over the other labels."""
+    reg = state.register
+    t = state.amps.reshape((reg.d,) * reg.n)
+    kept = [p for p, l in enumerate(reg.labels) if l in keep]
+    bra = [reg.n + p if p in kept else p for p in range(reg.n)]
+    rho = np.einsum(t, list(range(reg.n)), t.conj(), bra, kept + [reg.n + p for p in kept])
+    dk = reg.d ** len(kept)
+    return DensityOperator(Register(reg.d, tuple(reg.labels[p] for p in kept)),
+                           rho.reshape(dk, dk))
+
+
+def von_neumann_entropy(rho):
+    """Entropy (bits) of a DensityOperator from its eigvalsh spectrum."""
+    vals = np.linalg.eigvalsh(rho.mat)
+    vals = vals[vals > 1e-14]
+    return float(-np.sum(vals * np.log2(vals)))
 
 
 def mixed_channel(spec):

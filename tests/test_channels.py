@@ -8,10 +8,9 @@ import reference
 from reference import mixed_channel, smolin_like
 from qric import (
     ChannelSpec,
-    Cut,
     beta_weighted_channel,
     channel_labels,
-    entropy_across_cut,
+    entropy,
     enumerate_constrained_tuples,
     general_pure_channel,
     ghz_channel,
@@ -156,8 +155,7 @@ def test_ghz_channel_one_vs_rest_entropy():
     ch = ghz_channel(3, 2)
     labels = channel_labels(2)
     for l in labels:
-        rest = tuple(x for x in labels if x != l)
-        assert abs(entropy_across_cut(ch, Cut(rest, (l,))) - np.log2(3)) < 1e-8
+        assert abs(entropy(ch, [l]) - np.log2(3)) < 1e-8
 
 
 def test_product_bell_all_zero():
@@ -381,5 +379,5 @@ def test_pure_channels_norm_and_last_cut_entropy(d, N, name):
     state = preset_spec(name, d, N).build()
     assert abs(np.linalg.norm(state.amps) - 1) < 1e-10
     labels = channel_labels(N)
-    ent = entropy_across_cut(state, Cut(labels[:-1], (labels[-1],)))
+    ent = entropy(state, labels[-1:])
     assert abs(ent - np.log2(d)) < 1e-8

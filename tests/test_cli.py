@@ -2,6 +2,7 @@ import argparse
 import cmath
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -152,6 +153,131 @@ def test_channel_file_residues_of_a_zero_residue_kind_exit_2(kind, field, tmp_pa
             "--trials", "5", "--out", os.devnull]
     assert main(argv) == 2
     assert f"channel kind {kind!r} needs field {field!r}" in capsys.readouterr().err
+
+
+# every transcript of a (3, 2) run fits under --max-transcripts
+CHANNEL_RUNS = {
+    "ric-all-branches": ["ric", "--mode", "all-branches", "--max-transcripts", "100000"],
+    "ric-sample": ["ric", "--mode", "sample", "--trials", "5"],
+    "stabilizers": ["stabilizers"],
+}
+
+ZEROS = [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("run", sorted(CHANNEL_RUNS))
+@pytest.mark.parametrize("doc,named", [
+    ({"kind": "mixed", "table": [{"k": ZEROS, "w": float("nan")}]}, "'table[0].w'"),
+    ({"kind": "mixed", "table": [{"k": ZEROS, "w": float("inf")}]}, "'table[0].w'"),
+    ({"kind": "mixed", "table": [{"k": ZEROS, "w": 1e308}, {"k": [1, 1, 1, 1], "w": 1e308}]},
+     "'table[1].w'"),
+    ({"kind": "mixed", "table": [{"k": ZEROS, "w": 10**400}]}, "'table[0].w'"),
+    ({"kind": "general-pure", "table": [{"k": ZEROS, "w": float("nan")}]}, "'table[0].w'"),
+    ({"kind": "general-pure", "table": [{"k": ZEROS, "w": 0.5}, {"k": ZEROS, "w": 0.5}]},
+     "tuple (0, 0, 0, 0) is repeated"),
+], ids=["mixed-nan", "mixed-inf", "mixed-sum-overflow", "mixed-huge-int", "pure-nan",
+        "pure-repeated-tuple"])
+def test_channel_file_weights_that_are_not_finite_or_repeat_exit_2(doc, named, run, tmp_path,
+                                                                   capsys):
+    # json reads NaN and Infinity; an integer weight past the float range overflows
+    path = tmp_path / "chan.json"
+    path.write_text(json.dumps({"d": 2, "N": 2, **doc}))
+    argv = CHANNEL_RUNS[run] + ["--d", "2", "--N", "2", "--channel", str(path),
+                                "--out", os.devnull]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert named in err
+
+
+@pytest.mark.parametrize("text", [
+    '{"kind": "mixed", "d": 2, "N": 2, "table": [{"k": [0, 0, 0, 0], "w": 1' + "0" * 5000 + "}]}",
+    '{"kind": "mixed", "d": 2,',
+], ids=["integer-of-5001-digits", "truncated"])
+def test_channel_file_that_json_cannot_read_exit_2(text, tmp_path, capsys):
+    # json refuses to convert an integer of more than 4300 digits with a ValueError
+    path = tmp_path / "chan.json"
+    path.write_text(text)
+    assert main(["ric", "--d", "2", "--N", "2", "--channel", str(path), "--out", os.devnull]) == 2
+    assert capsys.readouterr().err.startswith("configuration error:")
+
+
+def test_a_repeated_tuple_in_a_mixed_table_is_one_mixture(tmp_path, capsys):
+    path = tmp_path / "chan.json"
+    path.write_text(json.dumps({"kind": "mixed", "d": 2, "N": 2,
+                                "table": [{"k": ZEROS, "w": 0.25}, {"k": ZEROS, "w": 0.75}]}))
+    assert main(["stabilizers", "--d", "2", "--N", "2", "--channel", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["expectations"]["1,1"] == [1.0, 0.0]
+
+
+def _valid_channel_docs(d, N):
+    """One valid channel document of each kind at (d, N)."""
+    other = [1, 0] + [0, 0] * (N - 2) + [d - 1, 0]  # residues (0, 0), like the zero tuple
+    table = [{"k": [0] * (2 * N), "w": 0.5}, {"k": other, "w": 0.5}]
+    return [{"kind": kind, "d": d, "N": N} for kind in channels.ZERO_RESIDUE_KINDS] + [
+        {"kind": "product-bell", "d": d, "N": N, "c": other},
+        {"kind": "general-pure", "d": d, "N": N, "table": table},
+        {"kind": "mixed", "d": d, "N": N, "table": table},
+    ]
+
+
+# wrong types, NaN, infinities, huge, negative and zero values
+BAD_VALUES = [float("nan"), float("inf"), -float("inf"), 1e308, 10**400, -1, -0.5, 0, 0.0, 2.5,
+              True, None, "x", [], {}]
+# other (d, N), residues and tuples: short, out of range, a residue violation
+OTHER_VALUES = [1, 2, 3, 4, 7, [0, 0, 0], [0, 0, 0, 0, 0, 0], [5, 0, 0, 0], [1, 0, 0, 0],
+                [0, 1, 0, 0], [1.0, 0, 2.0, 0]]
+TOP_KEYS = ["kind", "d", "N", "u", "v", "c", "table"]
+
+
+@st.composite
+def mutated_channel_docs(draw):
+    """(d, doc): a valid channel document at (d, 2), d = 2 or 3, with one field changed,
+    dropped or added, or one table entry changed, dropped, repeated or given an extra key."""
+    d = draw(st.sampled_from([2, 3]))
+    doc = json.loads(json.dumps(draw(st.sampled_from(_valid_channel_docs(d, 2)))))
+    value = draw(st.sampled_from(BAD_VALUES + OTHER_VALUES + ["mixed", "general-pure"]))
+    how = draw(st.sampled_from(["set", "drop", "extra"]
+                               + ["entry-w", "entry-k", "entry-drop", "entry-repeat",
+                                  "entry-extra"] * ("table" in doc)))
+    if how == "set":
+        doc[draw(st.sampled_from(TOP_KEYS))] = value
+    elif how == "drop":
+        doc.pop(draw(st.sampled_from(sorted(doc))))
+    elif how == "extra":
+        doc["seed"] = value
+    else:
+        entry = doc["table"][draw(st.sampled_from([0, 1]))]
+        if how == "entry-w":
+            entry["w"] = value
+        elif how == "entry-k":
+            entry["k"] = value
+        elif how == "entry-drop":
+            entry.pop(draw(st.sampled_from(["k", "w"])))
+        elif how == "entry-repeat":
+            doc["table"].append(dict(entry))
+        else:
+            entry["note"] = value
+    return d, doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_channel_docs())
+def test_mutated_channel_files_exit_0_or_2(tmp_path_factory, case):
+    # main never raises; an exit-0 all-branches run explores every branch, so its
+    # probabilities are finite and sum to 1
+    d, doc = case
+    folder = tmp_path_factory.mktemp("chan")
+    path, out = folder / "chan.json", folder / "report.json"
+    path.write_text(json.dumps(doc))
+    for run in sorted(CHANNEL_RUNS):
+        code = main(CHANNEL_RUNS[run] + ["--d", str(d), "--N", "2", "--channel", str(path),
+                                         "--out", str(out)])
+        assert code in (0, 2), (run, doc)
+        if code == 0 and run == "ric-all-branches":
+            probs = [t["branch_probability"] for t in json.loads(out.read_text())["transcripts"]]
+            assert all(map(math.isfinite, probs)), doc
+            assert abs(math.fsum(probs) - 1) <= 1e-12, doc
 
 
 @pytest.mark.parametrize("subcommand", sorted(cli.HANDLERS))

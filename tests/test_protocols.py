@@ -15,7 +15,6 @@ from qric import (
     extract_clone_decomposition,
     ghz_correlated_state,
     overlap,
-    partial_trace,
     permute,
     preset_spec,
     random_qudit,
@@ -36,7 +35,7 @@ from qric.statealg import PureState
 
 
 def clone_fid(state, inp, label):
-    rho = partial_trace(state, [label])
+    rho = reference.partial_trace(state, [label])
     return float(np.real(np.vdot(inp.amps, rho.mat @ inp.amps)))
 
 

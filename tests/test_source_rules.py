@@ -131,6 +131,7 @@ UNUSED_IN_PACKAGE = {
     "measurement.py:Branch.null": "read by the tracer's gbm_branches hook",
     "channels.py:ChannelSpec.to_json": "the writer of the documented channel-file format",
     "statealg.py:PureState.amplitude": "the basis-convention accessor",
+    "protocols.py:Leaves.state": "the per-leaf accessor of the README's Python quick start",
 }
 
 
@@ -227,9 +228,9 @@ NOT_REACHED = {
     "opsbasis.py:weyl_r": "bound by perfbench/test_perfbench.py and tracer.py",
     "opsbasis.py:weyl_monomial": "its 'U' kind serves the stabilizer and Weyl-frame oracles "
                                  "of the tests",
-    "analysis.py:compare_fingerprints": "verify's ghz and beta first differ in their 2-label "
-                                        "entropies, so its spectrum-mismatch returns and its "
-                                        "final False run under no subcommand",
+    "statealg.py:DensityOperator.__init__": "perfbench/tracer.py install wraps it; it goes "
+                                            "once the benchmark drops that hook (ROADMAP "
+                                            "item 1)",
 }
 
 # (exit code, argv) of every run the reach rule traces; each writes --out unless it sets it

@@ -6,13 +6,11 @@ import pytest
 import reference
 from reference import apply_local, basis_state
 from qric import (
-    Cut,
     PureState,
     Register,
     bell_state,
-    entropy_across_cut,
+    entropy,
     overlap,
-    partial_trace,
     permute,
     tensor,
 )
@@ -161,15 +159,15 @@ def test_apply_local_errors():
 
 
 # ---------------------------------------------------------------------------
-# partial trace
+# partial trace (the dense oracle) and entropy
 
 def test_partial_trace_bell_marginal():
-    rho = partial_trace(bell_state(2, 0, 0, ("X", "Y")), ["X"])
+    rho = reference.partial_trace(bell_state(2, 0, 0, ("X", "Y")), ["X"])
     np.testing.assert_allclose(rho.mat, np.eye(2) / 2, atol=1e-12)
 
 
 def test_partial_trace_product():
-    rho = partial_trace(basis_state(2, [0, 0], ["X", "Y"]), ["X"])
+    rho = reference.partial_trace(basis_state(2, [0, 0], ["X", "Y"]), ["X"])
     np.testing.assert_allclose(rho.mat, [[1, 0], [0, 0]], atol=1e-12)
 
 
@@ -179,7 +177,7 @@ def test_partial_trace_properties_random(d, n):
     labels = tuple(f"q{i}" for i in range(n))
     st = rand_state(d, labels, rng)
     keep = list(labels[: n // 2])
-    rho = partial_trace(st, keep)
+    rho = reference.partial_trace(st, keep)
     assert abs(np.trace(rho.mat) - 1) < 1e-10
     assert np.linalg.eigvalsh(rho.mat).min() > -1e-10
 
@@ -187,9 +185,22 @@ def test_partial_trace_properties_random(d, n):
 def test_partial_trace_errors():
     st = basis_state(2, [0, 0], ["a", "b"])
     with pytest.raises(LabelError):
-        partial_trace(st, [])
+        entropy(st, [])
     with pytest.raises(LabelError):
-        partial_trace(st, ["nope"])
+        entropy(st, ["nope"])
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_entropy_matches_the_dense_oracle(d, size):
+    # kept groups in any label order, on random states of 4 qudits
+    rng = np.random.default_rng(10 * d + size)
+    labels = ("a", "b", "c", "e")
+    for _ in range(5):
+        st = rand_state(d, labels, rng)
+        keep = list(rng.permutation(labels)[:size])
+        want = reference.von_neumann_entropy(reference.partial_trace(st, keep))
+        assert abs(entropy(st, keep) - want) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +258,9 @@ def test_overlap_refuses_another_label_order():
 
 def test_entropy_product_and_bell():
     prod = basis_state(2, [0, 0], ["X", "Y"])
-    assert entropy_across_cut(prod, Cut(("X",), ("Y",))) < 1e-12
+    assert entropy(prod, ["Y"]) < 1e-12
     b3 = bell_state(3, 0, 0, ("X", "Y"))
-    assert abs(entropy_across_cut(b3, Cut(("X",), ("Y",))) - np.log2(3)) < 1e-10
+    assert abs(entropy(b3, ["Y"]) - np.log2(3)) < 1e-10
 
 
 def test_entropy_ghz_channel_last_cut():
@@ -257,8 +268,7 @@ def test_entropy_ghz_channel_last_cut():
 
     ch = ghz_channel(2, 2)
     labels = channel_labels(2)
-    cut = Cut(labels[:-1], (labels[-1],))
-    assert abs(entropy_across_cut(ch, cut) - 1.0) < 1e-8
+    assert abs(entropy(ch, labels[-1:]) - 1.0) < 1e-8
 
 
 def test_states_are_frozen():
